@@ -68,12 +68,12 @@ def _add_solver_flags(p):
 def cmd_solve(args) -> int:
     try:
         inst = io.parse_instance(args.instance)
+        rep = multistart_solve(inst, _solver_params(args))
+        if args.out:
+            io.write_conformation(rep.conformation, inst, args.out)
     except (IdgpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rep = multistart_solve(inst, _solver_params(args))
-    if args.out:
-        io.write_conformation(rep.conformation, inst, args.out)
     _write_report(_run_report(Path(args.instance).name, inst, rep), args.report)
     return 0 if rep.status == "Solved" else 2
 

@@ -95,34 +95,27 @@ def dihedral(a, b, c, d) -> float:
     return math.atan2(-y if y != 0.0 else 0.0, x)
 
 
-def distance_from_torsion(inst, i: int, tau: float, x_im3, x_im2, x_im1) -> float:
-    """Distance ||x_i - x_{i-3}|| realized by placing atom i at torsion tau."""
-    d = inst.edge(i - 1, i).lower
-    theta = inst.bond_angles[i]
-    x = place_atom(x_im3, x_im2, x_im1, d, theta, tau)
-    return float(np.linalg.norm(x - x_im3))
+def cos_affine_coefficients(x_im3, x_im2, x_im1, d: float, theta: float):
+    """Coefficients (a, b) of ||x_i - x_{i-3}||^2 = a + b cos(tau) for atom i
+    placed at distance d and bond angle theta after the given predecessors.
 
-
-def _cos_affine_coefficients(inst, i: int):
-    """Coefficients (a, b) of ||x_i - x_{i-3}||^2 = a + b cos(tau).
-
-    Computed from two placements (tau = 0 and pi) on a canonical
-    predecessor triple; exact because the relation is affine in cos(tau).
+    Computed from two placements (tau = 0 and pi); exact because the
+    relation is affine in cos(tau).
     """
-    d_ab = inst.edge(i - 3, i - 2).lower
-    d_bc = inst.edge(i - 2, i - 1).lower
-    x1, x2, x3 = place_first_three(d_ab, d_bc, inst.bond_angles[i - 1])
-    d0 = distance_from_torsion(inst, i, 0.0, x1, x2, x3)
-    dpi = distance_from_torsion(inst, i, math.pi, x1, x2, x3)
-    a = 0.5 * (d0 * d0 + dpi * dpi)
-    b = 0.5 * (d0 * d0 - dpi * dpi)
-    return a, b
+    d0 = float(np.linalg.norm(place_atom(x_im3, x_im2, x_im1, d, theta, 0.0) - x_im3))
+    dpi = float(np.linalg.norm(place_atom(x_im3, x_im2, x_im1, d, theta, math.pi)
+                               - x_im3))
+    return 0.5 * (d0 * d0 + dpi * dpi), 0.5 * (d0 * d0 - dpi * dpi)
 
 
 def torsion_domain_from_distance(inst, i: int) -> TorsionDomain:
     """Invert the d_{i-3,i} interval into a sign-symmetric torsion domain."""
     e = inst.edge(i - 3, i)
-    a, b = _cos_affine_coefficients(inst, i)
+    # any predecessor triple with the instance's lengths and angle will do
+    triple = place_first_three(inst.edge(i - 3, i - 2).lower,
+                               inst.edge(i - 2, i - 1).lower, inst.bond_angles[i - 1])
+    a, b = cos_affine_coefficients(*triple, inst.edge(i - 1, i).lower,
+                                   inst.bond_angles[i])
     s_lo, s_up = e.lower * e.lower, e.upper * e.upper
 
     if abs(b) <= _COLLINEAR_TOL:
@@ -162,6 +155,3 @@ def sample_torsions(dom: TorsionDomain, rng, size: int) -> np.ndarray:
         return signs * dom.lo
     return signs * rng.uniform(dom.lo, dom.hi, size)
 
-
-def sample_torsion(dom: TorsionDomain, rng) -> float:
-    return float(sample_torsions(dom, rng, 1)[0])

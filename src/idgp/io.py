@@ -18,15 +18,17 @@ import math
 
 import numpy as np
 
-from . import geometry
+from . import geometry, metrics
 from .model import (
     AtomRecord,
+    CompiledInstance,
     DegenerateGeometryError,
     DomainKind,
     DuplicateEdgeError,
     EdgeConstraint,
     IdgpError,
     Instance,
+    InvalidBoundsError,
     TorsionDomain,
     bond_angle_from_distances,
     validate_instance,
@@ -136,21 +138,25 @@ def parse_instance(path) -> Instance:
                 elif tok[0] == "T":
                     if len(tok) != 5:
                         raise ValueError("expected: T i tauL_deg tauU_deg sign")
-                    overrides[int(tok[1])] = _parse_domain(float(tok[2]),
-                                                           float(tok[3]), tok[4])
+                    i = int(tok[1])
+                    if i in overrides:
+                        raise ValueError(f"duplicate torsion record for atom {i}")
+                    overrides[i] = (line_no, _parse_domain(float(tok[2]),
+                                                           float(tok[3]), tok[4]))
                 else:
                     raise ValueError(f"unknown record type '{tok[0]}'")
-            except DuplicateEdgeError:
-                raise
-            except (ValueError, IndexError) as exc:
+            except (ValueError, IndexError, InvalidBoundsError) as exc:
                 raise ParseError(path, line_no, str(exc)) from exc
 
     if not edges:
         raise ParseError(path, 0, "no edge records")
     n = max(max(i, j) for (i, j) in seen_pairs)
+    for i, (line_no, _) in overrides.items():
+        if not 4 <= i <= n:
+            raise ParseError(path, line_no, f"torsion record for atom {i} outside 4..{n}")
     atoms = [AtomRecord(k, names.get(k, "X"), residues.get(k, 0))
              for k in range(1, n + 1)]
-    return build_instance(atoms, edges, overrides)
+    return build_instance(atoms, edges, {i: dom for i, (_, dom) in overrides.items()})
 
 
 def _fmt(x: float) -> str:
@@ -214,18 +220,17 @@ def write_reference(atoms, coords, path) -> None:
 
 def write_conformation(X, inst: Instance, path) -> None:
     """Write coordinates plus a comment trailer with LDE, MDE and stress."""
-    from . import metrics
-
     coords = np.asarray(X.coords if hasattr(X, "coords") else X, dtype=float)
     if coords.size == 0:
         raise IdgpError("refusing to write an empty conformation")
     write_reference(inst.atoms, coords, path)
-    d = metrics.init_distance_variables(coords, inst)
-    w = metrics.edge_weights(inst)
+    ci = CompiledInstance.of(inst)
+    problem = metrics.StressProblem(ci)
+    stress = problem.objective(problem.pack(coords, problem.init_d(coords)))
     with open(path, "a") as fh:
-        fh.write(f"# LDE {metrics.lde_global(coords, inst):.5e}\n")
-        fh.write(f"# MDE {metrics.mde_global(coords, inst):.5e}\n")
-        fh.write(f"# stress {metrics.stress(coords, d, w):.5e}\n")
+        fh.write(f"# LDE {metrics.lde_global(coords, ci):.5e}\n")
+        fh.write(f"# MDE {metrics.mde_global(coords, ci):.5e}\n")
+        fh.write(f"# stress {stress:.5e}\n")
 
 
 def _angle_at(coords, a, b, c) -> float:
@@ -284,14 +289,8 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
             cands.append(1.0)
         if hi_t >= math.pi or lo_t <= -math.pi:
             cands.append(-1.0)
-        d_prev = dist(i - 2, i - 1)
-        theta = _angle_at(coords, i - 3, i - 2, i - 1)
-        d0 = float(np.linalg.norm(
-            geometry.place_atom(p3, p2, p1, d_prev, theta, 0.0) - p3))
-        dpi = float(np.linalg.norm(
-            geometry.place_atom(p3, p2, p1, d_prev, theta, math.pi) - p3))
-        a = 0.5 * (d0 * d0 + dpi * dpi)
-        b = 0.5 * (d0 * d0 - dpi * dpi)
+        a, b = geometry.cos_affine_coefficients(
+            p3, p2, p1, dist(i - 2, i - 1), _angle_at(coords, i - 3, i - 2, i - 1))
         svals = [a + b * c for c in cands]
         d_lo = math.sqrt(max(min(svals), 0.0))
         d_hi = math.sqrt(max(max(svals), 0.0))

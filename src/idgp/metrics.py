@@ -1,137 +1,41 @@
-"""Feasibility metrics, the stress objective, and its analytic gradient."""
-
-from dataclasses import dataclass
+"""Feasibility metrics and the stress model over a CompiledInstance's edges."""
 
 import numpy as np
 
-from .model import Instance, NonsmoothPointError, as_coords, project_interval
+from .model import CompiledInstance, NonsmoothPointError, as_coords
 
 _SMOOTHNESS_TOL = 1e-12
 
 
-def pair_distance(coords: np.ndarray, i: int, j: int) -> float:
-    """Distance between atoms i and j (1-based). Always sqrt-of-sum-of-squares
-    so scalar and vectorized paths agree bitwise."""
-    diff = coords[:, i - 1] - coords[:, j - 1]
-    return float(np.sqrt((diff * diff).sum()))
-
-
-@dataclass
-class DistanceVariables:
-    """Auxiliary per-edge distances confined to their interval box."""
-
-    values: dict
-
-
-def edge_weights(inst: Instance) -> dict:
-    """Stress weights: equal, discretization edges doubled, sum normalized to 1."""
-    keys = sorted(inst.edges)
-    w = np.ones(len(keys))
-    for k, key in enumerate(keys):
-        if inst.edges[key].is_discretization:
-            w[k] = 2.0
-    w /= w.sum()
-    return {key: float(w[k]) for k, key in enumerate(keys)}
-
-
-def edge_residual(X, e) -> float:
-    """Normalized interval violation of one edge; zero iff satisfied."""
+def _residuals(X, ci: CompiledInstance) -> np.ndarray:
+    """Normalized interval violation per edge; zero iff the edge is satisfied."""
     coords = as_coords(X)
-    r = pair_distance(coords, e.i, e.j)
-    return max(0.0, (e.lower - r) / e.lower, (r - e.upper) / e.upper)
-
-
-def lde_local(X, inst: Instance, i: int) -> float:
-    """Largest residual over back-edges {j, i} with j < i (atoms 1..i placed)."""
-    worst = 0.0
-    for j in range(1, i):
-        e = inst.edge(j, i)
-        if e is not None:
-            worst = max(worst, edge_residual(X, e))
-    return worst
-
-
-def _residuals(X, inst: Instance) -> np.ndarray:
-    coords = as_coords(X)
-    edges = inst.sorted_edges()
-    ii = np.array([e.i - 1 for e in edges])
-    jj = np.array([e.j - 1 for e in edges])
-    lo = np.array([e.lower for e in edges])
-    up = np.array([e.upper for e in edges])
-    diff = coords[:, ii] - coords[:, jj]
+    diff = coords[:, ci.ii] - coords[:, ci.jj]
     r = np.sqrt((diff * diff).sum(axis=0))
-    return np.maximum(0.0, np.maximum((lo - r) / lo, (r - up) / up))
+    return np.maximum(0.0, np.maximum((ci.lower - r) / ci.lower,
+                                      (r - ci.upper) / ci.upper))
 
 
-def lde_global(X, inst: Instance) -> float:
-    return float(_residuals(X, inst).max())
+def lde_global(X, ci: CompiledInstance) -> float:
+    return float(_residuals(X, ci).max())
 
 
-def mde_global(X, inst: Instance) -> float:
-    return float(_residuals(X, inst).mean())
-
-
-def stress(X, d, weights) -> float:
-    """Weighted half sum of squared gaps between realized and auxiliary distances."""
-    coords = as_coords(X)
-    values = d.values if isinstance(d, DistanceVariables) else d
-    total = 0.0
-    for key, dij in values.items():
-        i, j = key
-        r = pair_distance(coords, i, j)
-        total += weights[key] * (r - dij) ** 2
-    return 0.5 * total
-
-
-def stress_gradient(X, d, weights):
-    """Analytic gradient of the stress: (3 x n coordinate block, per-edge block).
-
-    The per-edge block is keyed like `d`.
-    """
-    coords = as_coords(X)
-    values = d.values if isinstance(d, DistanceVariables) else d
-    gX = np.zeros_like(coords)
-    gd = {}
-    for key, dij in values.items():
-        i, j = key
-        diff = coords[:, i - 1] - coords[:, j - 1]
-        r = float(np.sqrt((diff * diff).sum()))
-        if r <= _SMOOTHNESS_TOL:
-            raise NonsmoothPointError(f"coincident endpoints on edge {key}")
-        t = weights[key] * (r - dij)
-        gX[:, i - 1] += t * diff / r
-        gX[:, j - 1] -= t * diff / r
-        gd[key] = -t
-    return gX, gd
-
-
-def init_distance_variables(X, inst: Instance) -> DistanceVariables:
-    """Project realized distances onto their intervals (per-edge optimal d)."""
-    coords = as_coords(X)
-    values = {}
-    for key, e in inst.edges.items():
-        r = pair_distance(coords, e.i, e.j)
-        values[key] = project_interval(r, e.lower, e.upper)
-    return DistanceVariables(values)
+def mde_global(X, ci: CompiledInstance) -> float:
+    return float(_residuals(X, ci).mean())
 
 
 class StressProblem:
-    """Array-based stress evaluation for the refinement phase.
+    """Weighted half sum of squared gaps between realized and auxiliary distances.
 
     Packs (X, d) into one flat vector z = [X.ravel(), d]; the feasible set
     is free on the coordinate block and a box on the distance block.
     """
 
-    def __init__(self, inst: Instance):
-        edges = inst.sorted_edges()
-        self.n = inst.n
-        self.m = len(edges)
-        self.ii = np.array([e.i - 1 for e in edges])
-        self.jj = np.array([e.j - 1 for e in edges])
-        self.lower = np.array([e.lower for e in edges])
-        self.upper = np.array([e.upper for e in edges])
-        w = np.array([2.0 if e.is_discretization else 1.0 for e in edges])
-        self.w = w / w.sum()
+    def __init__(self, ci: CompiledInstance):
+        self.n = ci.n
+        self.m = ci.ii.size
+        self.ii, self.jj, self.w = ci.ii, ci.jj, ci.w
+        self.lower, self.upper = ci.lower, ci.upper
 
     def pack(self, coords: np.ndarray, d: np.ndarray) -> np.ndarray:
         return np.concatenate([np.asarray(coords, dtype=float).ravel(), d])
@@ -141,6 +45,7 @@ class StressProblem:
         return z[:nc].reshape(3, self.n), z[nc:]
 
     def init_d(self, coords: np.ndarray) -> np.ndarray:
+        """Realized distances projected onto their intervals (per-edge optimal d)."""
         diff = coords[:, self.ii] - coords[:, self.jj]
         r = np.sqrt((diff * diff).sum(axis=0))
         return np.clip(r, self.lower, self.upper)

@@ -194,15 +194,52 @@ class Instance:
             i, j = j, i
         return self.edges.get((i, j))
 
-    def sorted_edges(self):
-        return [self.edges[k] for k in sorted(self.edges)]
 
+@dataclass(frozen=True, eq=False)
+class CompiledInstance:
+    """Read-only array view of an Instance, built once per solve.
 
-def project_interval(r: float, lower: float, upper: float) -> float:
-    """Nearest point of [lower, upper] to r."""
-    if lower > upper:
-        raise InvalidBoundsError(f"lower {lower} > upper {upper}")
-    return min(max(r, lower), upper)
+    Edges are sorted by (i, j) with 0-based ends `ii` < `jj`; `w` holds the
+    stress weights (discretization edges doubled, sum 1). Row i of the
+    back-edge CSR, `back_ptr[i - 1]:back_ptr[i]`, lists the edges (j, i)
+    with j < i in ascending j: 0-based j in `back_col`, bounds in
+    `back_lower`/`back_upper`. `d_prev[i]` is d_{i-1,i} and `theta[i]` the
+    bond angle at atom i (1-based; nan where undefined).
+    """
+
+    n: int
+    ii: np.ndarray
+    jj: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    w: np.ndarray
+    back_ptr: np.ndarray
+    back_col: np.ndarray
+    back_lower: np.ndarray
+    back_upper: np.ndarray
+    d_prev: np.ndarray
+    theta: np.ndarray
+    torsion_domains: dict
+
+    @classmethod
+    def of(cls, inst: Instance) -> "CompiledInstance":
+        edges = [inst.edges[k] for k in sorted(inst.edges)]
+        ii = np.array([e.i - 1 for e in edges], dtype=int)
+        jj = np.array([e.j - 1 for e in edges], dtype=int)
+        lower = np.array([e.lower for e in edges], dtype=float)
+        upper = np.array([e.upper for e in edges], dtype=float)
+        w = np.array([2.0 if e.is_discretization else 1.0 for e in edges])
+        by_end = np.lexsort((ii, jj))
+        back_ptr = np.concatenate(([0], np.cumsum(np.bincount(jj, minlength=inst.n))))
+        d_prev = [math.nan] * 2 + [inst.edge(i - 1, i).lower for i in range(2, inst.n + 1)]
+        theta = [inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)]
+        view = cls(inst.n, ii, jj, lower, upper, w / w.sum(), back_ptr, ii[by_end],
+                   lower[by_end], upper[by_end], np.array(d_prev), np.array(theta),
+                   dict(inst.torsion_domains))
+        for value in vars(view).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return view
 
 
 def bond_angle_from_distances(d_ab: float, d_bc: float, d_ac: float) -> float:

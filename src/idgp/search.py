@@ -3,11 +3,13 @@
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry, metrics
 from .model import (
+    CompiledInstance,
     Conformation,
     DomainKind,
     EmptyDomainError,
@@ -22,69 +24,31 @@ from .spg import SpgParams, spg_minimize
 _CA_SUBSET_THRESHOLD = 200
 
 
-@dataclass
-class _AtomPrep:
-    back: np.ndarray    # 0-based indices of atoms j < i sharing an edge with i
-    lower: np.ndarray
-    upper: np.ndarray
-    d_prev: float       # exact d_{i-1,i}
-    theta: float
-
-
-def _prepare(inst: Instance):
-    prep = inst.__dict__.get("_search_prep")
-    if prep is not None:
-        return prep
-    back = {i: [] for i in range(1, inst.n + 1)}
-    for (i, j), e in inst.edges.items():
-        back[j].append((i - 1, e.lower, e.upper))
-    prep = {}
-    for i in range(4, inst.n + 1):
-        rows = sorted(back[i])
-        prep[i] = _AtomPrep(
-            back=np.array([r[0] for r in rows], dtype=int),
-            lower=np.array([r[1] for r in rows]),
-            upper=np.array([r[2] for r in rows]),
-            d_prev=inst.edge(i - 1, i).lower,
-            theta=inst.bond_angles[i],
-        )
-    inst.__dict__["_search_prep"] = prep
-    return prep
-
-
-def greedy_construction(inst: Instance, n_tors: int, rng, domains=None):
+def greedy_construction(ci: CompiledInstance, n_tors: int, rng, domains=None):
     """Build a conformation atom by atom, keeping the sampled torsion with
     the smallest local inconsistency at each step.
 
     Returns (torsion assignment dict, Conformation).
     """
     if domains is None:
-        domains = inst.torsion_domains
-    prep = _prepare(inst)
-    n = inst.n
-    X = np.empty((3, n))
-    x1, x2, x3 = place_first_three_for(inst)
-    X[:, 0], X[:, 1], X[:, 2] = x1, x2, x3
+        domains = ci.torsion_domains
+    X = np.empty((3, ci.n))
+    X[:, 0], X[:, 1], X[:, 2] = geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
+                                                           ci.theta[3])
     tau = {}
-    for i in range(4, n + 1):
-        p = prep[i]
+    for i in range(4, ci.n + 1):
+        rows = slice(ci.back_ptr[i - 1], ci.back_ptr[i])
+        lower, upper = ci.back_lower[rows, None], ci.back_upper[rows, None]
         taus = geometry.sample_torsions(domains[i], rng, n_tors)
         cand = geometry.place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2],
-                                          p.d_prev, p.theta, taus)
-        diffs = cand[:, None, :] - X[:, p.back][:, :, None]
+                                          ci.d_prev[i], ci.theta[i], taus)
+        diffs = cand[:, None, :] - X[:, ci.back_col[rows]][:, :, None]
         r = np.linalg.norm(diffs, axis=0)
-        delta = np.maximum(0.0, np.maximum((p.lower[:, None] - r) / p.lower[:, None],
-                                           (r - p.upper[:, None]) / p.upper[:, None]))
+        delta = np.maximum(0.0, np.maximum((lower - r) / lower, (r - upper) / upper))
         best = int(np.argmin(delta.max(axis=0)))
         X[:, i - 1] = cand[:, best]
         tau[i] = float(taus[best])
     return tau, Conformation(X)
-
-
-def place_first_three_for(inst: Instance):
-    return geometry.place_first_three(inst.edge(1, 2).lower,
-                                      inst.edge(2, 3).lower,
-                                      inst.bond_angles[3])
 
 
 def sign_restricted_domain(dom: TorsionDomain, tau: float) -> TorsionDomain:
@@ -107,19 +71,19 @@ def sign_restricted_domain(dom: TorsionDomain, tau: float) -> TorsionDomain:
     return TorsionDomain.single(dom.lo, min(dom.hi, 0.0))
 
 
-def improve(X, tau: dict, inst: Instance, n_tors: int, rng):
+def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng):
     """One sweep of sign flips; each flip is kept only if the global LDE
     strictly decreases. Never increases the LDE."""
-    current_lde = metrics.lde_global(X, inst)
-    for i in range(4, inst.n + 1):
+    current_lde = metrics.lde_global(X, ci)
+    for i in range(4, ci.n + 1):
         t_i = tau[i]
-        dom = inst.torsion_domains[i]
+        dom = ci.torsion_domains[i]
         if t_i == 0.0 or not dom.contains(-t_i):
             continue
-        trial_domains = dict(inst.torsion_domains)
+        trial_domains = dict(ci.torsion_domains)
         trial_domains[i] = sign_restricted_domain(dom, -t_i)
-        tau_trial, X_trial = greedy_construction(inst, n_tors, rng, trial_domains)
-        lde_trial = metrics.lde_global(X_trial, inst)
+        tau_trial, X_trial = greedy_construction(ci, n_tors, rng, trial_domains)
+        lde_trial = metrics.lde_global(X_trial, ci)
         if lde_trial < current_lde:
             X, tau, current_lde = X_trial, tau_trial, lde_trial
     return X, tau
@@ -151,6 +115,13 @@ def kabsch_rmsd(X, Y, inst: Instance) -> float:
     return float(np.linalg.norm(B - R @ A) / math.sqrt(sel.size))
 
 
+class PoolEntry(NamedTuple):
+    conformation: Conformation
+    mde: float
+    lde: float
+    torsions: dict
+
+
 @dataclass
 class MultistartReport:
     status: str                 # Solved | BestEffort | TimeLimit
@@ -160,7 +131,7 @@ class MultistartReport:
     mde: float
     trials: int
     pool_size: int
-    pool: list                  # (Conformation, mde, lde, torsions) tuples
+    pool: list                  # PoolEntry records
     stress_success: bool        # SPG reached the stress tolerance at least once
     wall_time: float
     seed: int
@@ -170,23 +141,25 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
     """Multistart greedy construction + improvement, RMSD de-duplication and
     SPG refinement of the stress model; early return on LDE/MDE tolerance."""
     start = time.monotonic()
-    problem = metrics.StressProblem(inst)
+    ci = CompiledInstance.of(inst)
+    problem = metrics.StressProblem(ci)
     spg_params = SpgParams(max_iter=params.spg_max_iter,
                            success_f=params.spg_stress_success,
                            stall_window=params.spg_stall_window)
     streams = np.random.SeedSequence(params.rng_seed).spawn(params.n_trial)
 
-    pool = []           # (Conformation, mde, lde, tau)
+    pool = []
     best = None         # smallest-MDE candidate seen, fallback when pool empty
     stress_success = False
     stall = 0
     trials = 0
     status = "BestEffort"
 
-    def report(conf, tau, lde, mde, st):
-        return MultistartReport(st, conf, tau, lde, mde, trials, len(pool),
-                                list(pool), stress_success,
-                                time.monotonic() - start, params.rng_seed)
+    def report(entry, st):
+        return MultistartReport(st, entry.conformation, entry.torsions, entry.lde,
+                                entry.mde, trials, len(pool), list(pool),
+                                stress_success, time.monotonic() - start,
+                                params.rng_seed)
 
     for c in range(params.n_trial):
         if best is not None and time.monotonic() - start > params.time_limit:
@@ -195,51 +168,37 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
         trials += 1
         rng = np.random.default_rng(streams[c])
 
-        tau, conf = greedy_construction(inst, params.n_tors, rng)
+        tau, conf = greedy_construction(ci, params.n_tors, rng)
         for _ in range(params.n_impr):
-            conf, tau = improve(conf, tau, inst, params.n_tors, rng)
-        mde = metrics.mde_global(conf, inst)
-        lde = metrics.lde_global(conf, inst)
-        if best is None or mde < best[1]:
-            best = (conf, mde, lde, tau)
-        if mde <= params.eps_mde or lde <= params.eps_lde:
-            return report(conf, tau, lde, mde, "Solved")
-
-        if any(kabsch_rmsd(conf, p[0], inst) <= params.eps_similar for p in pool):
-            stall += 1
-            if stall >= params.stall_trials:
+            conf, tau = improve(conf, tau, ci, params.n_tors, rng)
+        # the constructed candidate is refined only if distinct from the
+        # pool, and checked again after: SPG can pull it onto a pooled one
+        for refine in (False, True):
+            if refine:
+                z0 = problem.pack(conf.coords, problem.init_d(conf.coords))
+                result = spg_minimize(problem.objective, problem.gradient,
+                                      problem.project, z0, spg_params)
+                if result.f_final <= params.spg_stress_success:
+                    stress_success = True
+                coords, _ = problem.unpack(result.z_final)
+                conf = Conformation(coords.copy())
+            entry = PoolEntry(conf, metrics.mde_global(conf, ci),
+                              metrics.lde_global(conf, ci), tau)
+            if best is None or entry.mde < best.mde:
+                best = entry
+            if entry.mde <= params.eps_mde or entry.lde <= params.eps_lde:
+                return report(entry, "Solved")
+            if any(kabsch_rmsd(conf, p.conformation, inst) <= params.eps_similar
+                   for p in pool):
+                stall += 1
                 break
-            continue
-
-        z0 = problem.pack(conf.coords, problem.init_d(conf.coords))
-        result = spg_minimize(problem.objective, problem.gradient,
-                              problem.project, z0, spg_params)
-        if result.f_final <= params.spg_stress_success:
-            stress_success = True
-        coords, _ = problem.unpack(result.z_final)
-        conf = Conformation(coords.copy())
-        mde = metrics.mde_global(conf, inst)
-        lde = metrics.lde_global(conf, inst)
-        if mde < best[1]:
-            best = (conf, mde, lde, tau)
-        if mde <= params.eps_mde or lde <= params.eps_lde:
-            return report(conf, tau, lde, mde, "Solved")
-
-        # re-check distinctness: SPG can pull a candidate onto a pooled one
-        if any(kabsch_rmsd(conf, p[0], inst) <= params.eps_similar for p in pool):
-            stall += 1
-            if stall >= params.stall_trials:
-                break
-            continue
-        pool.append((conf, mde, lde, tau))
-        stall = 0
-        if len(pool) > params.n_conf:
+        else:  # no break: the refined candidate is distinct from the pool
+            pool.append(entry)
+            stall = 0
+        if stall >= params.stall_trials or len(pool) > params.n_conf:
             break
 
-    if pool:
-        conf, mde, lde, tau = min(pool, key=lambda p: p[1])
-    else:
-        conf, mde, lde, tau = best
-    if mde <= params.eps_mde or lde <= params.eps_lde:
+    entry = min(pool, key=lambda p: p.mde) if pool else best
+    if entry.mde <= params.eps_mde or entry.lde <= params.eps_lde:
         status = "Solved"
-    return report(conf, tau, lde, mde, status)
+    return report(entry, status)

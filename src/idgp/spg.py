@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import IdgpError
+from .model import IdgpError, NonsmoothPointError
 
 
 class StationaryStartError(IdgpError):
@@ -71,7 +71,16 @@ def initial_spectral_step(z0, g0, project, params: SpgParams = SpgParams()) -> f
 
 
 def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams()) -> SpgResult:
-    """Run SPG from z0 (assumed feasible); returns the best iterate seen."""
+    """Run SPG from z0 (assumed feasible); returns the best iterate seen.
+    A nonfinite f or g, or g at a nonsmooth point, ends it as NUMERICAL_FAILURE."""
+
+    def grad(x):
+        try:
+            gx = g(x)
+        except NonsmoothPointError:
+            return None
+        return gx if np.all(np.isfinite(gx)) else None
+
     z = np.asarray(z0, dtype=float).copy()
     fz = f(z)
     if not math.isfinite(fz):
@@ -82,8 +91,8 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams()) -> SpgResul
     if fz <= params.success_f:
         return SpgResult(best_z, best_f, 0, SpgStatus.SUCCESS_TOLERANCE, list(history))
 
-    gz = g(z)
-    if not np.all(np.isfinite(gz)):
+    gz = grad(z)
+    if gz is None:
         return SpgResult(best_z, best_f, 0, SpgStatus.NUMERICAL_FAILURE, list(history))
     try:
         lam = initial_spectral_step(z, gz, project, params)
@@ -127,8 +136,8 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams()) -> SpgResul
             status = SpgStatus.STALLED
             break
 
-        g_new = g(z_new)
-        if not np.all(np.isfinite(g_new)):
+        g_new = grad(z_new)
+        if g_new is None:
             return SpgResult(best_z, best_f, k, SpgStatus.NUMERICAL_FAILURE,
                              list(history))
         s = z_new - z

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from idgp import geometry, io
-from idgp.model import AtomRecord, EdgeConstraint
-from idgp.metrics import pair_distance
+from idgp.model import AtomRecord, EdgeConstraint, Instance
+from tests.oracles import pair_distance
 
 
 def build_chain(taus, d=1.52, theta=1.91):
@@ -18,6 +18,13 @@ def build_chain(taus, d=1.52, theta=1.91):
         X[:, k - 1] = geometry.place_atom(X[:, k - 4], X[:, k - 3], X[:, k - 2],
                                           d, theta, tau)
     return X
+
+
+def one_edge_instance(lower, upper):
+    """Two atoms joined by one interval edge; compilable, though not a chain."""
+    atoms = [AtomRecord(1, "A", 1), AtomRecord(2, "B", 1)]
+    edges = {(1, 2): EdgeConstraint(1, 2, lower, upper, is_discretization=True)}
+    return Instance(atoms=atoms, edges=edges)
 
 
 def exact_edge(coords, i, j):

@@ -1,0 +1,46 @@
+"""Scalar per-edge reference implementations that the array code of
+`idgp.metrics` and `idgp.model.CompiledInstance` is checked against."""
+
+import numpy as np
+
+
+def pair_distance(coords, i, j) -> float:
+    """Distance between atoms i and j (1-based). Always sqrt-of-sum-of-squares
+    so it agrees bitwise with the vectorized metrics."""
+    diff = coords[:, i - 1] - coords[:, j - 1]
+    return float(np.sqrt((diff * diff).sum()))
+
+
+def edge_residual(coords, e) -> float:
+    """Normalized interval violation of one edge; zero iff satisfied."""
+    r = pair_distance(coords, e.i, e.j)
+    return max(0.0, (e.lower - r) / e.lower, (r - e.upper) / e.upper)
+
+
+def edge_weights(inst) -> dict:
+    """Stress weights: equal, discretization edges doubled, sum normalized to 1."""
+    raw = {key: 2.0 if e.is_discretization else 1.0 for key, e in inst.edges.items()}
+    total = sum(raw.values())
+    return {key: v / total for key, v in raw.items()}
+
+
+def stress(coords, d: dict, weights: dict) -> float:
+    """Weighted half sum of squared gaps between realized and auxiliary distances."""
+    total = 0.0
+    for (i, j), dij in d.items():
+        total += weights[(i, j)] * (pair_distance(coords, i, j) - dij) ** 2
+    return 0.5 * total
+
+
+def stress_gradient(coords, d: dict, weights: dict):
+    """Gradient of `stress`: (3 x n coordinate block, per-edge block keyed like d)."""
+    gX = np.zeros_like(coords)
+    gd = {}
+    for (i, j), dij in d.items():
+        diff = coords[:, i - 1] - coords[:, j - 1]
+        r = float(np.sqrt((diff * diff).sum()))
+        t = weights[(i, j)] * (r - dij)
+        gX[:, i - 1] += t * diff / r
+        gX[:, j - 1] -= t * diff / r
+        gd[(i, j)] = -t
+    return gX, gd

@@ -10,7 +10,7 @@ import numpy as np
 
 from idgp import geometry, io, metrics, search
 from idgp.cli import main as cli_main
-from idgp.model import Conformation, SolverParams
+from idgp.model import CompiledInstance, Conformation, SolverParams
 from idgp.spg import SpgParams, SpgStatus, spg_minimize
 
 
@@ -24,7 +24,7 @@ def test_criterion_1_gradient_matches_finite_differences():
     # relative error <= 1e-6 at 100 random points, 20-atom instance, < 5 s
     atoms, coords = io.synthetic_backbone(4, seed=11)  # 20 atoms
     inst = io.generate_instance(atoms, coords)
-    prob = metrics.StressProblem(inst)
+    prob = metrics.StressProblem(CompiledInstance.of(inst))
     rng = np.random.default_rng(0)
     start = time.monotonic()
     h, worst = 1e-6, 0.0
@@ -97,7 +97,8 @@ def test_criterion_4_zero_width_exact_reconstruction():
     inst = io.generate_instance(atoms, coords, angle_width_deg=0.0,
                                 include_hydrogens=False)
     start = time.monotonic()
-    _, conf = search.greedy_construction(inst, 1, np.random.default_rng(0))
+    _, conf = search.greedy_construction(CompiledInstance.of(inst), 1,
+                                         np.random.default_rng(0))
     rmsd = search.kabsch_rmsd(conf, Conformation(coords), inst)
     elapsed = time.monotonic() - start
     _verdict(4, f"greedy-only RMSD {rmsd:.1e} <= 1e-6, {elapsed:.2f}s < 1s",
@@ -128,12 +129,13 @@ def test_criterion_5_improvement_ablation():
 
     monotone = True
     for inst in suite[:3]:
+        ci = CompiledInstance.of(inst)
         rng = np.random.default_rng(0)
-        tau, conf = search.greedy_construction(inst, 20, rng)
-        lde = metrics.lde_global(conf, inst)
+        tau, conf = search.greedy_construction(ci, 20, rng)
+        lde = metrics.lde_global(conf, ci)
         for _ in range(3):
-            conf, tau = search.improve(conf, tau, inst, 20, rng)
-            new = metrics.lde_global(conf, inst)
+            conf, tau = search.improve(conf, tau, ci, 20, rng)
+            new = metrics.lde_global(conf, ci)
             monotone = monotone and new <= lde + 1e-15
             lde = new
 
@@ -164,7 +166,7 @@ def test_criterion_6_spg_unit_behavior():
     toy2 = Instance(atoms=[AtomRecord(1, "A", 1), AtomRecord(2, "B", 1)],
                     edges={(1, 2): EdgeConstraint(1, 2, 2.0, 2.0,
                                                   is_discretization=True)})
-    prob = metrics.StressProblem(toy2)
+    prob = metrics.StressProblem(CompiledInstance.of(toy2))
     X0 = np.array([[0.0, 3.0], [0.0, 0.0], [0.0, 0.0]])
     z0 = prob.pack(X0, prob.init_d(X0))
     res_t = spg_minimize(prob.objective, prob.gradient, prob.project, z0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from idgp import io
+from idgp import cli, io
 from idgp.cli import main
+from idgp.model import SelectionError
 
 
 def run(argv):
@@ -56,6 +57,14 @@ class TestSolve:
     def test_missing_instance_exits_1(self, tmp_path, capsys):
         assert run(["solve", "--instance", str(tmp_path / "nope.inst")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_solver_error_exits_1(self, toy_file, monkeypatch, capsys):
+        def fail(inst, params):
+            raise SelectionError("no CA-named atoms for large-instance RMSD subset")
+
+        monkeypatch.setattr(cli, "multistart_solve", fail)
+        assert run(["solve", "--instance", str(toy_file)]) == 1
+        assert capsys.readouterr().err.startswith("error: no CA-named atoms")
 
     def test_unreachable_tolerance_exits_2(self, hard, tmp_path):
         inst, _ = hard

@@ -167,40 +167,46 @@ class TestDihedral:
             assert circular_error(got, tau) < 1e-10
 
 
+def distance_at(inst, tau, triple):
+    """||x_4 - x_1|| for atom 4 of `inst` placed at torsion tau after `triple`."""
+    x4 = geometry.place_atom(*triple, inst.edge(3, 4).lower, inst.bond_angles[4], tau)
+    return float(np.linalg.norm(x4 - triple[0]))
+
+
 class TestTorsionDomainFromDistance:
+    @staticmethod
+    def _triple(inst):
+        return geometry.place_first_three(
+            inst.edge(1, 2).lower, inst.edge(2, 3).lower, inst.bond_angles[3])
+
     def test_distance_squared_affine_in_cos(self, toy):
         # d(tau)^2 = a + b cos(tau) exactly characterizes the placement
         inst, _ = toy
-        x1, x2, x3 = geometry.place_first_three(
-            inst.edge(1, 2).lower, inst.edge(2, 3).lower, inst.bond_angles[3])
-        d0 = geometry.distance_from_torsion(inst, 4, 0.0, x1, x2, x3)
-        dpi = geometry.distance_from_torsion(inst, 4, math.pi, x1, x2, x3)
-        a = 0.5 * (d0 * d0 + dpi * dpi)
-        b = 0.5 * (d0 * d0 - dpi * dpi)
+        triple = self._triple(inst)
+        a, b = geometry.cos_affine_coefficients(
+            *triple, inst.edge(3, 4).lower, inst.bond_angles[4])
         for tau in np.linspace(-3.1, 3.1, 25):
-            d = geometry.distance_from_torsion(inst, 4, float(tau), x1, x2, x3)
+            d = distance_at(inst, float(tau), triple)
             assert d * d == pytest.approx(a + b * math.cos(tau), abs=1e-10)
 
     def test_distance_is_even_in_tau(self, toy):
         inst, _ = toy
-        x1, x2, x3 = geometry.place_first_three(
-            inst.edge(1, 2).lower, inst.edge(2, 3).lower, inst.bond_angles[3])
+        triple = self._triple(inst)
         for tau in (0.4, 1.3, 2.8):
-            dp = geometry.distance_from_torsion(inst, 4, tau, x1, x2, x3)
-            dm = geometry.distance_from_torsion(inst, 4, -tau, x1, x2, x3)
+            dp = distance_at(inst, tau, triple)
+            dm = distance_at(inst, -tau, triple)
             assert dp == pytest.approx(dm, abs=1e-12)
 
     def test_derived_domain_is_symmetric_and_consistent(self, toy):
         # every torsion inside the derived domain realizes a distance inside
         # the interval; torsions outside fall outside
         inst, _ = toy
-        x1, x2, x3 = geometry.place_first_three(
-            inst.edge(1, 2).lower, inst.edge(2, 3).lower, inst.bond_angles[3])
+        triple = self._triple(inst)
         dom = inst.torsion_domains[4]
         e = inst.edge(1, 4)
         assert dom.kind is DomainKind.SYMMETRIC
         for tau in np.linspace(-math.pi, math.pi, 201):
-            d = geometry.distance_from_torsion(inst, 4, float(tau), x1, x2, x3)
+            d = distance_at(inst, float(tau), triple)
             inside = e.lower - 1e-9 <= d <= e.upper + 1e-9
             assert inside == dom.contains(float(tau), tol=1e-7)
 

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from idgp import io, metrics
 from idgp.model import (
     AtomRecord,
+    CompiledInstance,
     DomainKind,
     DuplicateEdgeError,
     EdgeConstraint,
     TorsionDomain,
 )
+from tests.oracles import pair_distance
 
 
 class TestInstanceRoundTrip:
@@ -110,6 +112,24 @@ E 1 4 2.8 3.2 N 1 N 2
             io.parse_instance(path)
         assert ":8:" in str(err.value)
 
+    @pytest.mark.parametrize("line", [
+        "T 3 10 20 +",                     # atom below 4: no torsion
+        "T 99 10 20 +",                    # atom beyond n
+        "T 4 30 20 +",                     # lo > hi
+        "T 4 -10 20 +-",                   # symmetric union needs lo >= 0
+    ])
+    def test_bad_torsion_records_raise_with_location(self, tmp_path, line):
+        path = self._write(tmp_path, self.VALID + line + "\n")
+        with pytest.raises(io.ParseError) as err:
+            io.parse_instance(path)
+        assert ":8:" in str(err.value)
+
+    def test_duplicate_torsion_record_raises_with_location(self, tmp_path):
+        path = self._write(tmp_path, self.VALID + "T 4 10 20 +\nT 4 30 40 +\n")
+        with pytest.raises(io.ParseError) as err:
+            io.parse_instance(path)
+        assert ":9:" in str(err.value)
+
     def test_empty_file_raises(self, tmp_path):
         with pytest.raises(io.ParseError):
             io.parse_instance(self._write(tmp_path, "# nothing here\n"))
@@ -179,20 +199,20 @@ def generated():
 class TestGenerateInstance:
     def test_reference_exactly_feasible(self, generated):
         _, coords, inst = generated
-        assert metrics.lde_global(coords, inst) == 0.0
+        assert metrics.lde_global(coords, CompiledInstance.of(inst)) == 0.0
 
     def test_short_range_edges_exact(self, generated):
         _, coords, inst = generated
         for (i, j), e in inst.edges.items():
             if j - i <= 2:
                 assert e.exact
-                assert e.lower == metrics.pair_distance(coords, i, j)
+                assert e.lower == pair_distance(coords, i, j)
 
     def test_three_apart_edges_bracket_reference(self, generated):
         _, coords, inst = generated
         for i in range(4, inst.n + 1):
             e = inst.edge(i - 3, i)
-            ref = metrics.pair_distance(coords, i - 3, i)
+            ref = pair_distance(coords, i - 3, i)
             assert e.lower <= ref <= e.upper
             assert e.upper > e.lower  # nonzero angle width widens the edge
 
@@ -217,7 +237,7 @@ class TestGenerateInstance:
                 p, q = h_idx[ai], h_idx[bi]
                 if (p, q) in short:
                     continue
-                d = metrics.pair_distance(coords, p, q)
+                d = pair_distance(coords, p, q)
                 e = inst.edge(p, q)
                 if d > 5.0:
                     assert e is None
@@ -250,7 +270,7 @@ class TestGenerateInstance:
         hh = [e for (i, j), e in inst.edges.items()
               if j - i > 3 and not e.is_discretization]
         assert hh and all(e.lower >= 0.1 or e.lower == pytest.approx(
-            metrics.pair_distance(coords, e.i, e.j)) for e in hh)
+            pair_distance(coords, e.i, e.j)) for e in hh)
 
 
 class TestBuildInstance:

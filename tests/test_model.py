@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from idgp.model import (
     AtomRecord,
+    CompiledInstance,
     Conformation,
     EdgeConstraint,
     Instance,
@@ -14,9 +15,10 @@ from idgp.model import (
     SolverParams,
     TorsionDomain,
     bond_angle_from_distances,
-    project_interval,
     validate_instance,
 )
+from idgp.metrics import StressProblem
+from tests.conftest import one_edge_instance
 
 
 class TestEdgeConstraint:
@@ -58,23 +60,25 @@ class TestTorsionDomain:
 
 
 class TestProjectInterval:
+    # the stress model projects its auxiliary distances onto their intervals
+    @staticmethod
+    def project(r, lo, hi):
+        prob = StressProblem(CompiledInstance.of(one_edge_instance(lo, hi)))
+        return float(prob.project(prob.pack(np.zeros((3, 2)), np.array([r])))[-1])
+
     def test_inside_unchanged(self):
-        assert project_interval(1.5, 1.0, 2.0) == 1.5
+        assert self.project(1.5, 1.0, 2.0) == 1.5
 
     def test_clips(self):
-        assert project_interval(0.2, 1.0, 2.0) == 1.0
-        assert project_interval(9.0, 1.0, 2.0) == 2.0
-
-    def test_bad_bounds_raise(self):
-        with pytest.raises(InvalidBoundsError):
-            project_interval(1.0, 2.0, 1.0)
+        assert self.project(0.2, 1.0, 2.0) == 1.0
+        assert self.project(9.0, 1.0, 2.0) == 2.0
 
     @given(st.floats(-1e6, 1e6), st.floats(0.1, 1e3), st.floats(0.0, 1e3))
     def test_result_in_interval_and_idempotent(self, r, lo, width):
         hi = lo + width
-        p = project_interval(r, lo, hi)
+        p = self.project(r, lo, hi)
         assert lo <= p <= hi
-        assert project_interval(p, lo, hi) == p
+        assert self.project(p, lo, hi) == p
 
 
 class TestBondAngle:

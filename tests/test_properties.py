@@ -1,0 +1,103 @@
+"""Properties of the compiled array view and of the instance file format,
+checked on random valid instances."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from idgp import io, metrics, search
+from idgp.model import CompiledInstance, SolverParams, TorsionDomain
+from tests import oracles
+
+
+@st.composite
+def instances(draw):
+    """A generated instance: random backbone, torsion window and H-H widths."""
+    hydrogens = draw(st.booleans())
+    residues = draw(st.integers(1 if hydrogens else 2, 4))
+    atoms, coords = io.synthetic_backbone(residues, seed=draw(st.integers(0, 10**6)),
+                                          include_hydrogens=hydrogens)
+    adjacent = draw(st.floats(0.2, 2.0))
+    return io.generate_instance(
+        atoms, coords, angle_width_deg=draw(st.sampled_from([0.0, 20.0, 50.0, 90.0])),
+        hh_width_adjacent=adjacent, hh_width_other=2.0 * adjacent,
+        include_hydrogens=hydrogens, include_torsion_annotations=draw(st.booleans()))
+
+
+@st.composite
+def torsion_domains(draw):
+    a, b = sorted(draw(st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi))))
+    kind = draw(st.sampled_from(["+", "-", "+-", "across zero"]))
+    if kind == "+":
+        return TorsionDomain.single(a, b)
+    if kind == "-":
+        return TorsionDomain.single(-b, -a)
+    if kind == "+-":
+        return TorsionDomain.symmetric(a, b)
+    return TorsionDomain.single(-a, b)
+
+
+class TestCompiledView:
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+    def test_metrics_match_scalar_oracle(self, inst, seed, noise):
+        rng = np.random.default_rng(seed)
+        coords = rng.normal(scale=5.0, size=(3, inst.n))
+        coords[:, rng.random(inst.n) < 0.5] *= noise
+        ci = CompiledInstance.of(inst)
+        residuals = [oracles.edge_residual(coords, e) for e in inst.edges.values()]
+        assert metrics.lde_global(coords, ci) == max(residuals)
+        assert math.isclose(metrics.mde_global(coords, ci),
+                            math.fsum(residuals) / len(residuals), rel_tol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances())
+    def test_back_edge_rows(self, inst):
+        ci = CompiledInstance.of(inst)
+        assert ci.back_ptr.shape == (inst.n + 1,)
+        for i in range(1, inst.n + 1):
+            rows = slice(ci.back_ptr[i - 1], ci.back_ptr[i])
+            back = sorted(j for (j, k) in inst.edges if k == i)
+            assert list(ci.back_col[rows] + 1) == back
+            assert list(ci.back_lower[rows]) == [inst.edge(j, i).lower for j in back]
+            assert list(ci.back_upper[rows]) == [inst.edge(j, i).upper for j in back]
+            if i >= 2:
+                assert ci.d_prev[i] == inst.edge(i - 1, i).lower
+            if i >= 3:
+                assert ci.theta[i] == inst.bond_angles[i]
+
+    @settings(max_examples=10, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1))
+    def test_solve_leaves_instance_untouched(self, inst, seed):
+        edges = dict(inst.edges)
+        domains = dict(inst.torsion_domains)
+        search.multistart_solve(inst, SolverParams(rng_seed=seed, n_trial=3,
+                                                   spg_max_iter=50))
+        assert set(vars(inst)) == {"atoms", "edges", "torsion_domains", "bond_angles"}
+        assert inst.edges == edges
+        assert inst.torsion_domains == domains
+
+
+class TestInstanceFileRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.data())
+    def test_write_parse_round_trip(self, tmp_path_factory, inst, data):
+        domains = {i: data.draw(torsion_domains()) for i in range(4, inst.n + 1)}
+        inst = io.build_instance(inst.atoms, list(inst.edges.values()), domains)
+        path = tmp_path_factory.mktemp("round_trip") / "case.inst"
+        io.write_instance(inst, path)
+        back = io.parse_instance(path)
+
+        assert back.atoms == inst.atoms
+        assert set(back.edges) == set(inst.edges)
+        for key, e in inst.edges.items():
+            b = back.edges[key]
+            assert (b.lower, b.upper, b.is_discretization) == \
+                   (e.lower, e.upper, e.is_discretization)
+        # degrees in the file: the radian bounds come back within round-off
+        assert set(back.torsion_domains) == set(domains)
+        for i, dom in domains.items():
+            b = back.torsion_domains[i]
+            assert b.kind is dom.kind
+            assert abs(b.lo - dom.lo) <= 1e-12 and abs(b.hi - dom.hi) <= 1e-12

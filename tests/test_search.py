@@ -6,6 +6,7 @@ import pytest
 from idgp import io, metrics, search
 from idgp.model import (
     AtomRecord,
+    CompiledInstance,
     Conformation,
     DomainKind,
     EmptyDomainError,
@@ -15,6 +16,7 @@ from idgp.model import (
     TorsionDomain,
 )
 from tests.conftest import build_chain, exact_edge
+from tests.oracles import pair_distance
 
 
 def pinned_sign_instance():
@@ -40,15 +42,16 @@ class TestGreedyConstruction:
         atoms, coords = io.synthetic_backbone(2, seed=3, include_hydrogens=False)
         inst = io.generate_instance(atoms, coords, angle_width_deg=0.0,
                                     include_hydrogens=False)
+        ci = CompiledInstance.of(inst)
         rng = np.random.default_rng(0)
-        tau, conf = search.greedy_construction(inst, 1, rng)
-        assert metrics.lde_global(conf, inst) <= 1e-10
+        tau, conf = search.greedy_construction(ci, 1, rng)
+        assert metrics.lde_global(conf, ci) <= 1e-10
         assert search.kabsch_rmsd(conf, Conformation(coords), inst) <= 1e-8
 
     def test_torsions_stay_in_domain(self, toy):
         inst, _ = toy
         rng = np.random.default_rng(1)
-        tau, conf = search.greedy_construction(inst, 10, rng)
+        tau, conf = search.greedy_construction(CompiledInstance.of(inst), 10, rng)
         assert set(tau) == set(range(4, inst.n + 1))
         for i, t in tau.items():
             assert inst.torsion_domains[i].contains(t, tol=1e-12)
@@ -57,16 +60,17 @@ class TestGreedyConstruction:
         # one- and two-apart edges are satisfied by construction
         inst, _ = toy
         rng = np.random.default_rng(2)
-        _, conf = search.greedy_construction(inst, 10, rng)
+        _, conf = search.greedy_construction(CompiledInstance.of(inst), 10, rng)
         for (i, j), e in inst.edges.items():
             if j - i <= 2:
-                r = metrics.pair_distance(conf.coords, i, j)
+                r = pair_distance(conf.coords, i, j)
                 assert r == pytest.approx(e.lower, abs=1e-10)
 
     def test_deterministic_given_rng_state(self, toy):
         inst, _ = toy
-        t1, c1 = search.greedy_construction(inst, 10, np.random.default_rng(3))
-        t2, c2 = search.greedy_construction(inst, 10, np.random.default_rng(3))
+        ci = CompiledInstance.of(inst)
+        t1, c1 = search.greedy_construction(ci, 10, np.random.default_rng(3))
+        t2, c2 = search.greedy_construction(ci, 10, np.random.default_rng(3))
         assert t1 == t2
         np.testing.assert_array_equal(c1.coords, c2.coords)
 
@@ -102,13 +106,14 @@ class TestSignRestrictedDomain:
 class TestImprove:
     def test_never_increases_lde(self, toy):
         inst, _ = toy
+        ci = CompiledInstance.of(inst)
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            tau, conf = search.greedy_construction(inst, 5, rng)
-            lde = metrics.lde_global(conf, inst)
+            tau, conf = search.greedy_construction(ci, 5, rng)
+            lde = metrics.lde_global(conf, ci)
             for _ in range(3):
-                conf, tau = search.improve(conf, tau, inst, 5, rng)
-                new = metrics.lde_global(conf, inst)
+                conf, tau = search.improve(conf, tau, ci, 5, rng)
+                new = metrics.lde_global(conf, ci)
                 assert new <= lde + 1e-15
                 lde = new
 
@@ -116,16 +121,17 @@ class TestImprove:
         # greedy with one torsion sample per atom commits to random signs;
         # improvement sweeps must repair every such failure here
         inst, _ = pinned_sign_instance()
+        ci = CompiledInstance.of(inst)
         hard = fixed = 0
         for seed in range(30):
             rng = np.random.default_rng(seed)
-            tau, conf = search.greedy_construction(inst, 1, rng)
-            if metrics.lde_global(conf, inst) <= 1e-6:
+            tau, conf = search.greedy_construction(ci, 1, rng)
+            if metrics.lde_global(conf, ci) <= 1e-6:
                 continue
             hard += 1
             for _ in range(4):
-                conf, tau = search.improve(conf, tau, inst, 1, rng)
-            if metrics.lde_global(conf, inst) <= 1e-8:
+                conf, tau = search.improve(conf, tau, ci, 1, rng)
+            if metrics.lde_global(conf, ci) <= 1e-8:
                 fixed += 1
         assert hard >= 5
         assert fixed == hard

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from idgp import metrics
-from idgp.model import EdgeConstraint, Instance, AtomRecord
+from idgp.model import AtomRecord, CompiledInstance, EdgeConstraint, Instance
 from idgp.spg import (
     SpgParams,
     SpgStatus,
@@ -141,7 +141,7 @@ class TestTwoAtomStress:
         atoms = [AtomRecord(1, "A", 1), AtomRecord(2, "B", 1)]
         edges = {(1, 2): EdgeConstraint(1, 2, 2.0, 2.0, is_discretization=True)}
         inst = Instance(atoms=atoms, edges=edges)
-        return metrics.StressProblem(inst)
+        return metrics.StressProblem(CompiledInstance.of(inst))
 
     def test_reaches_tolerance_quickly(self):
         prob = self._problem()
@@ -155,3 +155,13 @@ class TestTwoAtomStress:
         r = float(np.linalg.norm(X[:, 0] - X[:, 1]))
         assert r == pytest.approx(2.0, abs=1e-3)
         assert d[0] == pytest.approx(2.0)
+
+    def test_nonsmooth_start_is_numerical_failure(self):
+        # coincident atoms: the gradient is undefined at the start
+        prob = self._problem()
+        z0 = prob.pack(np.zeros((3, 2)), np.array([2.0]))
+        res = spg_minimize(prob.objective, prob.gradient, prob.project, z0)
+        assert res.status is SpgStatus.NUMERICAL_FAILURE
+        assert res.iterations == 0
+        np.testing.assert_array_equal(res.z_final, z0)
+        assert res.f_final == prob.objective(z0)
