@@ -36,16 +36,25 @@ def place_first_three(d12: float, d23: float, theta3: float):
 def local_frame(x_im3, x_im2, x_im1) -> np.ndarray:
     """Orthonormal frame at x_{i-1}: columns u1 (chain direction),
     u2 (predecessor-plane normal), u3 = u2 x u1 (in-plane)."""
-    v1 = x_im1 - x_im2
-    v2 = x_im3 - x_im2
-    c = np.cross(v1, v2)
-    cn = np.linalg.norm(c)
+    (a0, a1, a2), (b0, b1, b2) = x_im3.tolist(), x_im2.tolist()
+    p0, p1, p2 = x_im1.tolist()
+    v0, v1, v2 = p0 - b0, p1 - b1, p2 - b2
+    w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2
+    # the np.cross formula, term for term, in Python floats
+    c0, c1, c2 = v1 * w2 - v2 * w1, v2 * w0 - v0 * w2, v0 * w1 - v1 * w0
+    # norms as np.linalg.norm takes them: sqrt of ndarray.dot, the BLAS ddot,
+    # which may fuse multiply-adds; a Python sum of squares rounds differently
+    c = np.array((c0, c1, c2))
+    cn = math.sqrt(c.dot(c))
     if cn <= _COLLINEAR_TOL:
         raise DegenerateGeometryError("collinear predecessors")
-    u1 = v1 / np.linalg.norm(v1)
-    u2 = c / cn
-    u3 = np.cross(u2, u1)
-    return np.column_stack((u1, u2, u3))
+    v = np.array((v0, v1, v2))
+    vn = math.sqrt(v.dot(v))
+    e0, e1, e2 = v0 / vn, v1 / vn, v2 / vn
+    n0, n1, n2 = c0 / cn, c1 / cn, c2 / cn
+    return np.array(((e0, n0, n1 * e2 - n2 * e1),
+                     (e1, n1, n2 * e0 - n0 * e2),
+                     (e2, n2, n0 * e1 - n1 * e0)))
 
 
 def place_atom(x_im3, x_im2, x_im1, d: float, theta: float, tau: float):
@@ -69,8 +78,8 @@ def place_atoms_batch(x_im3, x_im2, x_im1, d: float, theta: float, taus):
     s = d * math.sin(theta)
     local = np.empty((3, taus.size))
     local[0] = -d * math.cos(theta)
-    local[1] = s * np.sin(taus)
-    local[2] = s * np.cos(taus)
+    np.multiply(s, np.sin(taus), out=local[1])
+    np.multiply(s, np.cos(taus), out=local[2])
     return x_im1[:, None] + U @ local
 
 

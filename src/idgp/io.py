@@ -125,6 +125,8 @@ def parse_instance(path) -> Instance:
                     lo, up = float(tok[3]), float(tok[4])
                     if i >= j:
                         raise ValueError(f"edge requires i < j, got ({i},{j})")
+                    if not (math.isfinite(lo) and math.isfinite(up)):
+                        raise ValueError(f"edge ({i},{j}): bounds {lo}, {up} not finite")
                     if lo > up:
                         raise ValueError(f"edge ({i},{j}): dL {lo} > dU {up}")
                     if (i, j) in seen_pairs:

@@ -92,6 +92,8 @@ class TorsionDomain:
     hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise InvalidBoundsError(f"torsion domain [{self.lo}, {self.hi}] not finite")
         if self.lo > self.hi:
             raise InvalidBoundsError(f"torsion domain lo {self.lo} > hi {self.hi}")
         if self.kind is DomainKind.SYMMETRIC and self.lo < 0:

@@ -35,17 +35,24 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, domains=None):
     X = np.empty((3, ci.n))
     X[:, 0], X[:, 1], X[:, 2] = geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
                                                            ci.theta[3])
+    ptr, d_prev, theta = ci.back_ptr.tolist(), ci.d_prev.tolist(), ci.theta.tolist()
+    back_lower, back_upper = ci.back_lower[:, None], ci.back_upper[:, None]
     tau = {}
     for i in range(4, ci.n + 1):
-        rows = slice(ci.back_ptr[i - 1], ci.back_ptr[i])
-        lower, upper = ci.back_lower[rows, None], ci.back_upper[rows, None]
+        rows = slice(ptr[i - 1], ptr[i])
+        lower, upper = back_lower[rows], back_upper[rows]
         taus = geometry.sample_torsions(domains[i], rng, n_tors)
         cand = geometry.place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2],
-                                          ci.d_prev[i], ci.theta[i], taus)
-        diffs = cand[:, None, :] - X[:, ci.back_col[rows]][:, :, None]
-        r = np.linalg.norm(diffs, axis=0)
-        delta = np.maximum(0.0, np.maximum((lower - r) / lower, (r - upper) / upper))
-        best = int(np.argmin(delta.max(axis=0)))
+                                          d_prev[i], theta[i], taus)
+        # r = ||cand - x_j||, summed in np.linalg.norm(axis=0)'s order
+        d = cand[:, None, :] - X.take(ci.back_col[rows], axis=1)[:, :, None]
+        d *= d
+        r = np.sqrt(d[0] + d[1] + d[2])
+        delta = (lower - r) / lower
+        np.maximum(delta, (r - upper) / upper, out=delta)
+        # the clamp at 0 ties all satisfied candidates; argmin keeps the first
+        worst = delta.max(axis=0)
+        best = np.maximum(worst, 0.0, out=worst).argmin()
         X[:, i - 1] = cand[:, best]
         tau[i] = float(taus[best])
     return tau, Conformation(X)

@@ -1,7 +1,12 @@
-"""Scalar per-edge reference implementations that the array code of
-`idgp.metrics` and `idgp.model.CompiledInstance` is checked against."""
+"""Reference implementations the optimized code is checked against: scalar
+per-edge loops for the array code of `idgp.metrics` and
+`idgp.model.CompiledInstance`, numpy vector ops for the scalar-float
+`idgp.geometry.local_frame`."""
 
 import numpy as np
+
+from idgp.geometry import _COLLINEAR_TOL
+from idgp.model import DegenerateGeometryError
 
 
 def pair_distance(coords, i, j) -> float:
@@ -44,3 +49,18 @@ def stress_gradient(coords, d: dict, weights: dict):
         gX[:, j - 1] -= t * diff / r
         gd[(i, j)] = -t
     return gX, gd
+
+
+def local_frame(x_im3, x_im2, x_im1):
+    """Frame at x_{i-1} from numpy vector ops: columns chain direction,
+    predecessor-plane normal, and their cross product."""
+    v1 = x_im1 - x_im2
+    v2 = x_im3 - x_im2
+    c = np.cross(v1, v2)
+    cn = np.linalg.norm(c)
+    if cn <= _COLLINEAR_TOL:
+        raise DegenerateGeometryError("collinear predecessors")
+    u1 = v1 / np.linalg.norm(v1)
+    u2 = c / cn
+    u3 = np.cross(u2, u1)
+    return np.column_stack((u1, u2, u3))

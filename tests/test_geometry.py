@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from idgp import geometry
 from idgp.model import (
@@ -11,6 +11,7 @@ from idgp.model import (
     InfeasibleDiscretizationError,
     TorsionDomain,
 )
+from tests import oracles
 from tests.conftest import build_chain
 
 
@@ -68,6 +69,25 @@ class TestLocalFrame:
         c = np.array([2.0, 0.0, 0.0])
         with pytest.raises(DegenerateGeometryError):
             geometry.local_frame(a, b, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9),
+           st.integers(0, 4), st.integers(1, 3))
+    def test_matches_numpy_oracle(self, values, first, step):
+        # the three predecessors as contiguous vectors and as strided column
+        # views of a 3 x n coordinate matrix, as greedy construction passes them
+        triples = [tuple(np.array(values[k:k + 3]) for k in (0, 3, 6))]
+        X = np.full((3, first + 3 * step), np.nan)
+        X[:, first::step] = np.reshape(values, (3, 3)).T
+        triples.append((X[:, first], X[:, first + step], X[:, first + 2 * step]))
+        for triple in triples:
+            try:
+                want = oracles.local_frame(*triple)
+            except DegenerateGeometryError:
+                with pytest.raises(DegenerateGeometryError):
+                    geometry.local_frame(*triple)
+                continue
+            assert np.array_equal(geometry.local_frame(*triple), want)
 
 
 class TestPlaceAtom:
@@ -157,6 +177,20 @@ class TestDihedral:
         x4 = geometry.place_atom(x1, x2, x3, d, theta, tau)
         got = geometry.dihedral(x1, x2, x3, x4)
         assert circular_error(got, tau) < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=9, max_size=9),
+           st.floats(0.5, 3.0), st.floats(0.2, math.pi - 0.2),
+           st.floats(-math.pi, math.pi))
+    def test_inverse_of_placement_from_any_triple(self, values, d, theta, tau):
+        x1, x2, x3 = (np.array(values[k:k + 3]) for k in (0, 3, 6))
+        v1, v2 = x1 - x2, x3 - x2
+        # away from degeneracy: bonds of at least 0.5, angle within (0.2, pi - 0.2)
+        assume(min(np.linalg.norm(v1), np.linalg.norm(v2)) >= 0.5)
+        assume(np.linalg.norm(np.cross(v1, v2))
+               >= math.sin(0.2) * np.linalg.norm(v1) * np.linalg.norm(v2))
+        x4 = geometry.place_atom(x1, x2, x3, d, theta, tau)
+        assert circular_error(geometry.dihedral(x1, x2, x3, x4), tau) < 1e-9
 
     def test_chain_round_trip(self):
         taus = [0.3, -2.5, 3.0, -0.9, 1.7]

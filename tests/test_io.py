@@ -112,11 +112,20 @@ E 1 4 2.8 3.2 N 1 N 2
             io.parse_instance(path)
         assert ":8:" in str(err.value)
 
+    @pytest.mark.parametrize("bounds", ["2.8 inf", "nan 3.2"])
+    def test_non_finite_edge_bounds_raise_with_location(self, tmp_path, bounds):
+        path = self._write(tmp_path, self.VALID.replace("2.8 3.2", bounds))
+        with pytest.raises(io.ParseError) as err:
+            io.parse_instance(path)
+        assert ":7:" in str(err.value) and "not finite" in str(err.value)
+
     @pytest.mark.parametrize("line", [
         "T 3 10 20 +",                     # atom below 4: no torsion
         "T 99 10 20 +",                    # atom beyond n
         "T 4 30 20 +",                     # lo > hi
         "T 4 -10 20 +-",                   # symmetric union needs lo >= 0
+        "T 4 nan nan +",                   # NaN bounds pass the lo > hi test
+        "T 4 10 inf +-",                   # infinite upper bound
     ])
     def test_bad_torsion_records_raise_with_location(self, tmp_path, line):
         path = self._write(tmp_path, self.VALID + line + "\n")

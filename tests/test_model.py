@@ -35,6 +35,12 @@ class TestTorsionDomain:
         with pytest.raises(InvalidBoundsError):
             TorsionDomain.single(1.0, 0.5)
 
+    @pytest.mark.parametrize("lo, hi", [(math.nan, math.nan), (0.0, math.nan),
+                                        (-math.inf, 1.0), (0.0, math.inf)])
+    def test_non_finite_raises(self, lo, hi):
+        with pytest.raises(InvalidBoundsError):
+            TorsionDomain.single(lo, hi)
+
     def test_symmetric_negative_lo_raises(self):
         with pytest.raises(InvalidBoundsError):
             TorsionDomain.symmetric(-0.1, 1.0)

@@ -79,6 +79,18 @@ class TestCompiledView:
         assert inst.torsion_domains == domains
 
 
+class TestImprove:
+    @settings(max_examples=25, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_sweep_never_raises_lde(self, inst, seed, n_tors):
+        ci = CompiledInstance.of(inst)
+        rng = np.random.default_rng(seed)
+        tau, conf = search.greedy_construction(ci, n_tors, rng)
+        before = metrics.lde_global(conf, ci)
+        X, _ = search.improve(conf, tau, ci, n_tors, rng)
+        assert metrics.lde_global(X, ci) <= before
+
+
 class TestInstanceFileRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(instances(), st.data())
