@@ -3,7 +3,6 @@
 import argparse
 import math
 import sys
-import time
 from pathlib import Path
 
 from . import io
@@ -16,11 +15,6 @@ _REPORT_FIELDS = ("instance", "n", "edges", "pool", "lde", "mde",
                   "time_s", "status", "seed")
 
 
-def _clamp_time(seconds: float) -> float:
-    # sub-second runtimes are reported as 1 (timing noise dominates there)
-    return max(1.0, seconds)
-
-
 def _run_report(name, inst, rep) -> dict:
     return {
         "instance": name,
@@ -29,18 +23,19 @@ def _run_report(name, inst, rep) -> dict:
         "pool": rep.pool_size,
         "lde": f"{rep.lde:.5e}",
         "mde": f"{rep.mde:.5e}",
-        "time_s": f"{_clamp_time(rep.wall_time):.2f}",
+        # sub-second runtimes are reported as 1 (timing noise dominates there)
+        "time_s": f"{max(1.0, rep.wall_time):.2f}",
         "status": rep.status,
         "seed": rep.seed,
     }
 
 
-def _write_report(report: dict, path) -> None:
-    text = "".join(f"{k}: {report[k]}\n" for k in _REPORT_FIELDS)
-    if path is None:
-        sys.stdout.write(text)
-    else:
+def _emit(text: str, path) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if path:
         Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _solver_params(args) -> SolverParams:
@@ -66,29 +61,22 @@ def _add_solver_flags(p):
 
 
 def cmd_solve(args) -> int:
-    try:
-        inst = io.parse_instance(args.instance)
-        rep = multistart_solve(inst, _solver_params(args))
-        if args.out:
-            io.write_conformation(rep.conformation, inst, args.out)
-    except (IdgpError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write_report(_run_report(Path(args.instance).name, inst, rep), args.report)
+    inst = io.parse_instance(args.instance)
+    rep = multistart_solve(inst, _solver_params(args))
+    if args.out:
+        io.write_conformation(rep.conformation, inst, args.out)
+    report = _run_report(Path(args.instance).name, inst, rep)
+    _emit("".join(f"{k}: {report[k]}\n" for k in _REPORT_FIELDS), args.report)
     return 0 if rep.status == "Solved" else 2
 
 
 def cmd_generate(args) -> int:
-    try:
-        atoms, coords = io.parse_reference(args.reference)
-        inst = io.generate_instance(
-            atoms, coords, angle_width_deg=args.angle_width,
-            hh_cutoff=args.hh_cutoff, hh_width_adjacent=args.hh_width_adjacent,
-            hh_width_other=args.hh_width_other)
-        io.write_instance(inst, args.out)
-    except (IdgpError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    atoms, coords = io.parse_reference(args.reference)
+    inst = io.generate_instance(
+        atoms, coords, angle_width_deg=args.angle_width,
+        hh_cutoff=args.hh_cutoff, hh_width_adjacent=args.hh_width_adjacent,
+        hh_width_other=args.hh_width_other)
+    io.write_instance(inst, args.out)
     return 0
 
 
@@ -96,16 +84,13 @@ def cmd_bench(args) -> int:
     paths = sorted(Path(args.instances).glob("*"))
     paths = [p for p in paths if p.is_file()]
     if not paths:
-        print("error: no instances", file=sys.stderr)
-        return 1
+        raise IdgpError("no instances")
     rows = []
     for path in paths:
         try:
             inst = io.parse_instance(path)
-            start = time.monotonic()
             rep = multistart_solve(inst, _solver_params(args))
             row = _run_report(path.name, inst, rep)
-            row["time_s"] = f"{_clamp_time(time.monotonic() - start):.2f}"
         except (IdgpError, OSError) as exc:
             print(f"{path.name}: {exc}", file=sys.stderr)
             row = {k: "-" for k in _REPORT_FIELDS}
@@ -114,11 +99,7 @@ def cmd_bench(args) -> int:
         rows.append(row)
     lines = ["\t".join(_REPORT_FIELDS)]
     lines += ["\t".join(str(r[k]) for k in _REPORT_FIELDS) for r in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -138,30 +119,26 @@ def _read_results_table(path) -> dict:
         if not line.strip():
             continue
         cols = line.split("\t")
-        solved = cols[c_status] == "Solved"
-        out[cols[c_name]] = max(1.0, float(cols[c_time])) if solved else None
+        try:
+            solved = cols[c_status] == "Solved"
+            seconds = float(cols[c_time]) if solved else None
+            if solved and not math.isfinite(seconds):
+                raise ValueError("solved run without a finite time")
+            out[cols[c_name]] = max(1.0, seconds) if solved else None
+        except (IndexError, ValueError) as exc:
+            raise io.ProfileError(f"{path}: bad row {line!r}: {exc}") from exc
     return out
 
 
 def cmd_profile(args) -> int:
     labels = args.labels or [Path(p).stem for p in args.results]
     if len(labels) != len(args.results):
-        print("error: --labels count must match --results count", file=sys.stderr)
-        return 1
-    try:
-        results = {lab: _read_results_table(p)
-                   for lab, p in zip(labels, args.results)}
-        profile = io.performance_profile(results)
-    except (IdgpError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise io.ProfileError("--labels count must match --results count")
+    results = {lab: _read_results_table(p) for lab, p in zip(labels, args.results)}
+    profile = io.performance_profile(results)
     lines = [f"{lab}\t{t:.6g}\t{rho:.6g}"
              for lab in sorted(profile) for (t, rho) in profile[lab]]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -215,7 +192,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_synth)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (IdgpError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

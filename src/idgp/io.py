@@ -30,6 +30,7 @@ from .model import (
     Instance,
     InvalidBoundsError,
     TorsionDomain,
+    as_coords,
     bond_angle_from_distances,
     validate_instance,
 )
@@ -66,7 +67,7 @@ def build_instance(atoms, edges, torsion_overrides=None) -> Instance:
         i, j = (e.i, e.j) if e.i < e.j else (e.j, e.i)
         if (i, j) in edge_map:
             raise DuplicateEdgeError(f"duplicate edge record for pair ({i},{j})")
-        edge_map[(i, j)] = EdgeConstraint(i, j, e.lower, e.upper, e.weight,
+        edge_map[(i, j)] = EdgeConstraint(i, j, e.lower, e.upper,
                                           is_discretization=(j - i in (1, 2, 3)))
 
     inst = Instance(atoms=list(atoms), edges=edge_map)
@@ -222,7 +223,7 @@ def write_reference(atoms, coords, path) -> None:
 
 def write_conformation(X, inst: Instance, path) -> None:
     """Write coordinates plus a comment trailer with LDE, MDE and stress."""
-    coords = np.asarray(X.coords if hasattr(X, "coords") else X, dtype=float)
+    coords = as_coords(X)
     if coords.size == 0:
         raise IdgpError("refusing to write an empty conformation")
     write_reference(inst.atoms, coords, path)

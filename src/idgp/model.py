@@ -62,16 +62,11 @@ class EdgeConstraint:
     j: int
     lower: float
     upper: float
-    weight: float = 1.0
     is_discretization: bool = False
 
     @property
     def exact(self) -> bool:
         return self.lower == self.upper
-
-    @property
-    def key(self):
-        return (self.i, self.j)
 
 
 class DomainKind(Enum):
@@ -116,10 +111,6 @@ class TorsionDomain:
             return self.lo - tol <= tau <= self.hi + tol
         return self.lo - tol <= abs(tau) <= self.hi + tol
 
-    def length(self) -> float:
-        w = self.hi - self.lo
-        return w if self.kind is DomainKind.SINGLE else 2.0 * w
-
 
 @dataclass
 class Conformation:
@@ -153,7 +144,6 @@ class SolverParams:
     eps_mde: float = 1e-3
     eps_lde: float = 1e-2
     eps_similar: float = 5.0
-    stall_trials: int = 50
     spg_max_iter: int = 30000
     spg_stress_success: float = 1e-7
     spg_stall_window: int = 100
@@ -161,8 +151,7 @@ class SolverParams:
     time_limit: float = math.inf
 
     def __post_init__(self):
-        for name in ("n_trial", "n_conf", "n_tors", "stall_trials",
-                     "spg_max_iter", "spg_stall_window"):
+        for name in ("n_trial", "n_conf", "n_tors", "spg_max_iter", "spg_stall_window"):
             if getattr(self, name) <= 0:
                 raise InvalidBoundsError(f"{name} must be positive")
         if self.n_impr < 0:  # zero disables the improvement phase (ablation)
@@ -275,8 +264,6 @@ def validate_instance(inst: Instance) -> list:
             out.append(f"edge ({e.i},{e.j}): bounds must satisfy 0 < lower <= upper")
         if e.j - e.i in (1, 2) and not e.exact:
             out.append(f"edge ({e.i},{e.j}): distance across at most two bonds must be exact")
-        if e.weight <= 0:
-            out.append(f"edge ({e.i},{e.j}): weight must be positive")
         if e.is_discretization != (e.j - e.i in (1, 2, 3)):
             out.append(f"edge ({e.i},{e.j}): discretization flag inconsistent with index gap")
 

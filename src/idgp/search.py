@@ -22,6 +22,7 @@ from .model import (
 from .spg import SpgParams, spg_minimize
 
 _CA_SUBSET_THRESHOLD = 200
+_STALL_TRIALS = 50  # consecutive duplicate candidates that end the search
 
 
 def greedy_construction(ci: CompiledInstance, n_tors: int, rng, domains=None):
@@ -126,20 +127,17 @@ class PoolEntry(NamedTuple):
     conformation: Conformation
     mde: float
     lde: float
-    torsions: dict
 
 
 @dataclass
 class MultistartReport:
     status: str                 # Solved | BestEffort | TimeLimit
     conformation: Conformation
-    torsions: dict
     lde: float
     mde: float
     trials: int
     pool_size: int
     pool: list                  # PoolEntry records
-    stress_success: bool        # SPG reached the stress tolerance at least once
     wall_time: float
     seed: int
 
@@ -157,15 +155,13 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
 
     pool = []
     best = None         # smallest-MDE candidate seen, fallback when pool empty
-    stress_success = False
     stall = 0
     trials = 0
     status = "BestEffort"
 
     def report(entry, st):
-        return MultistartReport(st, entry.conformation, entry.torsions, entry.lde,
-                                entry.mde, trials, len(pool), list(pool),
-                                stress_success, time.monotonic() - start,
+        return MultistartReport(st, entry.conformation, entry.lde, entry.mde, trials,
+                                len(pool), list(pool), time.monotonic() - start,
                                 params.rng_seed)
 
     for c in range(params.n_trial):
@@ -185,12 +181,10 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
                 z0 = problem.pack(conf.coords, problem.init_d(conf.coords))
                 result = spg_minimize(problem.objective, problem.gradient,
                                       problem.project, z0, spg_params)
-                if result.f_final <= params.spg_stress_success:
-                    stress_success = True
                 coords, _ = problem.unpack(result.z_final)
                 conf = Conformation(coords.copy())
             entry = PoolEntry(conf, metrics.mde_global(conf, ci),
-                              metrics.lde_global(conf, ci), tau)
+                              metrics.lde_global(conf, ci))
             if best is None or entry.mde < best.mde:
                 best = entry
             if entry.mde <= params.eps_mde or entry.lde <= params.eps_lde:
@@ -202,7 +196,7 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
         else:  # no break: the refined candidate is distinct from the pool
             pool.append(entry)
             stall = 0
-        if stall >= params.stall_trials or len(pool) > params.n_conf:
+        if stall >= _STALL_TRIALS or len(pool) > params.n_conf:
             break
 
     entry = min(pool, key=lambda p: p.mde) if pool else best

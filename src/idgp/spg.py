@@ -26,30 +26,22 @@ class SpgStatus(Enum):
     NUMERICAL_FAILURE = "NumericalFailure"
 
 
+# Line-search and spectral-step safeguards of Birgin, Martinez & Raydan
+# (SIAM J. Optim. 10, 2000)
+_GAMMA = 1e-4                       # sufficient-decrease constant
+_MEMORY = 10                        # nonmonotone reference window
+_LAMBDA_MIN, _LAMBDA_MAX = 1e-30, 1e30
+_SIGMA1, _SIGMA2 = 0.1, 0.9         # interpolated step kept in [s1, s2] * alpha
+# lack-of-progress thresholds sit at the double-precision noise floor
+_STALL_REL_DECREASE = 1e-12
+_STEP_ZERO_TOL = 1e-16
+
+
 @dataclass(frozen=True)
 class SpgParams:
-    gamma: float = 1e-4
-    memory: int = 10
-    lambda_min: float = 1e-30
-    lambda_max: float = 1e30
-    sigma1: float = 0.1
-    sigma2: float = 0.9
     max_iter: int = 30000
     success_f: float = 1e-7
     stall_window: int = 100
-    # lack-of-progress thresholds sit at the double-precision noise floor
-    stall_rel_decrease: float = 1e-12
-    step_zero_tol: float = 1e-16
-
-    def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma must lie in (0, 1)")
-        if not (0.0 < self.sigma1 < self.sigma2 < 1.0):
-            raise ValueError("need 0 < sigma1 < sigma2 < 1")
-        if not (0.0 < self.lambda_min <= self.lambda_max):
-            raise ValueError("need 0 < lambda_min <= lambda_max")
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
 
 
 @dataclass
@@ -61,13 +53,13 @@ class SpgResult:
     f_history: list
 
 
-def initial_spectral_step(z0, g0, project, params: SpgParams = SpgParams()) -> float:
+def initial_spectral_step(z0, g0, project) -> float:
     """Reciprocal of the unit projected-gradient step length, safeguarded."""
     step = project(z0 - g0) - z0
     ninf = float(np.max(np.abs(step))) if step.size else 0.0
     if ninf == 0.0:
         raise StationaryStartError("projected gradient step is zero at the start")
-    return min(params.lambda_max, max(params.lambda_min, 1.0 / ninf))
+    return min(_LAMBDA_MAX, max(_LAMBDA_MIN, 1.0 / ninf))
 
 
 def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams()) -> SpgResult:
@@ -87,7 +79,7 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams()) -> SpgResul
         return SpgResult(z, fz, 0, SpgStatus.NUMERICAL_FAILURE, [fz])
 
     best_z, best_f = z.copy(), fz
-    history = deque([fz], maxlen=params.memory)
+    history = deque([fz], maxlen=_MEMORY)
     if fz <= params.success_f:
         return SpgResult(best_z, best_f, 0, SpgStatus.SUCCESS_TOLERANCE, list(history))
 
@@ -95,7 +87,7 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams()) -> SpgResul
     if gz is None:
         return SpgResult(best_z, best_f, 0, SpgStatus.NUMERICAL_FAILURE, list(history))
     try:
-        lam = initial_spectral_step(z, gz, project, params)
+        lam = initial_spectral_step(z, gz, project)
     except StationaryStartError:
         return SpgResult(best_z, best_f, 0, SpgStatus.STALLED, list(history))
 
@@ -105,7 +97,7 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams()) -> SpgResul
     while k < params.max_iter:
         k += 1
         direction = project(z - lam * gz) - z
-        if float(np.max(np.abs(direction))) <= params.step_zero_tol:
+        if float(np.max(np.abs(direction))) <= _STEP_ZERO_TOL:
             status = SpgStatus.STALLED
             break
 
@@ -119,14 +111,14 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams()) -> SpgResul
             if not math.isfinite(f_trial):
                 return SpgResult(best_z, best_f, k, SpgStatus.NUMERICAL_FAILURE,
                                  list(history))
-            if f_trial <= fmax + params.gamma * alpha * gd:
+            if f_trial <= fmax + _GAMMA * alpha * gd:
                 z_new, f_new = trial, f_trial
                 break
             # safeguarded quadratic interpolation
             denom = f_trial - fz - alpha * gd
             if denom > 0.0:
                 alpha_q = -0.5 * alpha * alpha * gd / denom
-                alpha = min(params.sigma2 * alpha, max(params.sigma1 * alpha, alpha_q))
+                alpha = min(_SIGMA2 * alpha, max(_SIGMA1 * alpha, alpha_q))
             else:
                 alpha *= 0.5
             if alpha < 1e-20:
@@ -144,13 +136,12 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams()) -> SpgResul
         y = g_new - gz
         sy = float(np.dot(s, y))
         if sy <= 0.0:
-            lam = params.lambda_max
+            lam = _LAMBDA_MAX
         else:
-            lam = min(params.lambda_max,
-                      max(params.lambda_min, float(np.dot(s, s)) / sy))
+            lam = min(_LAMBDA_MAX, max(_LAMBDA_MIN, float(np.dot(s, s)) / sy))
 
         decrease = fz - f_new
-        if decrease <= params.stall_rel_decrease * max(1.0, abs(fz)):
+        if decrease <= _STALL_REL_DECREASE * max(1.0, abs(fz)):
             stall_count += 1
         else:
             stall_count = 0

@@ -32,6 +32,12 @@ class TestSynthAndGenerate:
         atoms, _ = io.parse_reference(ref)
         assert len(atoms) == 6
 
+    @pytest.mark.parametrize("flags", [["--residues", "0"],
+                                       ["--residues", "1", "--no-hydrogens"]])
+    def test_too_few_residues_exits_1(self, flags, tmp_path, capsys):
+        assert run(["synth", *flags, "--out", str(tmp_path / "ref.txt")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSolve:
     def test_solves_and_writes_outputs(self, toy_file, tmp_path):
@@ -65,6 +71,11 @@ class TestSolve:
         monkeypatch.setattr(cli, "multistart_solve", fail)
         assert run(["solve", "--instance", str(toy_file)]) == 1
         assert capsys.readouterr().err.startswith("error: no CA-named atoms")
+
+    def test_unwritable_report_exits_1(self, toy_file, tmp_path, capsys):
+        report = tmp_path / "missing" / "report.txt"
+        assert run(["solve", "--instance", str(toy_file), "--report", str(report)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unreachable_tolerance_exits_2(self, hard, tmp_path):
         inst, _ = hard
@@ -145,3 +156,10 @@ class TestProfile:
         bad = tmp_path / "bad.tsv"
         bad.write_text("nope\n")
         assert run(["profile", "--results", str(bad)]) == 1
+
+    @pytest.mark.parametrize("row", ["p1\tSolved", "p1\tSolved\tfast", "p1\tSolved\tnan"])
+    def test_bad_row_exits_1(self, row, tmp_path, capsys):
+        table = tmp_path / "a.tsv"
+        table.write_text(f"instance\tstatus\ttime_s\n{row}\n")
+        assert run(["profile", "--results", str(table)]) == 1
+        assert "bad row" in capsys.readouterr().err

@@ -26,9 +26,6 @@ class TestEdgeConstraint:
         assert EdgeConstraint(1, 2, 1.5, 1.5).exact
         assert not EdgeConstraint(1, 2, 1.4, 1.6).exact
 
-    def test_key(self):
-        assert EdgeConstraint(2, 7, 1.0, 2.0).key == (2, 7)
-
 
 class TestTorsionDomain:
     def test_invalid_order_raises(self):
@@ -58,11 +55,6 @@ class TestTorsionDomain:
         assert dom.contains(-0.7)
         assert not dom.contains(0.2)
         assert not dom.contains(-0.2)
-
-    def test_length(self):
-        assert TorsionDomain.single(-1.0, 1.0).length() == pytest.approx(2.0)
-        assert TorsionDomain.symmetric(0.5, 1.0).length() == pytest.approx(1.0)
-        assert TorsionDomain.point(2.0).length() == 0.0
 
 
 class TestProjectInterval:
@@ -126,7 +118,7 @@ class TestSolverParams:
     def test_defaults_valid(self):
         p = SolverParams()
         assert p.n_trial == 500 and p.n_conf == 50 and p.n_tors == 20
-        assert p.n_impr == 3 and p.stall_trials == 50
+        assert p.n_impr == 3
         assert p.eps_mde == 1e-3 and p.eps_lde == 1e-2 and p.eps_similar == 5.0
 
     def test_zero_improvement_allowed(self):

