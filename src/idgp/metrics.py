@@ -7,11 +7,17 @@ from .model import CompiledInstance, NonsmoothPointError, as_coords
 _SMOOTHNESS_TOL = 1e-12
 
 
+def _edge_lengths(flat: np.ndarray, ci: CompiledInstance):
+    """Edge vectors x_i - x_j (3 x m) and their lengths, gathered from the
+    row-major flattened 3 x n coordinates (or a z that starts with them)."""
+    diff = flat[ci.ii3] - flat[ci.jj3]
+    sq = diff * diff
+    return diff, np.sqrt(sq[0] + sq[1] + sq[2])
+
+
 def _residuals(X, ci: CompiledInstance) -> np.ndarray:
     """Normalized interval violation per edge; zero iff the edge is satisfied."""
-    coords = as_coords(X)
-    diff = coords[:, ci.ii] - coords[:, ci.jj]
-    r = np.sqrt((diff * diff).sum(axis=0))
+    _, r = _edge_lengths(as_coords(X).ravel(), ci)
     return np.maximum(0.0, np.maximum((ci.lower - r) / ci.lower,
                                       (r - ci.upper) / ci.upper))
 
@@ -29,13 +35,19 @@ class StressProblem:
 
     Packs (X, d) into one flat vector z = [X.ravel(), d]; the feasible set
     is free on the coordinate block and a box on the distance block.
+
+    The edge vectors and lengths of the last z seen are kept, keyed on the
+    identity of the array, so `gradient(z)` right after `objective(z)` does
+    not recompute them. Callers must therefore not write into an array
+    after passing it to `objective` or `gradient`; SPG never does.
     """
 
     def __init__(self, ci: CompiledInstance):
+        self.ci = ci
         self.n = ci.n
         self.m = ci.ii.size
-        self.ii, self.jj, self.w = ci.ii, ci.jj, ci.w
-        self.lower, self.upper = ci.lower, ci.upper
+        self.w, self.lower, self.upper = ci.w, ci.lower, ci.upper
+        self._z = self._z_edges = None
 
     def pack(self, coords: np.ndarray, d: np.ndarray) -> np.ndarray:
         return np.concatenate([np.asarray(coords, dtype=float).ravel(), d])
@@ -44,10 +56,14 @@ class StressProblem:
         nc = 3 * self.n
         return z[:nc].reshape(3, self.n), z[nc:]
 
+    def _edges(self, z: np.ndarray):
+        if z is not self._z:
+            self._z, self._z_edges = z, _edge_lengths(z, self.ci)
+        return self._z_edges
+
     def init_d(self, coords: np.ndarray) -> np.ndarray:
         """Realized distances projected onto their intervals (per-edge optimal d)."""
-        diff = coords[:, self.ii] - coords[:, self.jj]
-        r = np.sqrt((diff * diff).sum(axis=0))
+        _, r = _edge_lengths(as_coords(coords).ravel(), self.ci)
         return np.clip(r, self.lower, self.upper)
 
     def project(self, z: np.ndarray) -> np.ndarray:
@@ -57,21 +73,17 @@ class StressProblem:
         return out
 
     def objective(self, z: np.ndarray) -> float:
-        coords, d = self.unpack(z)
-        diff = coords[:, self.ii] - coords[:, self.jj]
-        r = np.sqrt((diff * diff).sum(axis=0))
+        _, r = self._edges(z)
+        d = z[3 * self.n:]
         return float(0.5 * np.sum(self.w * (r - d) ** 2))
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
-        coords, d = self.unpack(z)
-        diff = coords[:, self.ii] - coords[:, self.jj]
-        r = np.sqrt((diff * diff).sum(axis=0))
-        if np.any(r <= _SMOOTHNESS_TOL):
+        diff, r = self._edges(z)
+        if r.size and r.min() <= _SMOOTHNESS_TOL:
             raise NonsmoothPointError("coincident endpoints on an edge")
-        t = self.w * (r - d)
-        unit = diff * (t / r)
-        gX = np.zeros((3, self.n))
-        for row in range(3):
-            gX[row] = (np.bincount(self.ii, weights=unit[row], minlength=self.n)
-                       - np.bincount(self.jj, weights=unit[row], minlength=self.n))
-        return np.concatenate([gX.ravel(), -t])
+        nc = 3 * self.n
+        t = self.w * (r - z[nc:])
+        unit = (diff * (t / r)).ravel()
+        gX = (np.bincount(self.ci.ii3.ravel(), weights=unit, minlength=nc)
+              - np.bincount(self.ci.jj3.ravel(), weights=unit, minlength=nc))
+        return np.concatenate([gX, -t])

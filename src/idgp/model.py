@@ -190,8 +190,10 @@ class Instance:
 class CompiledInstance:
     """Read-only array view of an Instance, built once per solve.
 
-    Edges are sorted by (i, j) with 0-based ends `ii` < `jj`; `w` holds the
-    stress weights (discretization edges doubled, sum 1). Row i of the
+    Edges are sorted by (i, j) with 0-based ends `ii` < `jj`; `ii3`/`jj3`
+    (3 x m) index the same ends in the row-major flattened 3 x n coordinates,
+    `ii + n * row` for rows 0..2. `w` holds the stress weights
+    (discretization edges doubled, sum 1). Row i of the
     back-edge CSR, `back_ptr[i - 1]:back_ptr[i]`, lists the edges (j, i)
     with j < i in ascending j: 0-based j in `back_col`, bounds in
     `back_lower`/`back_upper`. `d_prev[i]` is d_{i-1,i} and `theta[i]` the
@@ -201,6 +203,8 @@ class CompiledInstance:
     n: int
     ii: np.ndarray
     jj: np.ndarray
+    ii3: np.ndarray
+    jj3: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     w: np.ndarray
@@ -224,9 +228,10 @@ class CompiledInstance:
         back_ptr = np.concatenate(([0], np.cumsum(np.bincount(jj, minlength=inst.n))))
         d_prev = [math.nan] * 2 + [inst.edge(i - 1, i).lower for i in range(2, inst.n + 1)]
         theta = [inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)]
-        view = cls(inst.n, ii, jj, lower, upper, w / w.sum(), back_ptr, ii[by_end],
-                   lower[by_end], upper[by_end], np.array(d_prev), np.array(theta),
-                   dict(inst.torsion_domains))
+        rows = inst.n * np.arange(3)[:, None]
+        view = cls(inst.n, ii, jj, ii + rows, jj + rows, lower, upper, w / w.sum(),
+                   back_ptr, ii[by_end], lower[by_end], upper[by_end], np.array(d_prev),
+                   np.array(theta), dict(inst.torsion_domains))
         for value in vars(view).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False

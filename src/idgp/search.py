@@ -79,15 +79,19 @@ def sign_restricted_domain(dom: TorsionDomain, tau: float) -> TorsionDomain:
     return TorsionDomain.single(dom.lo, min(dom.hi, 0.0))
 
 
-def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng):
+def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
+            deadline: float = math.inf):
     """One sweep of sign flips; each flip is kept only if the global LDE
-    strictly decreases. Never increases the LDE."""
+    strictly decreases. Never increases the LDE. No flip is tried after
+    `deadline` (a time.monotonic() value)."""
     current_lde = metrics.lde_global(X, ci)
     for i in range(4, ci.n + 1):
         t_i = tau[i]
         dom = ci.torsion_domains[i]
         if t_i == 0.0 or not dom.contains(-t_i):
             continue
+        if time.monotonic() > deadline:
+            break
         trial_domains = dict(ci.torsion_domains)
         trial_domains[i] = sign_restricted_domain(dom, -t_i)
         tau_trial, X_trial = greedy_construction(ci, n_tors, rng, trial_domains)
@@ -146,6 +150,7 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
     """Multistart greedy construction + improvement, RMSD de-duplication and
     SPG refinement of the stress model; early return on LDE/MDE tolerance."""
     start = time.monotonic()
+    deadline = start + params.time_limit
     ci = CompiledInstance.of(inst)
     problem = metrics.StressProblem(ci)
     spg_params = SpgParams(max_iter=params.spg_max_iter,
@@ -165,7 +170,7 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
                                 params.rng_seed)
 
     for c in range(params.n_trial):
-        if best is not None and time.monotonic() - start > params.time_limit:
+        if best is not None and time.monotonic() > deadline:
             status = "TimeLimit"
             break
         trials += 1
@@ -173,14 +178,14 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
 
         tau, conf = greedy_construction(ci, params.n_tors, rng)
         for _ in range(params.n_impr):
-            conf, tau = improve(conf, tau, ci, params.n_tors, rng)
+            conf, tau = improve(conf, tau, ci, params.n_tors, rng, deadline)
         # the constructed candidate is refined only if distinct from the
         # pool, and checked again after: SPG can pull it onto a pooled one
         for refine in (False, True):
             if refine:
                 z0 = problem.pack(conf.coords, problem.init_d(conf.coords))
                 result = spg_minimize(problem.objective, problem.gradient,
-                                      problem.project, z0, spg_params)
+                                      problem.project, z0, spg_params, deadline)
                 coords, _ = problem.unpack(result.z_final)
                 conf = Conformation(coords.copy())
             entry = PoolEntry(conf, metrics.mde_global(conf, ci),

@@ -6,6 +6,7 @@ set is free coordinates times a per-edge distance box.
 """
 
 import math
+import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -24,6 +25,7 @@ class SpgStatus(Enum):
     STALLED = "Stalled"
     MAX_ITER = "MaxIter"
     NUMERICAL_FAILURE = "NumericalFailure"
+    TIME_LIMIT = "TimeLimit"
 
 
 # Line-search and spectral-step safeguards of Birgin, Martinez & Raydan
@@ -62,9 +64,12 @@ def initial_spectral_step(z0, g0, project) -> float:
     return min(_LAMBDA_MAX, max(_LAMBDA_MIN, 1.0 / ninf))
 
 
-def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams()) -> SpgResult:
+def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams(),
+                 deadline: float = math.inf) -> SpgResult:
     """Run SPG from z0 (assumed feasible); returns the best iterate seen.
-    A nonfinite f or g, or g at a nonsmooth point, ends it as NUMERICAL_FAILURE."""
+    A nonfinite f or g, or g at a nonsmooth point, ends it as NUMERICAL_FAILURE;
+    an iteration that would start after `deadline` (a time.monotonic() value)
+    ends it as TIME_LIMIT. No array passed to f or g is written into afterwards."""
 
     def grad(x):
         try:
@@ -78,7 +83,7 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams()) -> SpgResul
     if not math.isfinite(fz):
         return SpgResult(z, fz, 0, SpgStatus.NUMERICAL_FAILURE, [fz])
 
-    best_z, best_f = z.copy(), fz
+    best_z, best_f = z, fz
     history = deque([fz], maxlen=_MEMORY)
     if fz <= params.success_f:
         return SpgResult(best_z, best_f, 0, SpgStatus.SUCCESS_TOLERANCE, list(history))
@@ -95,6 +100,9 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams()) -> SpgResul
     stall_count = 0
     k = 0
     while k < params.max_iter:
+        if time.monotonic() > deadline:
+            status = SpgStatus.TIME_LIMIT
+            break
         k += 1
         direction = project(z - lam * gz) - z
         if float(np.max(np.abs(direction))) <= _STEP_ZERO_TOL:
@@ -149,7 +157,7 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams()) -> SpgResul
         z, fz, gz = z_new, f_new, g_new
         history.append(fz)
         if fz < best_f:
-            best_f, best_z = fz, z.copy()
+            best_f, best_z = fz, z
         if fz <= params.success_f:
             status = SpgStatus.SUCCESS_TOLERANCE
             break

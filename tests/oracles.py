@@ -1,12 +1,14 @@
 """Reference implementations the optimized code is checked against: scalar
 per-edge loops for the array code of `idgp.metrics` and
-`idgp.model.CompiledInstance`, numpy vector ops for the scalar-float
+`idgp.model.CompiledInstance`, column gathers for the flat-index edge kernel
+of `idgp.metrics`, and numpy vector ops for the scalar-float
 `idgp.geometry.local_frame`."""
 
 import numpy as np
 
 from idgp.geometry import _COLLINEAR_TOL
-from idgp.model import DegenerateGeometryError
+from idgp.metrics import _SMOOTHNESS_TOL
+from idgp.model import DegenerateGeometryError, NonsmoothPointError
 
 
 def pair_distance(coords, i, j) -> float:
@@ -64,3 +66,44 @@ def local_frame(x_im3, x_im2, x_im1):
     u2 = c / cn
     u3 = np.cross(u2, u1)
     return np.column_stack((u1, u2, u3))
+
+
+# Column-gather numpy versions of the stress model and the residuals: each
+# recomputes diff/r from coords[:, ii] - coords[:, jj] and scatters the
+# gradient one coordinate row at a time. The flat-index kernel must match
+# them bit for bit.
+
+def _diff_and_r(coords, ci):
+    diff = coords[:, ci.ii] - coords[:, ci.jj]
+    return diff, np.sqrt((diff * diff).sum(axis=0))
+
+
+def residuals(coords, ci) -> np.ndarray:
+    _, r = _diff_and_r(coords, ci)
+    return np.maximum(0.0, np.maximum((ci.lower - r) / ci.lower,
+                                      (r - ci.upper) / ci.upper))
+
+
+def init_d(coords, ci) -> np.ndarray:
+    _, r = _diff_and_r(coords, ci)
+    return np.clip(r, ci.lower, ci.upper)
+
+
+def objective(z, ci) -> float:
+    coords, d = z[:3 * ci.n].reshape(3, ci.n), z[3 * ci.n:]
+    _, r = _diff_and_r(coords, ci)
+    return float(0.5 * np.sum(ci.w * (r - d) ** 2))
+
+
+def gradient(z, ci) -> np.ndarray:
+    coords, d = z[:3 * ci.n].reshape(3, ci.n), z[3 * ci.n:]
+    diff, r = _diff_and_r(coords, ci)
+    if np.any(r <= _SMOOTHNESS_TOL):
+        raise NonsmoothPointError("coincident endpoints on an edge")
+    t = ci.w * (r - d)
+    unit = diff * (t / r)
+    gX = np.zeros((3, ci.n))
+    for row in range(3):
+        gX[row] = (np.bincount(ci.ii, weights=unit[row], minlength=ci.n)
+                   - np.bincount(ci.jj, weights=unit[row], minlength=ci.n))
+    return np.concatenate([gX.ravel(), -t])

@@ -1,5 +1,5 @@
-"""Properties of the compiled array view and of the instance file format,
-checked on random valid instances."""
+"""Properties of the compiled array view, the stress model, the solver's
+pool and the instance file format, checked on random valid instances."""
 
 import math
 
@@ -77,6 +77,51 @@ class TestCompiledView:
         assert set(vars(inst)) == {"atoms", "edges", "torsion_domains", "bond_angles"}
         assert inst.edges == edges
         assert inst.torsion_domains == domains
+
+
+class TestStressKernel:
+    """The flat-index edge kernel is bit-identical to the column-gather
+    oracle, whatever the one-entry edge cache holds when a call arrives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1))
+    def test_matches_column_gather_oracle(self, inst, seed):
+        ci = CompiledInstance.of(inst)
+        prob = metrics.StressProblem(ci)
+        rng = np.random.default_rng(seed)
+
+        def point():
+            return prob.pack(rng.normal(scale=3.0, size=(3, inst.n)),
+                             rng.uniform(ci.lower, ci.upper))
+
+        coords = rng.normal(scale=3.0, size=(3, inst.n))
+        assert np.array_equal(metrics._residuals(coords, ci),
+                              oracles.residuals(coords, ci))
+        assert np.array_equal(prob.init_d(coords), oracles.init_d(coords, ci))
+        # gradient on an array no call has seen
+        z = point()
+        assert np.array_equal(prob.gradient(z), oracles.gradient(z, ci))
+        # gradient right after objective at the same z, as SPG calls them
+        z = point()
+        assert prob.objective(z) == oracles.objective(z, ci)
+        assert np.array_equal(prob.gradient(z), oracles.gradient(z, ci))
+        # gradient after objective at a different z
+        z, z_other = point(), point()
+        assert prob.objective(z_other) == oracles.objective(z_other, ci)
+        assert np.array_equal(prob.gradient(z), oracles.gradient(z, ci))
+
+
+class TestPool:
+    @settings(max_examples=15, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.floats(0.05, 1.0))
+    def test_members_pairwise_distinct(self, inst, seed, eps_similar):
+        params = SolverParams(rng_seed=seed, n_trial=8, n_impr=1, spg_max_iter=50,
+                              eps_mde=1e-300, eps_lde=1e-300, eps_similar=eps_similar)
+        pool = [p.conformation for p in search.multistart_solve(inst, params).pool]
+        for new in range(len(pool)):
+            for old in range(new):
+                # in the order multistart_solve compares a candidate with the pool
+                assert search.kabsch_rmsd(pool[new], pool[old], inst) > eps_similar
 
 
 class TestImprove:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -136,6 +137,16 @@ class TestImprove:
         assert hard >= 5
         assert fixed == hard
 
+    def test_past_deadline_tries_no_flip(self, hard):
+        inst, _ = hard
+        ci = CompiledInstance.of(inst)
+        rng = np.random.default_rng(0)
+        tau, conf = search.greedy_construction(ci, 5, rng)
+        state = rng.bit_generator.state
+        X, tau_out = search.improve(conf, tau, ci, 5, rng, deadline=-math.inf)
+        assert X is conf and tau_out is tau
+        assert rng.bit_generator.state == state
+
 
 class TestKabschRmsd:
     def _instance(self, n, names=None):
@@ -263,6 +274,27 @@ class TestMultistart:
                               time_limit=60.0)
         rep = search.multistart_solve(inst, params)
         assert rep.mde == min(p[1] for p in rep.pool)
+
+    def test_time_limit_bounds_the_first_trial(self):
+        # no torsion annotations: every atom is a flip candidate, and one
+        # trial left to finish runs for seconds (sweep, then up to 30000
+        # SPG iterations); a limit may be overrun by the one greedy
+        # construction or SPG iteration under way when it passes
+        atoms, coords = io.synthetic_backbone(30, seed=4)
+        inst = io.generate_instance(atoms, coords, hh_width_adjacent=0.5,
+                                    hh_width_other=1.0,
+                                    include_torsion_annotations=False)
+        ci = CompiledInstance.of(inst)
+        greedy_s = 0.0
+        for seed in range(3):
+            t0 = time.monotonic()
+            search.greedy_construction(ci, 20, np.random.default_rng(seed))
+            greedy_s = max(greedy_s, time.monotonic() - t0)
+        limit = 0.5
+        rep = search.multistart_solve(inst, SolverParams(
+            rng_seed=0, eps_mde=1e-20, eps_lde=1e-20, time_limit=limit))
+        assert (rep.status, rep.trials) == ("TimeLimit", 1)
+        assert rep.wall_time <= limit + greedy_s + 0.25
 
     def test_zero_time_limit_still_returns_conformation(self, hard):
         inst, _ = hard

@@ -136,6 +136,15 @@ class TestEdgeCases:
         assert res.status is SpgStatus.STALLED
         assert res.iterations == window
 
+    def test_past_deadline_is_time_limit(self):
+        diag = np.array([1.0, 10.0])
+        f = lambda z: 0.5 * float(z @ (diag * z))
+        g = lambda z: diag * z
+        res = spg_minimize(f, g, lambda z: z, np.ones(2), deadline=-math.inf)
+        assert res.status is SpgStatus.TIME_LIMIT
+        assert res.iterations == 0
+        np.testing.assert_array_equal(res.z_final, np.ones(2))
+
 
 class TestTwoAtomStress:
     def _problem(self):
