@@ -15,11 +15,16 @@ def _edge_lengths(flat: np.ndarray, ci: CompiledInstance):
     return diff, np.sqrt(sq[0] + sq[1] + sq[2])
 
 
+def _violations(r: np.ndarray, ci: CompiledInstance) -> np.ndarray:
+    """Normalized interval violation of edge lengths r; zero iff satisfied."""
+    return np.maximum(0.0, np.maximum((ci.lower - r) / ci.lower,
+                                      (r - ci.upper) / ci.upper))
+
+
 def _residuals(X, ci: CompiledInstance) -> np.ndarray:
     """Normalized interval violation per edge; zero iff the edge is satisfied."""
     _, r = _edge_lengths(as_coords(X).ravel(), ci)
-    return np.maximum(0.0, np.maximum((ci.lower - r) / ci.lower,
-                                      (r - ci.upper) / ci.upper))
+    return _violations(r, ci)
 
 
 def lde_global(X, ci: CompiledInstance) -> float:
@@ -65,6 +70,12 @@ class StressProblem:
         """Realized distances projected onto their intervals (per-edge optimal d)."""
         _, r = _edge_lengths(as_coords(coords).ravel(), self.ci)
         return np.clip(r, self.lower, self.upper)
+
+    def solved(self, z: np.ndarray, eps_mde: float, eps_lde: float) -> bool:
+        """The solve criterion MDE <= eps_mde or LDE <= eps_lde on z's
+        coordinate block, equal to mde_global/lde_global of unpack(z)."""
+        res = _violations(self._edges(z)[1], self.ci)
+        return float(res.mean()) <= eps_mde or float(res.max()) <= eps_lde
 
     def project(self, z: np.ndarray) -> np.ndarray:
         out = z.copy()

@@ -11,6 +11,7 @@ from enum import Enum
 import numpy as np
 
 _COS_DEGENERACY_TOL = 1e-12
+_CA_SUBSET_THRESHOLD = 200     # larger instances superpose CA atoms only
 
 
 class IdgpError(Exception):
@@ -197,7 +198,9 @@ class CompiledInstance:
     back-edge CSR, `back_ptr[i - 1]:back_ptr[i]`, lists the edges (j, i)
     with j < i in ascending j: 0-based j in `back_col`, bounds in
     `back_lower`/`back_upper`. `d_prev[i]` is d_{i-1,i} and `theta[i]` the
-    bond angle at atom i (1-based; nan where undefined).
+    bond angle at atom i (1-based; nan where undefined). `rmsd_sel` holds
+    the 0-based atoms an RMSD compares: all of them for n <= 200, otherwise
+    the CA-named ones (empty if there are none).
     """
 
     n: int
@@ -215,6 +218,7 @@ class CompiledInstance:
     d_prev: np.ndarray
     theta: np.ndarray
     torsion_domains: dict
+    rmsd_sel: np.ndarray
 
     @classmethod
     def of(cls, inst: Instance) -> "CompiledInstance":
@@ -229,9 +233,14 @@ class CompiledInstance:
         d_prev = [math.nan] * 2 + [inst.edge(i - 1, i).lower for i in range(2, inst.n + 1)]
         theta = [inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)]
         rows = inst.n * np.arange(3)[:, None]
+        if inst.n <= _CA_SUBSET_THRESHOLD:
+            rmsd_sel = np.arange(inst.n)
+        else:
+            rmsd_sel = np.array([a.index - 1 for a in inst.atoms if a.name == "CA"],
+                                dtype=int)
         view = cls(inst.n, ii, jj, ii + rows, jj + rows, lower, upper, w / w.sum(),
                    back_ptr, ii[by_end], lower[by_end], upper[by_end], np.array(d_prev),
-                   np.array(theta), dict(inst.torsion_domains))
+                   np.array(theta), dict(inst.torsion_domains), rmsd_sel)
         for value in vars(view).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False

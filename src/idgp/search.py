@@ -21,7 +21,6 @@ from .model import (
 )
 from .spg import SpgParams, spg_minimize
 
-_CA_SUBSET_THRESHOLD = 200
 _STALL_TRIALS = 50  # consecutive duplicate candidates that end the search
 
 
@@ -101,21 +100,17 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
     return X, tau
 
 
-def _selection(inst: Instance):
-    if inst.n <= _CA_SUBSET_THRESHOLD:
-        return np.arange(inst.n)
-    sel = np.array([a.index - 1 for a in inst.atoms if a.name == "CA"], dtype=int)
-    if sel.size == 0:
-        raise SelectionError("no CA-named atoms for large-instance RMSD subset")
-    return sel
-
-
-def kabsch_rmsd(X, Y, inst: Instance) -> float:
+def kabsch_rmsd(X, Y, ci: CompiledInstance) -> float:
     """RMSD after optimal proper-rotation superposition (Kabsch).
 
-    Uses all atoms for n <= 200, otherwise the CA subset.
+    Uses all atoms for n <= 200, otherwise the CA subset (`ci.rmsd_sel`).
+    An Instance in place of `ci` is compiled first.
     """
-    sel = _selection(inst)
+    if isinstance(ci, Instance):
+        ci = CompiledInstance.of(ci)
+    sel = ci.rmsd_sel
+    if sel.size == 0:
+        raise SelectionError("no CA-named atoms for large-instance RMSD subset")
     A = as_coords(X)[:, sel]
     B = as_coords(Y)[:, sel]
     A = A - A.mean(axis=1, keepdims=True)
@@ -162,7 +157,6 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
     best = None         # smallest-MDE candidate seen, fallback when pool empty
     stall = 0
     trials = 0
-    status = "BestEffort"
 
     def report(entry, st):
         return MultistartReport(st, entry.conformation, entry.lde, entry.mde, trials,
@@ -171,7 +165,6 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
 
     for c in range(params.n_trial):
         if best is not None and time.monotonic() > deadline:
-            status = "TimeLimit"
             break
         trials += 1
         rng = np.random.default_rng(streams[c])
@@ -184,8 +177,10 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
         for refine in (False, True):
             if refine:
                 z0 = problem.pack(conf.coords, problem.init_d(conf.coords))
-                result = spg_minimize(problem.objective, problem.gradient,
-                                      problem.project, z0, spg_params, deadline)
+                result = spg_minimize(
+                    problem.objective, problem.gradient, problem.project, z0,
+                    spg_params, deadline,
+                    done=lambda z: problem.solved(z, params.eps_mde, params.eps_lde))
                 coords, _ = problem.unpack(result.z_final)
                 conf = Conformation(coords.copy())
             entry = PoolEntry(conf, metrics.mde_global(conf, ci),
@@ -194,7 +189,7 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
                 best = entry
             if entry.mde <= params.eps_mde or entry.lde <= params.eps_lde:
                 return report(entry, "Solved")
-            if any(kabsch_rmsd(conf, p.conformation, inst) <= params.eps_similar
+            if any(kabsch_rmsd(conf, p.conformation, ci) <= params.eps_similar
                    for p in pool):
                 stall += 1
                 break
@@ -204,7 +199,8 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
         if stall >= _STALL_TRIALS or len(pool) > params.n_conf:
             break
 
+    # every candidate that met the criterion returned above; past the
+    # deadline, it cut the trial loop, an improvement sweep or an SPG run,
+    # or the step under way when it passed ran over it
     entry = min(pool, key=lambda p: p.mde) if pool else best
-    if entry.mde <= params.eps_mde or entry.lde <= params.eps_lde:
-        status = "Solved"
-    return report(entry, status)
+    return report(entry, "TimeLimit" if time.monotonic() > deadline else "BestEffort")

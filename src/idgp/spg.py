@@ -26,6 +26,7 @@ class SpgStatus(Enum):
     MAX_ITER = "MaxIter"
     NUMERICAL_FAILURE = "NumericalFailure"
     TIME_LIMIT = "TimeLimit"
+    SOLVE_CRITERION = "SolveCriterion"
 
 
 # Line-search and spectral-step safeguards of Birgin, Martinez & Raydan
@@ -65,11 +66,16 @@ def initial_spectral_step(z0, g0, project) -> float:
 
 
 def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams(),
-                 deadline: float = math.inf) -> SpgResult:
-    """Run SPG from z0 (assumed feasible); returns the best iterate seen.
-    A nonfinite f or g, or g at a nonsmooth point, ends it as NUMERICAL_FAILURE;
-    an iteration that would start after `deadline` (a time.monotonic() value)
-    ends it as TIME_LIMIT. No array passed to f or g is written into afterwards."""
+                 deadline: float = math.inf, done=None) -> SpgResult:
+    """Run SPG from z0 (assumed feasible).
+
+    The first accepted iterate z with `done(z)` true ends the run as
+    SOLVE_CRITERION and is returned as it is: under the nonmonotone line
+    search the lowest-f iterate seen need not satisfy `done`. Every other
+    stop returns the lowest-f iterate seen. A nonfinite f or g, or g at a
+    nonsmooth point, ends it as NUMERICAL_FAILURE; an iteration that would
+    start after `deadline` (a time.monotonic() value) ends it as TIME_LIMIT.
+    No array passed to f, g or done is written into afterwards."""
 
     def grad(x):
         try:
@@ -161,6 +167,8 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams(),
         if fz <= params.success_f:
             status = SpgStatus.SUCCESS_TOLERANCE
             break
+        if done is not None and done(z):
+            return SpgResult(z, fz, k, SpgStatus.SOLVE_CRITERION, list(history))
         if stall_count >= params.stall_window:
             status = SpgStatus.STALLED
             break

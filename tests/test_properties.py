@@ -2,11 +2,12 @@
 pool and the instance file format, checked on random valid instances."""
 
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from idgp import io, metrics, search
+from idgp import io, metrics, search, spg
 from idgp.model import CompiledInstance, SolverParams, TorsionDomain
 from tests import oracles
 
@@ -111,6 +112,57 @@ class TestStressKernel:
         assert np.array_equal(prob.gradient(z), oracles.gradient(z, ci))
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1))
+    def test_solved_matches_lde_mde(self, inst, seed):
+        # at the criterion's edge: eps equal to the metric or one ulp below
+        ci = CompiledInstance.of(inst)
+        prob = metrics.StressProblem(ci)
+        rng = np.random.default_rng(seed)
+        z = prob.pack(rng.normal(scale=3.0, size=(3, inst.n)),
+                      rng.uniform(ci.lower, ci.upper))
+        X = prob.unpack(z)[0].copy()
+        mde, lde = metrics.mde_global(X, ci), metrics.lde_global(X, ci)
+        for eps_mde in (mde, np.nextafter(mde, -math.inf)):
+            for eps_lde in (lde, np.nextafter(lde, -math.inf)):
+                assert prob.solved(z, eps_mde, eps_lde) == \
+                       (mde <= eps_mde or lde <= eps_lde)
+
+
+class TestEarlyStop:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 2**32 - 1), st.sampled_from([0, 3]),
+           st.sampled_from([20, 60]))
+    @example(101, 0, 0, 60)     # SPG stops at the criterion on iteration 182
+    def test_solved_by_early_stop_meets_criterion(self, ref_seed, seed, n_impr, n_tors):
+        # criterion 5's regime, where SPG usually has work left to do
+        atoms, coords = io.synthetic_backbone(4, seed=ref_seed)
+        inst = io.generate_instance(atoms, coords, hh_width_adjacent=0.5,
+                                    hh_width_other=1.0,
+                                    include_torsion_annotations=False)
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(spg.spg_minimize(*args, **kwargs))
+            return results[-1]
+
+        params = SolverParams(rng_seed=seed, n_trial=5, n_impr=n_impr, n_tors=n_tors,
+                              spg_max_iter=3000)
+        with mock.patch.object(search, "spg_minimize", recording):
+            rep = search.multistart_solve(inst, params)
+        stops = [r.status is spg.SpgStatus.SOLVE_CRITERION for r in results]
+        # a stop at the criterion ends the solve as Solved, on that iterate
+        assert not any(stops[:-1])
+        if stops and stops[-1]:
+            ci = CompiledInstance.of(inst)
+            mde = metrics.mde_global(rep.conformation, ci)
+            lde = metrics.lde_global(rep.conformation, ci)
+            assert rep.status == "Solved" and (rep.mde, rep.lde) == (mde, lde)
+            assert mde <= params.eps_mde or lde <= params.eps_lde
+            np.testing.assert_array_equal(rep.conformation.coords.ravel(),
+                                          results[-1].z_final[:3 * inst.n])
+
+
 class TestPool:
     @settings(max_examples=15, deadline=None)
     @given(instances(), st.integers(0, 2**32 - 1), st.floats(0.05, 1.0))
@@ -118,10 +170,11 @@ class TestPool:
         params = SolverParams(rng_seed=seed, n_trial=8, n_impr=1, spg_max_iter=50,
                               eps_mde=1e-300, eps_lde=1e-300, eps_similar=eps_similar)
         pool = [p.conformation for p in search.multistart_solve(inst, params).pool]
+        ci = CompiledInstance.of(inst)
         for new in range(len(pool)):
             for old in range(new):
                 # in the order multistart_solve compares a candidate with the pool
-                assert search.kabsch_rmsd(pool[new], pool[old], inst) > eps_similar
+                assert search.kabsch_rmsd(pool[new], pool[old], ci) > eps_similar
 
 
 class TestImprove:

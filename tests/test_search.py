@@ -10,6 +10,7 @@ from idgp.model import (
     CompiledInstance,
     Conformation,
     DomainKind,
+    EdgeConstraint,
     EmptyDomainError,
     Instance,
     SelectionError,
@@ -47,7 +48,7 @@ class TestGreedyConstruction:
         rng = np.random.default_rng(0)
         tau, conf = search.greedy_construction(ci, 1, rng)
         assert metrics.lde_global(conf, ci) <= 1e-10
-        assert search.kabsch_rmsd(conf, Conformation(coords), inst) <= 1e-8
+        assert search.kabsch_rmsd(conf, Conformation(coords), ci) <= 1e-8
 
     def test_torsions_stay_in_domain(self, toy):
         inst, _ = toy
@@ -149,9 +150,15 @@ class TestImprove:
 
 
 class TestKabschRmsd:
-    def _instance(self, n, names=None):
+    def _raw_instance(self, n, names=None):
+        """n atoms joined by unit bonds: the least a compiled view needs."""
         atoms = [AtomRecord(k + 1, (names or ["X"] * n)[k], 1) for k in range(n)]
-        return Instance(atoms=atoms, edges={})
+        edges = {(k, k + 1): EdgeConstraint(k, k + 1, 1.0, 1.0, is_discretization=True)
+                 for k in range(1, n)}
+        return Instance(atoms=atoms, edges=edges)
+
+    def _instance(self, n, names=None):
+        return CompiledInstance.of(self._raw_instance(n, names))
 
     def test_identity(self):
         A = np.random.default_rng(0).normal(size=(3, 8))
@@ -222,10 +229,19 @@ class TestKabschRmsd:
         assert search.kabsch_rmsd(A, B, inst) <= 1e-8
 
     def test_no_ca_atoms_raises(self):
-        inst = self._instance(300)
+        # compiling succeeds; only an RMSD over the empty subset raises
+        ci = self._instance(300)
         A = np.random.default_rng(4).normal(size=(3, 300))
         with pytest.raises(SelectionError):
-            search.kabsch_rmsd(A, A, inst)
+            search.kabsch_rmsd(A, A, ci)
+
+    @pytest.mark.parametrize("n", [8, 300])
+    def test_instance_is_compiled(self, n):
+        inst = self._raw_instance(n, ["CA" if k % 3 == 1 else "X" for k in range(n)])
+        rng = np.random.default_rng(5)
+        A, B = rng.normal(size=(3, n)), rng.normal(size=(3, n))
+        assert search.kabsch_rmsd(A, B, inst) == \
+            search.kabsch_rmsd(A, B, CompiledInstance.of(inst))
 
 
 class TestMultistart:
@@ -263,9 +279,10 @@ class TestMultistart:
         assert rep.status in ("BestEffort", "TimeLimit")
         assert rep.pool_size == len(rep.pool) >= 2
         confs = [p[0] for p in rep.pool]
+        ci = CompiledInstance.of(inst)
         for a in range(len(confs)):
             for b in range(a + 1, len(confs)):
-                assert search.kabsch_rmsd(confs[a], confs[b], inst) > 0.5
+                assert search.kabsch_rmsd(confs[a], confs[b], ci) > 0.5
 
     def test_best_of_pool_reported(self, hard):
         inst, _ = hard
@@ -291,10 +308,13 @@ class TestMultistart:
             search.greedy_construction(ci, 20, np.random.default_rng(seed))
             greedy_s = max(greedy_s, time.monotonic() - t0)
         limit = 0.5
-        rep = search.multistart_solve(inst, SolverParams(
-            rng_seed=0, eps_mde=1e-20, eps_lde=1e-20, time_limit=limit))
-        assert (rep.status, rep.trials) == ("TimeLimit", 1)
-        assert rep.wall_time <= limit + greedy_s + 0.25
+        # with n_trial=1 the limit cuts the last trial, not the trial loop
+        for n_trial in (SolverParams().n_trial, 1):
+            rep = search.multistart_solve(inst, SolverParams(
+                rng_seed=0, n_trial=n_trial, eps_mde=1e-20, eps_lde=1e-20,
+                time_limit=limit))
+            assert (rep.status, rep.trials) == ("TimeLimit", 1)
+            assert rep.wall_time <= limit + greedy_s + 0.25
 
     def test_zero_time_limit_still_returns_conformation(self, hard):
         inst, _ = hard

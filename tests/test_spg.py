@@ -175,3 +175,66 @@ class TestTwoAtomStress:
         assert res.iterations == 0
         np.testing.assert_array_equal(res.z_final, z0)
         assert res.f_final == prob.objective(z0)
+
+
+def _wavy():
+    """A 1-D objective on [-2, 2] whose nonmonotone SPG path from 0.3 climbs
+    from f = 1.13 (z = -0.08) to f = 2.44 (z = -2) at its fourth step."""
+    f = lambda z: float(np.sin(5 * z[0]) + 0.1 * z[0] ** 2) + 1.5
+    g = lambda z: np.array([5 * math.cos(5 * z[0]) + 0.2 * z[0]])
+    return f, g, box_projection(-2.0, 2.0), np.array([0.3])
+
+
+def _at_wall(z):
+    return z[0] <= -1.9
+
+
+def _diagonal(diag, offset=0.0):
+    diag = np.array(diag)
+    return lambda z: offset + 0.5 * float(z @ (diag * z)), lambda z: diag * z
+
+
+# (f, g, project, z0, params) ending in each stop of the tests above
+_STOPS = {
+    "max_iter": (*_diagonal([1.0, 1e6]), lambda z: z, np.ones(2),
+                 SpgParams(max_iter=2, success_f=1e-30)),
+    "nonmonotone_stall": (*_wavy(), SpgParams(max_iter=500)),
+    "stall_window": (*_diagonal([1e-14, 2e-14, 3e-14], offset=1.0), lambda z: z,
+                     np.ones(3), SpgParams(stall_window=5)),
+    "tolerance": (*_diagonal([1.0, 10.0, 100.0, 1000.0]), lambda z: z, np.ones(4),
+                  SpgParams(max_iter=5000)),
+}
+
+
+class TestDone:
+    def test_done_ends_run_with_solve_criterion(self):
+        f, g, project, z0 = _wavy()
+        res = spg_minimize(f, g, project, z0, SpgParams(max_iter=500), done=_at_wall)
+        assert res.status is SpgStatus.SOLVE_CRITERION
+        # the iterate that met `done`, though an earlier one had lower f
+        assert _at_wall(res.z_final)
+        assert res.f_final == f(res.z_final) > min(res.f_history)
+
+    def test_stops_at_first_accepted_iterate_meeting_done(self):
+        # SPG evaluates g at z0 and then once at each accepted iterate
+        f, g, project, z0 = _wavy()
+        accepted = []
+
+        def g_recording(z):
+            accepted.append(z.copy())
+            return g(z)
+
+        spg_minimize(f, g_recording, project, z0, SpgParams(max_iter=500))
+        first = next(k for k, z in enumerate(accepted) if k > 0 and _at_wall(z))
+        res = spg_minimize(f, g, project, z0, SpgParams(max_iter=500), done=_at_wall)
+        assert res.iterations == first
+        np.testing.assert_array_equal(res.z_final, accepted[first])
+
+    @pytest.mark.parametrize("name", sorted(_STOPS))
+    def test_done_never_true_changes_nothing(self, name):
+        f, g, project, z0, params = _STOPS[name]
+        base = spg_minimize(f, g, project, z0, params)
+        res = spg_minimize(f, g, project, z0, params, done=lambda z: False)
+        assert (res.status, res.iterations, res.f_final, res.f_history) == \
+               (base.status, base.iterations, base.f_final, base.f_history)
+        np.testing.assert_array_equal(res.z_final, base.z_final)
