@@ -56,8 +56,8 @@ class ProfileError(IdgpError):
 
 
 def build_instance(atoms, edges, torsion_overrides=None) -> Instance:
-    """Assemble an Instance: dedupe edges, set discretization flags, derive
-    bond angles from exact edges and torsion domains from d_{i-3,i} bounds.
+    """Assemble an Instance: key edges by (i, j) with i < j, derive bond
+    angles from exact edges and torsion domains from d_{i-3,i} bounds.
 
     Explicit torsion annotations take precedence over derived domains.
     Raises ValidationError unless the result is fully valid.
@@ -67,8 +67,7 @@ def build_instance(atoms, edges, torsion_overrides=None) -> Instance:
         i, j = (e.i, e.j) if e.i < e.j else (e.j, e.i)
         if (i, j) in edge_map:
             raise DuplicateEdgeError(f"duplicate edge record for pair ({i},{j})")
-        edge_map[(i, j)] = EdgeConstraint(i, j, e.lower, e.upper,
-                                          is_discretization=(j - i in (1, 2, 3)))
+        edge_map[(i, j)] = EdgeConstraint(i, j, e.lower, e.upper)
 
     inst = Instance(atoms=list(atoms), edges=edge_map)
     n = inst.n
@@ -131,7 +130,7 @@ def parse_instance(path) -> Instance:
                     if lo > up:
                         raise ValueError(f"edge ({i},{j}): dL {lo} > dU {up}")
                     if (i, j) in seen_pairs:
-                        raise DuplicateEdgeError(f"duplicate edge ({i},{j})")
+                        raise ValueError(f"duplicate edge ({i},{j})")
                     seen_pairs.add((i, j))
                     names.setdefault(i, tok[5])
                     residues.setdefault(i, int(tok[6]))
@@ -248,15 +247,16 @@ def _angle_at(coords, a, b, c) -> float:
 
 def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
                       hh_cutoff: float = 5.0, hh_width_adjacent: float = 1.0,
-                      hh_width_other: float = 2.0, include_hydrogens: bool = True,
+                      hh_width_other: float = 2.0,
                       include_torsion_annotations: bool = True) -> Instance:
     """Build an instance from a reference conformation.
 
     Exact edges for one- and two-apart pairs; the three-apart distance is
     widened to the range realized by torsions within +-angle_width/2 of the
     reference torsion; hydrogen pairs within hh_cutoff get interval edges of
-    total width hh_width_adjacent (adjacent residues) or hh_width_other.
-    The reference is feasible for the result by construction.
+    total width hh_width_adjacent (adjacent residues) or hh_width_other;
+    hh_cutoff=0 drops them. The reference is feasible for the result by
+    construction.
     """
     coords = np.asarray(coords, dtype=float)
     n = len(atoms)
@@ -302,22 +302,21 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
         edges.append(EdgeConstraint(i - 3, i, d_lo, d_hi))
         overrides[i] = TorsionDomain.single(max(lo_t, -math.pi), min(hi_t, math.pi))
 
-    if include_hydrogens:
-        existing = {(min(e.i, e.j), max(e.i, e.j)) for e in edges}
-        h_idx = [a.index for a in atoms if a.name.startswith("H")]
-        for ai in range(len(h_idx)):
-            for bi in range(ai + 1, len(h_idx)):
-                p, q = h_idx[ai], h_idx[bi]
-                if (p, q) in existing:
-                    continue
-                d = dist(p - 1, q - 1)
-                if d > hh_cutoff:
-                    continue
-                width = (hh_width_adjacent
-                         if abs(atoms[p - 1].residue - atoms[q - 1].residue) <= 1
-                         else hh_width_other)
-                lo = max(MIN_LOWER_BOUND, d - width / 2.0)
-                edges.append(EdgeConstraint(p, q, min(lo, d), d + width / 2.0))
+    existing = {(min(e.i, e.j), max(e.i, e.j)) for e in edges}
+    h_idx = [a.index for a in atoms if a.name.startswith("H")]
+    for ai in range(len(h_idx)):
+        for bi in range(ai + 1, len(h_idx)):
+            p, q = h_idx[ai], h_idx[bi]
+            if (p, q) in existing:
+                continue
+            d = dist(p - 1, q - 1)
+            if d > hh_cutoff:
+                continue
+            width = (hh_width_adjacent
+                     if abs(atoms[p - 1].residue - atoms[q - 1].residue) <= 1
+                     else hh_width_other)
+            lo = max(MIN_LOWER_BOUND, d - width / 2.0)
+            edges.append(EdgeConstraint(p, q, min(lo, d), d + width / 2.0))
 
     return build_instance(atoms, edges,
                           overrides if include_torsion_annotations else None)

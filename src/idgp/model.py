@@ -30,10 +30,6 @@ class InfeasibleDiscretizationError(IdgpError):
     pass
 
 
-class EmptyDomainError(IdgpError):
-    pass
-
-
 class DuplicateEdgeError(IdgpError):
     pass
 
@@ -63,7 +59,10 @@ class EdgeConstraint:
     j: int
     lower: float
     upper: float
-    is_discretization: bool = False
+
+    @property
+    def is_discretization(self) -> bool:  # one to three apart in the DMDGP order
+        return self.j - self.i in (1, 2, 3)
 
     @property
     def exact(self) -> bool:
@@ -88,10 +87,10 @@ class TorsionDomain:
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise InvalidBoundsError(f"torsion domain [{self.lo}, {self.hi}] not finite")
-        if self.lo > self.hi:
-            raise InvalidBoundsError(f"torsion domain lo {self.lo} > hi {self.hi}")
+        # NaN and infinite bounds fail this test too
+        if not -math.pi <= self.lo <= self.hi <= math.pi:
+            raise InvalidBoundsError(
+                f"torsion domain [{self.lo}, {self.hi}] needs -pi <= lo <= hi <= pi")
         if self.kind is DomainKind.SYMMETRIC and self.lo < 0:
             raise InvalidBoundsError("symmetric union requires 0 <= lo")
 
@@ -278,8 +277,6 @@ def validate_instance(inst: Instance) -> list:
             out.append(f"edge ({e.i},{e.j}): bounds must satisfy 0 < lower <= upper")
         if e.j - e.i in (1, 2) and not e.exact:
             out.append(f"edge ({e.i},{e.j}): distance across at most two bonds must be exact")
-        if e.is_discretization != (e.j - e.i in (1, 2, 3)):
-            out.append(f"edge ({e.i},{e.j}): discretization flag inconsistent with index gap")
 
     for i in range(4, n + 1):
         for j, need_exact in ((i - 1, True), (i - 2, True), (i - 3, False)):

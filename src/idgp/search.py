@@ -12,14 +12,13 @@ from .model import (
     CompiledInstance,
     Conformation,
     DomainKind,
-    EmptyDomainError,
     Instance,
     SelectionError,
     SolverParams,
     TorsionDomain,
     as_coords,
 )
-from .spg import SpgParams, spg_minimize
+from .spg import spg_minimize
 
 _STALL_TRIALS = 50  # consecutive duplicate candidates that end the search
 
@@ -59,22 +58,16 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, domains=None):
 
 
 def sign_restricted_domain(dom: TorsionDomain, tau: float) -> TorsionDomain:
-    """Portion of the domain on the same side of zero as tau.
+    """Portion of the domain on the same side of zero as tau, as one interval.
 
-    tau == 0 keeps the full domain (no side to commit to).
+    Requires tau != 0 with `dom.contains(tau)`, so the portion holds tau.
     """
-    if tau == 0.0:
-        return dom
     if dom.kind is DomainKind.SYMMETRIC:
         if tau > 0.0:
             return TorsionDomain.single(dom.lo, dom.hi)
         return TorsionDomain.single(-dom.hi, -dom.lo)
     if tau > 0.0:
-        if dom.hi < 0.0:
-            raise EmptyDomainError("domain lies entirely on the negative side")
         return TorsionDomain.single(max(dom.lo, 0.0), dom.hi)
-    if dom.lo > 0.0:
-        raise EmptyDomainError("domain lies entirely on the positive side")
     return TorsionDomain.single(dom.lo, min(dom.hi, 0.0))
 
 
@@ -104,10 +97,7 @@ def kabsch_rmsd(X, Y, ci: CompiledInstance) -> float:
     """RMSD after optimal proper-rotation superposition (Kabsch).
 
     Uses all atoms for n <= 200, otherwise the CA subset (`ci.rmsd_sel`).
-    An Instance in place of `ci` is compiled first.
     """
-    if isinstance(ci, Instance):
-        ci = CompiledInstance.of(ci)
     sel = ci.rmsd_sel
     if sel.size == 0:
         raise SelectionError("no CA-named atoms for large-instance RMSD subset")
@@ -148,13 +138,9 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
     deadline = start + params.time_limit
     ci = CompiledInstance.of(inst)
     problem = metrics.StressProblem(ci)
-    spg_params = SpgParams(max_iter=params.spg_max_iter,
-                           success_f=params.spg_stress_success,
-                           stall_window=params.spg_stall_window)
     streams = np.random.SeedSequence(params.rng_seed).spawn(params.n_trial)
 
     pool = []
-    best = None         # smallest-MDE candidate seen, fallback when pool empty
     stall = 0
     trials = 0
 
@@ -164,7 +150,7 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
                                 params.rng_seed)
 
     for c in range(params.n_trial):
-        if best is not None and time.monotonic() > deadline:
+        if trials and time.monotonic() > deadline:
             break
         trials += 1
         rng = np.random.default_rng(streams[c])
@@ -179,14 +165,13 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
                 z0 = problem.pack(conf.coords, problem.init_d(conf.coords))
                 result = spg_minimize(
                     problem.objective, problem.gradient, problem.project, z0,
-                    spg_params, deadline,
+                    max_iter=params.spg_max_iter, success_f=params.spg_stress_success,
+                    stall_window=params.spg_stall_window, deadline=deadline,
                     done=lambda z: problem.solved(z, params.eps_mde, params.eps_lde))
                 coords, _ = problem.unpack(result.z_final)
                 conf = Conformation(coords.copy())
             entry = PoolEntry(conf, metrics.mde_global(conf, ci),
                               metrics.lde_global(conf, ci))
-            if best is None or entry.mde < best.mde:
-                best = entry
             if entry.mde <= params.eps_mde or entry.lde <= params.eps_lde:
                 return report(entry, "Solved")
             if any(kabsch_rmsd(conf, p.conformation, ci) <= params.eps_similar
@@ -199,8 +184,9 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
         if stall >= _STALL_TRIALS or len(pool) > params.n_conf:
             break
 
-    # every candidate that met the criterion returned above; past the
-    # deadline, it cut the trial loop, an improvement sweep or an SPG run,
-    # or the step under way when it passed ran over it
-    entry = min(pool, key=lambda p: p.mde) if pool else best
-    return report(entry, "TimeLimit" if time.monotonic() > deadline else "BestEffort")
+    # the first trial always runs and pools an unsolved candidate; every
+    # candidate that met the criterion returned above; past the deadline, it
+    # cut the trial loop, an improvement sweep or an SPG run, or the step
+    # under way when it passed ran over it
+    return report(min(pool, key=lambda p: p.mde),
+                  "TimeLimit" if time.monotonic() > deadline else "BestEffort")

@@ -40,13 +40,6 @@ _STALL_REL_DECREASE = 1e-12
 _STEP_ZERO_TOL = 1e-16
 
 
-@dataclass(frozen=True)
-class SpgParams:
-    max_iter: int = 30000
-    success_f: float = 1e-7
-    stall_window: int = 100
-
-
 @dataclass
 class SpgResult:
     z_final: np.ndarray
@@ -65,17 +58,21 @@ def initial_spectral_step(z0, g0, project) -> float:
     return min(_LAMBDA_MAX, max(_LAMBDA_MIN, 1.0 / ninf))
 
 
-def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams(),
-                 deadline: float = math.inf, done=None) -> SpgResult:
+def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float = 1e-7,
+                 stall_window: int = 100, deadline: float = math.inf,
+                 done=None) -> SpgResult:
     """Run SPG from z0 (assumed feasible).
 
-    The first accepted iterate z with `done(z)` true ends the run as
-    SOLVE_CRITERION and is returned as it is: under the nonmonotone line
-    search the lowest-f iterate seen need not satisfy `done`. Every other
-    stop returns the lowest-f iterate seen. A nonfinite f or g, or g at a
-    nonsmooth point, ends it as NUMERICAL_FAILURE; an iteration that would
-    start after `deadline` (a time.monotonic() value) ends it as TIME_LIMIT.
-    No array passed to f, g or done is written into afterwards."""
+    Stops: f <= `success_f` (SUCCESS_TOLERANCE); `stall_window` steps in a
+    row without relative progress, a zero step or a failed line search
+    (STALLED); `max_iter` iterations (MAX_ITER). The first accepted iterate
+    z with `done(z)` true ends the run as SOLVE_CRITERION and is returned as
+    it is: under the nonmonotone line search the lowest-f iterate seen need
+    not satisfy `done`. Every other stop returns the lowest-f iterate seen.
+    A nonfinite f or g, or g at a nonsmooth point, ends it as
+    NUMERICAL_FAILURE; an iteration that would start after `deadline` (a
+    time.monotonic() value) ends it as TIME_LIMIT. No array passed to f, g
+    or done is written into afterwards."""
 
     def grad(x):
         try:
@@ -91,7 +88,7 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams(),
 
     best_z, best_f = z, fz
     history = deque([fz], maxlen=_MEMORY)
-    if fz <= params.success_f:
+    if fz <= success_f:
         return SpgResult(best_z, best_f, 0, SpgStatus.SUCCESS_TOLERANCE, list(history))
 
     gz = grad(z)
@@ -105,7 +102,7 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams(),
     status = SpgStatus.MAX_ITER
     stall_count = 0
     k = 0
-    while k < params.max_iter:
+    while k < max_iter:
         if time.monotonic() > deadline:
             status = SpgStatus.TIME_LIMIT
             break
@@ -164,12 +161,12 @@ def spg_minimize(f, g, project, z0, params: SpgParams = SpgParams(),
         history.append(fz)
         if fz < best_f:
             best_f, best_z = fz, z
-        if fz <= params.success_f:
+        if fz <= success_f:
             status = SpgStatus.SUCCESS_TOLERANCE
             break
         if done is not None and done(z):
             return SpgResult(z, fz, k, SpgStatus.SOLVE_CRITERION, list(history))
-        if stall_count >= params.stall_window:
+        if stall_count >= stall_window:
             status = SpgStatus.STALLED
             break
 

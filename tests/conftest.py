@@ -23,7 +23,7 @@ def build_chain(taus, d=1.52, theta=1.91):
 def one_edge_instance(lower, upper):
     """Two atoms joined by one interval edge; compilable, though not a chain."""
     atoms = [AtomRecord(1, "A", 1), AtomRecord(2, "B", 1)]
-    edges = {(1, 2): EdgeConstraint(1, 2, lower, upper, is_discretization=True)}
+    edges = {(1, 2): EdgeConstraint(1, 2, lower, upper)}
     return Instance(atoms=atoms, edges=edges)
 
 

@@ -25,8 +25,9 @@ def edge_residual(coords, e) -> float:
 
 
 def edge_weights(inst) -> dict:
-    """Stress weights: equal, discretization edges doubled, sum normalized to 1."""
-    raw = {key: 2.0 if e.is_discretization else 1.0 for key, e in inst.edges.items()}
+    """Stress weights: equal, discretization edges (pairs one to three
+    apart) doubled, sum normalized to 1."""
+    raw = {(i, j): 2.0 if j - i <= 3 else 1.0 for (i, j) in inst.edges}
     total = sum(raw.values())
     return {key: v / total for key, v in raw.items()}
 

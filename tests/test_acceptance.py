@@ -11,7 +11,7 @@ import numpy as np
 from idgp import geometry, io, metrics, search
 from idgp.cli import main as cli_main
 from idgp.model import CompiledInstance, Conformation, SolverParams
-from idgp.spg import SpgParams, SpgStatus, spg_minimize
+from idgp.spg import SpgStatus, spg_minimize
 
 
 def _verdict(num, desc, ok):
@@ -94,12 +94,11 @@ def test_criterion_4_zero_width_exact_reconstruction():
     # angle width 0, no interval edges: greedy alone recovers the reference
     # up to rigid motion, RMSD <= 1e-6, no refinement, < 1 s
     atoms, coords = io.synthetic_backbone(3, seed=4, include_hydrogens=False)
-    inst = io.generate_instance(atoms, coords, angle_width_deg=0.0,
-                                include_hydrogens=False)
+    inst = io.generate_instance(atoms, coords, angle_width_deg=0.0)
     start = time.monotonic()
-    _, conf = search.greedy_construction(CompiledInstance.of(inst), 1,
-                                         np.random.default_rng(0))
-    rmsd = search.kabsch_rmsd(conf, Conformation(coords), inst)
+    ci = CompiledInstance.of(inst)
+    _, conf = search.greedy_construction(ci, 1, np.random.default_rng(0))
+    rmsd = search.kabsch_rmsd(conf, Conformation(coords), ci)
     elapsed = time.monotonic() - start
     _verdict(4, f"greedy-only RMSD {rmsd:.1e} <= 1e-6, {elapsed:.2f}s < 1s",
              rmsd <= 1e-6 and elapsed < 1.0)
@@ -164,8 +163,7 @@ def test_criterion_6_spg_unit_behavior():
 
     from idgp.model import AtomRecord, EdgeConstraint, Instance
     toy2 = Instance(atoms=[AtomRecord(1, "A", 1), AtomRecord(2, "B", 1)],
-                    edges={(1, 2): EdgeConstraint(1, 2, 2.0, 2.0,
-                                                  is_discretization=True)})
+                    edges={(1, 2): EdgeConstraint(1, 2, 2.0, 2.0)})
     prob = metrics.StressProblem(CompiledInstance.of(toy2))
     X0 = np.array([[0.0, 3.0], [0.0, 0.0], [0.0, 0.0]])
     z0 = prob.pack(X0, prob.init_d(X0))
@@ -184,14 +182,15 @@ def test_criterion_7_rmsd_filter(hard):
                           eps_lde=1e-20, eps_similar=0.5, time_limit=60.0)
     rep = search.multistart_solve(inst, params)
     confs = [p[0] for p in rep.pool]
-    min_pair = min(search.kabsch_rmsd(confs[a], confs[b], inst)
+    ci = CompiledInstance.of(inst)
+    min_pair = min(search.kabsch_rmsd(confs[a], confs[b], ci)
                    for a in range(len(confs)) for b in range(a + 1, len(confs)))
 
     angle = 0.9
     R = np.array([[math.cos(angle), -math.sin(angle), 0.0],
                   [math.sin(angle), math.cos(angle), 0.0],
                   [0.0, 0.0, 1.0]])
-    copy_rmsd = search.kabsch_rmsd(coords, R @ coords + np.ones((3, 1)), inst)
+    copy_rmsd = search.kabsch_rmsd(coords, R @ coords + np.ones((3, 1)), ci)
     _verdict(7, f"pool {len(confs)}, min pairwise RMSD {min_pair:.3f} > 0.5; "
                 f"rigid copy RMSD {copy_rmsd:.1e} <= 1e-8",
              len(confs) >= 2 and min_pair > 0.5 and copy_rmsd <= 1e-8)

@@ -248,7 +248,6 @@ class TestTorsionDomainFromDistance:
         from idgp import io
         atoms, coords = io.synthetic_backbone(2, seed=3, include_hydrogens=False)
         inst = io.generate_instance(atoms, coords, angle_width_deg=0.0,
-                                    include_hydrogens=False,
                                     include_torsion_annotations=False)
         for i in range(4, inst.n + 1):
             dom = inst.torsion_domains[i]
@@ -259,7 +258,7 @@ class TestTorsionDomainFromDistance:
         from idgp.model import EdgeConstraint, Instance
         inst, _ = toy
         edges = dict(inst.edges)
-        edges[(1, 4)] = EdgeConstraint(1, 4, 50.0, 60.0, is_discretization=True)
+        edges[(1, 4)] = EdgeConstraint(1, 4, 50.0, 60.0)
         bad = Instance(atoms=inst.atoms, edges=edges,
                        torsion_domains=dict(inst.torsion_domains),
                        bond_angles=dict(inst.bond_angles))

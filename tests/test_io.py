@@ -25,7 +25,6 @@ class TestInstanceRoundTrip:
             b = back.edges[key]
             # %.17g round-trips doubles exactly
             assert (b.lower, b.upper) == (e.lower, e.upper)
-            assert b.is_discretization == e.is_discretization
 
     def test_atoms_survive(self, toy, toy_file):
         inst, _ = toy
@@ -95,8 +94,9 @@ E 1 4 2.8 3.2 N 1 N 2
 
     def test_duplicate_edge_raises(self, tmp_path):
         text = self.VALID + "E 1 2 1.5 1.5 N 1 CA 1\n"
-        with pytest.raises(DuplicateEdgeError):
+        with pytest.raises(io.ParseError) as err:
             io.parse_instance(self._write(tmp_path, text))
+        assert ":8:" in str(err.value)
 
     @pytest.mark.parametrize("line", [
         "E 2 1 1.5 1.5 N 1 CA 1",          # i >= j
@@ -126,6 +126,8 @@ E 1 4 2.8 3.2 N 1 N 2
         "T 4 -10 20 +-",                   # symmetric union needs lo >= 0
         "T 4 nan nan +",                   # NaN bounds pass the lo > hi test
         "T 4 10 inf +-",                   # infinite upper bound
+        "T 4 -300 300 +",                  # beyond -180..180
+        "T 4 10 400 +-",                   # beyond 180
     ])
     def test_bad_torsion_records_raise_with_location(self, tmp_path, line):
         path = self._write(tmp_path, self.VALID + line + "\n")
@@ -259,13 +261,12 @@ class TestGenerateInstance:
 
     def test_hydrogens_skipped_on_request(self):
         atoms, coords = io.synthetic_backbone(3, seed=2)
-        inst = io.generate_instance(atoms, coords, include_hydrogens=False)
+        inst = io.generate_instance(atoms, coords, hh_cutoff=0.0)
         assert all(j - i <= 3 for (i, j) in inst.edges)
 
     def test_zero_width_gives_exact_instance(self):
         atoms, coords = io.synthetic_backbone(2, seed=2, include_hydrogens=False)
-        inst = io.generate_instance(atoms, coords, angle_width_deg=0.0,
-                                    include_hydrogens=False)
+        inst = io.generate_instance(atoms, coords, angle_width_deg=0.0)
         assert all(e.exact for e in inst.edges.values())
         for dom in inst.torsion_domains.values():
             assert dom.lo == dom.hi

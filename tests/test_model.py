@@ -38,6 +38,12 @@ class TestTorsionDomain:
         with pytest.raises(InvalidBoundsError):
             TorsionDomain.single(lo, hi)
 
+    def test_outside_minus_pi_pi_raises(self):
+        TorsionDomain.single(-math.pi, math.pi)     # the closed range is valid
+        for lo, hi in [(-4.0, 1.0), (0.0, 3.2), (-math.pi, math.nextafter(math.pi, 4.0))]:
+            with pytest.raises(InvalidBoundsError):
+                TorsionDomain.single(lo, hi)
+
     def test_symmetric_negative_lo_raises(self):
         with pytest.raises(InvalidBoundsError):
             TorsionDomain.symmetric(-0.1, 1.0)
@@ -140,12 +146,12 @@ class TestValidateInstance:
     def _minimal(self):
         atoms = [AtomRecord(k, "X", 1) for k in range(1, 5)]
         edges = {
-            (1, 2): EdgeConstraint(1, 2, 1.5, 1.5, is_discretization=True),
-            (2, 3): EdgeConstraint(2, 3, 1.5, 1.5, is_discretization=True),
-            (3, 4): EdgeConstraint(3, 4, 1.5, 1.5, is_discretization=True),
-            (1, 3): EdgeConstraint(1, 3, 2.5, 2.5, is_discretization=True),
-            (2, 4): EdgeConstraint(2, 4, 2.5, 2.5, is_discretization=True),
-            (1, 4): EdgeConstraint(1, 4, 3.0, 3.5, is_discretization=True),
+            (1, 2): EdgeConstraint(1, 2, 1.5, 1.5),
+            (2, 3): EdgeConstraint(2, 3, 1.5, 1.5),
+            (3, 4): EdgeConstraint(3, 4, 1.5, 1.5),
+            (1, 3): EdgeConstraint(1, 3, 2.5, 2.5),
+            (2, 4): EdgeConstraint(2, 4, 2.5, 2.5),
+            (1, 4): EdgeConstraint(1, 4, 3.0, 3.5),
         }
         angles = {3: 1.9, 4: 1.9}
         doms = {4: TorsionDomain.symmetric(0.5, 1.0)}
@@ -162,18 +168,13 @@ class TestValidateInstance:
 
     def test_interval_adjacent_edge_reported(self):
         inst = self._minimal()
-        inst.edges[(1, 2)] = EdgeConstraint(1, 2, 1.4, 1.6, is_discretization=True)
+        inst.edges[(1, 2)] = EdgeConstraint(1, 2, 1.4, 1.6)
         assert any("exact" in v for v in validate_instance(inst))
 
     def test_bad_bounds_reported(self):
         inst = self._minimal()
-        inst.edges[(1, 4)] = EdgeConstraint(1, 4, 3.5, 3.0, is_discretization=True)
+        inst.edges[(1, 4)] = EdgeConstraint(1, 4, 3.5, 3.0)
         assert any("bounds" in v for v in validate_instance(inst))
-
-    def test_flag_mismatch_reported(self):
-        inst = self._minimal()
-        inst.edges[(1, 4)] = EdgeConstraint(1, 4, 3.0, 3.5, is_discretization=False)
-        assert any("flag" in v for v in validate_instance(inst))
 
     def test_missing_angle_and_domain_reported(self):
         inst = self._minimal()

@@ -1,14 +1,15 @@
 """Properties of the compiled array view, the stress model, the solver's
-pool and the instance file format, checked on random valid instances."""
+pool, the improvement sweep's sign restriction and the instance file
+format, checked on random valid instances."""
 
 import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from idgp import io, metrics, search, spg
-from idgp.model import CompiledInstance, SolverParams, TorsionDomain
+from idgp.model import CompiledInstance, DomainKind, SolverParams, TorsionDomain
 from tests import oracles
 
 
@@ -23,7 +24,7 @@ def instances(draw):
     return io.generate_instance(
         atoms, coords, angle_width_deg=draw(st.sampled_from([0.0, 20.0, 50.0, 90.0])),
         hh_width_adjacent=adjacent, hh_width_other=2.0 * adjacent,
-        include_hydrogens=hydrogens, include_torsion_annotations=draw(st.booleans()))
+        include_torsion_annotations=draw(st.booleans()))
 
 
 @st.composite
@@ -176,8 +177,36 @@ class TestPool:
                 # in the order multistart_solve compares a candidate with the pool
                 assert search.kabsch_rmsd(pool[new], pool[old], ci) > eps_similar
 
+    @settings(max_examples=15, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.sampled_from([math.inf, 1e-9]))
+    def test_unsolved_report_is_smallest_mde_member(self, inst, seed, time_limit):
+        # even when the deadline passes during the first trial
+        params = SolverParams(rng_seed=seed, n_trial=6, n_impr=1, spg_max_iter=50,
+                              eps_mde=1e-300, eps_lde=1e-300, eps_similar=0.05,
+                              time_limit=time_limit)
+        rep = search.multistart_solve(inst, params)
+        if rep.status != "Solved":
+            assert rep.pool_size == len(rep.pool) >= 1
+            best = min(rep.pool, key=lambda p: p.mde)
+            assert rep.conformation is best.conformation
+            assert (rep.mde, rep.lde) == (best.mde, best.lde)
+
 
 class TestImprove:
+    @settings(max_examples=200, deadline=None)
+    @given(torsion_domains(), st.data())
+    def test_sign_restriction_keeps_tau_side(self, dom, data):
+        # improve asks only for a nonzero tau inside the domain
+        tau = data.draw(st.floats(dom.lo, dom.hi))
+        if dom.kind is DomainKind.SYMMETRIC and data.draw(st.booleans()):
+            tau = -tau
+        assume(tau != 0.0)
+        r = search.sign_restricted_domain(dom, tau)
+        assert r.kind is DomainKind.SINGLE
+        assert dom.contains(r.lo) and dom.contains(r.hi)
+        assert (r.lo >= 0.0) if tau > 0.0 else (r.hi <= 0.0)
+        assert r.contains(tau)
+
     @settings(max_examples=25, deadline=None)
     @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
     def test_sweep_never_raises_lde(self, inst, seed, n_tors):
@@ -203,8 +232,7 @@ class TestInstanceFileRoundTrip:
         assert set(back.edges) == set(inst.edges)
         for key, e in inst.edges.items():
             b = back.edges[key]
-            assert (b.lower, b.upper, b.is_discretization) == \
-                   (e.lower, e.upper, e.is_discretization)
+            assert (b.lower, b.upper) == (e.lower, e.upper)
         # degrees in the file: the radian bounds come back within round-off
         assert set(back.torsion_domains) == set(domains)
         for i, dom in domains.items():

@@ -11,7 +11,6 @@ from idgp.model import (
     Conformation,
     DomainKind,
     EdgeConstraint,
-    EmptyDomainError,
     Instance,
     SelectionError,
     SolverParams,
@@ -42,8 +41,7 @@ def pinned_sign_instance():
 class TestGreedyConstruction:
     def test_point_domains_reconstruct_reference(self):
         atoms, coords = io.synthetic_backbone(2, seed=3, include_hydrogens=False)
-        inst = io.generate_instance(atoms, coords, angle_width_deg=0.0,
-                                    include_hydrogens=False)
+        inst = io.generate_instance(atoms, coords, angle_width_deg=0.0)
         ci = CompiledInstance.of(inst)
         rng = np.random.default_rng(0)
         tau, conf = search.greedy_construction(ci, 1, rng)
@@ -78,10 +76,6 @@ class TestGreedyConstruction:
 
 
 class TestSignRestrictedDomain:
-    def test_zero_keeps_domain(self):
-        dom = TorsionDomain.symmetric(0.5, 1.0)
-        assert search.sign_restricted_domain(dom, 0.0) is dom
-
     def test_symmetric_positive_side(self):
         dom = TorsionDomain.symmetric(0.5, 1.0)
         r = search.sign_restricted_domain(dom, 0.7)
@@ -98,11 +92,6 @@ class TestSignRestrictedDomain:
         assert (r.lo, r.hi) == (0.0, 1.0)
         r = search.sign_restricted_domain(dom, -0.2)
         assert (r.lo, r.hi) == (-0.4, 0.0)
-
-    def test_empty_intersection_raises(self):
-        dom = TorsionDomain.single(0.2, 1.0)
-        with pytest.raises(EmptyDomainError):
-            search.sign_restricted_domain(dom, -0.5)
 
 
 class TestImprove:
@@ -150,15 +139,12 @@ class TestImprove:
 
 
 class TestKabschRmsd:
-    def _raw_instance(self, n, names=None):
-        """n atoms joined by unit bonds: the least a compiled view needs."""
-        atoms = [AtomRecord(k + 1, (names or ["X"] * n)[k], 1) for k in range(n)]
-        edges = {(k, k + 1): EdgeConstraint(k, k + 1, 1.0, 1.0, is_discretization=True)
-                 for k in range(1, n)}
-        return Instance(atoms=atoms, edges=edges)
-
     def _instance(self, n, names=None):
-        return CompiledInstance.of(self._raw_instance(n, names))
+        """Compiled view of n atoms joined by unit bonds, the least it needs."""
+        atoms = [AtomRecord(k + 1, (names or ["X"] * n)[k], 1) for k in range(n)]
+        edges = {(k, k + 1): EdgeConstraint(k, k + 1, 1.0, 1.0)
+                 for k in range(1, n)}
+        return CompiledInstance.of(Instance(atoms=atoms, edges=edges))
 
     def test_identity(self):
         A = np.random.default_rng(0).normal(size=(3, 8))
@@ -237,11 +223,15 @@ class TestKabschRmsd:
 
     @pytest.mark.parametrize("n", [8, 300])
     def test_instance_is_compiled(self, n):
-        inst = self._raw_instance(n, ["CA" if k % 3 == 1 else "X" for k in range(n)])
+        # the compiled view's selection is the whole comparison: the RMSD
+        # equals one over just the selected columns
+        ci = self._instance(n, ["CA" if k % 3 == 1 else "X" for k in range(n)])
         rng = np.random.default_rng(5)
         A, B = rng.normal(size=(3, n)), rng.normal(size=(3, n))
-        assert search.kabsch_rmsd(A, B, inst) == \
-            search.kabsch_rmsd(A, B, CompiledInstance.of(inst))
+        sel = ci.rmsd_sel
+        assert sel.size == (n if n <= 200 else n // 3)
+        assert search.kabsch_rmsd(A, B, ci) == \
+            search.kabsch_rmsd(A[:, sel], B[:, sel], self._instance(sel.size))
 
 
 class TestMultistart:

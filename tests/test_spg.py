@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from idgp import metrics
 from idgp.model import AtomRecord, CompiledInstance, EdgeConstraint, Instance
 from idgp.spg import (
-    SpgParams,
     SpgStatus,
     StationaryStartError,
     initial_spectral_step,
@@ -20,8 +20,8 @@ def box_projection(lo, hi):
 
 class TestParams:
     def test_defaults(self):
-        p = SpgParams()
-        assert p.max_iter == 30000 and p.success_f == 1e-7
+        p = inspect.signature(spg_minimize).parameters
+        assert p["max_iter"].default == 30000 and p["success_f"].default == 1e-7
 
 
 class TestInitialStep:
@@ -59,8 +59,8 @@ class TestConvexQuadratic:
         f = lambda z: 0.5 * float((z - c) @ (z - c))
         g = lambda z: z - c
         f_opt = f(np.array([1.0, -1.0]))
-        params = SpgParams(success_f=f_opt + 1e-10)
-        res = spg_minimize(f, g, box_projection(-1.0, 1.0), np.zeros(2), params)
+        res = spg_minimize(f, g, box_projection(-1.0, 1.0), np.zeros(2),
+                           success_f=f_opt + 1e-10)
         assert res.f_final == pytest.approx(f_opt, abs=1e-9)
         np.testing.assert_allclose(res.z_final, [1.0, -1.0], atol=1e-6)
 
@@ -75,7 +75,7 @@ class TestConvexQuadratic:
 
         g = lambda z: z - c
         spg_minimize(f, g, box_projection(lo, hi),
-                     np.zeros(3), SpgParams(success_f=1e-12, max_iter=200))
+                     np.zeros(3), success_f=1e-12, max_iter=200)
         assert seen
         for z in seen:
             assert np.all(z >= lo) and np.all(z <= hi)
@@ -85,7 +85,7 @@ class TestConvexQuadratic:
         f = lambda z: 0.5 * float(z @ (diag * z))
         g = lambda z: diag * z
         res = spg_minimize(f, g, lambda z: z, np.ones(4),
-                           SpgParams(max_iter=5000))
+                           max_iter=5000)
         assert res.f_final <= 1e-7
 
 
@@ -113,7 +113,7 @@ class TestEdgeCases:
         f = lambda z: float(np.sin(5 * z[0]) + 0.1 * z[0] ** 2) + 1.5
         g = lambda z: np.array([5 * math.cos(5 * z[0]) + 0.2 * z[0]])
         res = spg_minimize(f, g, box_projection(-2.0, 2.0), np.array([0.3]),
-                           SpgParams(max_iter=500))
+                           max_iter=500)
         assert res.f_final <= min(res.f_history) + 1e-15
 
     def test_max_iter_status(self):
@@ -121,7 +121,7 @@ class TestEdgeCases:
         f = lambda z: 0.5 * float(z @ (diag * z))
         g = lambda z: diag * z
         res = spg_minimize(f, g, lambda z: z, np.ones(2),
-                           SpgParams(max_iter=2, success_f=1e-30))
+                           max_iter=2, success_f=1e-30)
         assert res.status is SpgStatus.MAX_ITER
         assert res.iterations == 2
 
@@ -132,7 +132,7 @@ class TestEdgeCases:
         f = lambda z: 1.0 + 0.5 * float(z @ (diag * z))
         g = lambda z: diag * z
         res = spg_minimize(f, g, lambda z: z, np.ones(3),
-                           SpgParams(stall_window=window))
+                           stall_window=window)
         assert res.status is SpgStatus.STALLED
         assert res.iterations == window
 
@@ -149,7 +149,7 @@ class TestEdgeCases:
 class TestTwoAtomStress:
     def _problem(self):
         atoms = [AtomRecord(1, "A", 1), AtomRecord(2, "B", 1)]
-        edges = {(1, 2): EdgeConstraint(1, 2, 2.0, 2.0, is_discretization=True)}
+        edges = {(1, 2): EdgeConstraint(1, 2, 2.0, 2.0)}
         inst = Instance(atoms=atoms, edges=edges)
         return metrics.StressProblem(CompiledInstance.of(inst))
 
@@ -194,22 +194,22 @@ def _diagonal(diag, offset=0.0):
     return lambda z: offset + 0.5 * float(z @ (diag * z)), lambda z: diag * z
 
 
-# (f, g, project, z0, params) ending in each stop of the tests above
+# (f, g, project, z0, keyword arguments) ending in each stop of the tests above
 _STOPS = {
     "max_iter": (*_diagonal([1.0, 1e6]), lambda z: z, np.ones(2),
-                 SpgParams(max_iter=2, success_f=1e-30)),
-    "nonmonotone_stall": (*_wavy(), SpgParams(max_iter=500)),
+                 dict(max_iter=2, success_f=1e-30)),
+    "nonmonotone_stall": (*_wavy(), dict(max_iter=500)),
     "stall_window": (*_diagonal([1e-14, 2e-14, 3e-14], offset=1.0), lambda z: z,
-                     np.ones(3), SpgParams(stall_window=5)),
+                     np.ones(3), dict(stall_window=5)),
     "tolerance": (*_diagonal([1.0, 10.0, 100.0, 1000.0]), lambda z: z, np.ones(4),
-                  SpgParams(max_iter=5000)),
+                  dict(max_iter=5000)),
 }
 
 
 class TestDone:
     def test_done_ends_run_with_solve_criterion(self):
         f, g, project, z0 = _wavy()
-        res = spg_minimize(f, g, project, z0, SpgParams(max_iter=500), done=_at_wall)
+        res = spg_minimize(f, g, project, z0, max_iter=500, done=_at_wall)
         assert res.status is SpgStatus.SOLVE_CRITERION
         # the iterate that met `done`, though an earlier one had lower f
         assert _at_wall(res.z_final)
@@ -224,17 +224,17 @@ class TestDone:
             accepted.append(z.copy())
             return g(z)
 
-        spg_minimize(f, g_recording, project, z0, SpgParams(max_iter=500))
+        spg_minimize(f, g_recording, project, z0, max_iter=500)
         first = next(k for k, z in enumerate(accepted) if k > 0 and _at_wall(z))
-        res = spg_minimize(f, g, project, z0, SpgParams(max_iter=500), done=_at_wall)
+        res = spg_minimize(f, g, project, z0, max_iter=500, done=_at_wall)
         assert res.iterations == first
         np.testing.assert_array_equal(res.z_final, accepted[first])
 
     @pytest.mark.parametrize("name", sorted(_STOPS))
     def test_done_never_true_changes_nothing(self, name):
-        f, g, project, z0, params = _STOPS[name]
-        base = spg_minimize(f, g, project, z0, params)
-        res = spg_minimize(f, g, project, z0, params, done=lambda z: False)
+        f, g, project, z0, kwargs = _STOPS[name]
+        base = spg_minimize(f, g, project, z0, **kwargs)
+        res = spg_minimize(f, g, project, z0, **kwargs, done=lambda z: False)
         assert (res.status, res.iterations, res.f_final, res.f_history) == \
                (base.status, base.iterations, base.f_final, base.f_history)
         np.testing.assert_array_equal(res.z_final, base.z_final)
