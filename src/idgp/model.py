@@ -156,9 +156,12 @@ class SolverParams:
                 raise InvalidBoundsError(f"{name} must be positive")
         if self.n_impr < 0:  # zero disables the improvement phase (ablation)
             raise InvalidBoundsError("n_impr must be nonnegative")
+        # written as "not > 0" so that NaN fails too
         for name in ("eps_mde", "eps_lde", "eps_similar", "spg_stress_success"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise InvalidBoundsError(f"{name} must be positive")
+        if not self.time_limit >= 0:  # inf means no limit
+            raise InvalidBoundsError("time_limit must be nonnegative")
 
 
 @dataclass

@@ -23,27 +23,35 @@ from .spg import spg_minimize
 _STALL_TRIALS = 50  # consecutive duplicate candidates that end the search
 
 
-def greedy_construction(ci: CompiledInstance, n_tors: int, rng, domains=None):
+def greedy_construction(ci: CompiledInstance, n_tors: int, rng, domains=None,
+                        bound: float = math.inf):
     """Build a conformation atom by atom, keeping the sampled torsion with
     the smallest local inconsistency at each step.
 
-    Returns (torsion assignment dict, Conformation).
+    Every atom's torsions are drawn first, in atom order, so the generator
+    ends in the same state however far the construction gets. Returns
+    (torsion assignment dict, Conformation), or (the torsions placed so far,
+    None) as soon as a chosen candidate violates one of its edges by at
+    least `bound`: the finished conformation's LDE could not be below it.
     """
     if domains is None:
         domains = ci.torsion_domains
+    draws = [geometry.sample_torsions(domains[i], rng, n_tors)
+             for i in range(4, ci.n + 1)]
     X = np.empty((3, ci.n))
     X[:, 0], X[:, 1], X[:, 2] = geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
                                                            ci.theta[3])
     ptr, d_prev, theta = ci.back_ptr.tolist(), ci.d_prev.tolist(), ci.theta.tolist()
     back_lower, back_upper = ci.back_lower[:, None], ci.back_upper[:, None]
     tau = {}
-    for i in range(4, ci.n + 1):
+    for i, taus in enumerate(draws, start=4):
         rows = slice(ptr[i - 1], ptr[i])
         lower, upper = back_lower[rows], back_upper[rows]
-        taus = geometry.sample_torsions(domains[i], rng, n_tors)
         cand = geometry.place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2],
                                           d_prev[i], theta[i], taus)
-        # r = ||cand - x_j||, summed in np.linalg.norm(axis=0)'s order
+        # r = ||cand - x_j||, summed in np.linalg.norm(axis=0)'s order; the
+        # operations of metrics.lde_global (its edge vector is negated, which
+        # squaring undoes exactly), so worst[best] is a lower bound on the LDE
         d = cand[:, None, :] - X.take(ci.back_col[rows], axis=1)[:, :, None]
         d *= d
         r = np.sqrt(d[0] + d[1] + d[2])
@@ -54,6 +62,8 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, domains=None):
         best = np.maximum(worst, 0.0, out=worst).argmin()
         X[:, i - 1] = cand[:, best]
         tau[i] = float(taus[best])
+        if worst[best] >= bound:
+            return tau, None
     return tau, Conformation(X)
 
 
@@ -75,7 +85,11 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
             deadline: float = math.inf):
     """One sweep of sign flips; each flip is kept only if the global LDE
     strictly decreases. Never increases the LDE. No flip is tried after
-    `deadline` (a time.monotonic() value)."""
+    `deadline` (a time.monotonic() value).
+
+    A flip rebuilds the chain with that atom's sign forced and stops once
+    its placed atoms violate some edge by the current LDE; a stopped
+    attempt is rejected, and leaves `rng` where a full rebuild would."""
     current_lde = metrics.lde_global(X, ci)
     for i in range(4, ci.n + 1):
         t_i = tau[i]
@@ -86,7 +100,10 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
             break
         trial_domains = dict(ci.torsion_domains)
         trial_domains[i] = sign_restricted_domain(dom, -t_i)
-        tau_trial, X_trial = greedy_construction(ci, n_tors, rng, trial_domains)
+        tau_trial, X_trial = greedy_construction(ci, n_tors, rng, trial_domains,
+                                                 bound=current_lde)
+        if X_trial is None:
+            continue
         lde_trial = metrics.lde_global(X_trial, ci)
         if lde_trial < current_lde:
             X, tau, current_lde = X_trial, tau_trial, lde_trial

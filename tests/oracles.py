@@ -1,14 +1,17 @@
 """Reference implementations the optimized code is checked against: scalar
 per-edge loops for the array code of `idgp.metrics` and
 `idgp.model.CompiledInstance`, column gathers for the flat-index edge kernel
-of `idgp.metrics`, and numpy vector ops for the scalar-float
-`idgp.geometry.local_frame`."""
+of `idgp.metrics`, numpy vector ops for the scalar-float
+`idgp.geometry.local_frame`, and a sign-flip sweep of full rebuilds for
+`idgp.search.improve`."""
 
 import numpy as np
 
+from idgp import geometry, metrics
 from idgp.geometry import _COLLINEAR_TOL
 from idgp.metrics import _SMOOTHNESS_TOL
-from idgp.model import DegenerateGeometryError, NonsmoothPointError
+from idgp.model import Conformation, DegenerateGeometryError, NonsmoothPointError
+from idgp.search import sign_restricted_domain
 
 
 def pair_distance(coords, i, j) -> float:
@@ -108,3 +111,51 @@ def gradient(z, ci) -> np.ndarray:
         gX[row] = (np.bincount(ci.ii, weights=unit[row], minlength=ci.n)
                    - np.bincount(ci.jj, weights=unit[row], minlength=ci.n))
     return np.concatenate([gX.ravel(), -t])
+
+
+# The sign-flip sweep as full rebuilds: the construction samples each atom's
+# torsions inside its placement loop, and every attempt is finished and
+# scored. `idgp.search.improve` must accept the same flips and leave the
+# generator in the same state.
+
+def greedy_construction(ci, n_tors, rng, domains=None):
+    if domains is None:
+        domains = ci.torsion_domains
+    X = np.empty((3, ci.n))
+    X[:, 0], X[:, 1], X[:, 2] = geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
+                                                           ci.theta[3])
+    ptr, d_prev, theta = ci.back_ptr.tolist(), ci.d_prev.tolist(), ci.theta.tolist()
+    back_lower, back_upper = ci.back_lower[:, None], ci.back_upper[:, None]
+    tau = {}
+    for i in range(4, ci.n + 1):
+        rows = slice(ptr[i - 1], ptr[i])
+        lower, upper = back_lower[rows], back_upper[rows]
+        taus = geometry.sample_torsions(domains[i], rng, n_tors)
+        cand = geometry.place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2],
+                                          d_prev[i], theta[i], taus)
+        d = cand[:, None, :] - X.take(ci.back_col[rows], axis=1)[:, :, None]
+        d *= d
+        r = np.sqrt(d[0] + d[1] + d[2])
+        delta = (lower - r) / lower
+        np.maximum(delta, (r - upper) / upper, out=delta)
+        worst = delta.max(axis=0)
+        best = np.maximum(worst, 0.0, out=worst).argmin()
+        X[:, i - 1] = cand[:, best]
+        tau[i] = float(taus[best])
+    return tau, Conformation(X)
+
+
+def improve(X, tau, ci, n_tors, rng):
+    current_lde = metrics.lde_global(X, ci)
+    for i in range(4, ci.n + 1):
+        t_i = tau[i]
+        dom = ci.torsion_domains[i]
+        if t_i == 0.0 or not dom.contains(-t_i):
+            continue
+        trial_domains = dict(ci.torsion_domains)
+        trial_domains[i] = sign_restricted_domain(dom, -t_i)
+        tau_trial, X_trial = greedy_construction(ci, n_tors, rng, trial_domains)
+        lde_trial = metrics.lde_global(X_trial, ci)
+        if lde_trial < current_lde:
+            X, tau, current_lde = X_trial, tau_trial, lde_trial
+    return X, tau

@@ -77,6 +77,13 @@ class TestSolve:
         assert run(["solve", "--instance", str(toy_file), "--report", str(report)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flags", [["--eps-mde", "nan", "--eps-lde", "nan"],
+                                       ["--time-limit", "nan"],
+                                       ["--time-limit", "-1"]])
+    def test_invalid_solver_flags_exit_1(self, flags, toy_file, capsys):
+        assert run(["solve", "--instance", str(toy_file), *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unreachable_tolerance_exits_2(self, hard, tmp_path):
         inst, _ = hard
         path = tmp_path / "hard.inst"

@@ -132,10 +132,18 @@ class TestSolverParams:
 
     @pytest.mark.parametrize("kw", [{"n_trial": 0}, {"n_tors": -1},
                                     {"n_impr": -1}, {"eps_mde": 0.0},
-                                    {"eps_similar": -2.0}])
+                                    {"eps_similar": -2.0}, {"eps_mde": math.nan},
+                                    {"eps_lde": math.nan}, {"eps_similar": math.nan},
+                                    {"spg_stress_success": math.nan},
+                                    {"time_limit": math.nan}, {"time_limit": -1.0}])
     def test_invalid_raise(self, kw):
         with pytest.raises(InvalidBoundsError):
             SolverParams(**kw)
+
+    @pytest.mark.parametrize("kw", [{"time_limit": 0.0}, {"time_limit": math.inf},
+                                    {"eps_mde": math.inf}, {"eps_lde": math.inf}])
+    def test_zero_and_infinite_limits_allowed(self, kw):
+        SolverParams(**kw)
 
 
 class TestValidateInstance:

@@ -1,6 +1,6 @@
 """Properties of the compiled array view, the stress model, the solver's
-pool, the improvement sweep's sign restriction and the instance file
-format, checked on random valid instances."""
+pool, the improvement sweep's sign restriction and early stop, and the
+instance file format, checked on random valid instances."""
 
 import math
 from unittest import mock
@@ -216,6 +216,44 @@ class TestImprove:
         before = metrics.lde_global(conf, ci)
         X, _ = search.improve(conf, tau, ci, n_tors, rng)
         assert metrics.lde_global(X, ci) <= before
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_sweep_matches_full_rebuild_oracle(self, inst, seed, n_tors):
+        # a stopped attempt is one the full rebuild would have rejected, and
+        # it consumes the same draws
+        ci = CompiledInstance.of(inst)
+        rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        tau, X = search.greedy_construction(ci, n_tors, rng)
+        X, tau = search.improve(X, tau, ci, n_tors, rng)
+        tau_oracle, X_oracle = oracles.greedy_construction(ci, n_tors, rng_oracle)
+        X_oracle, tau_oracle = oracles.improve(X_oracle, tau_oracle, ci, n_tors,
+                                               rng_oracle)
+        assert X.coords.tobytes() == X_oracle.coords.tobytes()
+        assert tau == tau_oracle
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8),
+           st.one_of(st.floats(0.0, 2.0), st.just(math.inf)))
+    def test_bounded_construction_is_prefix_of_full(self, inst, seed, n_tors, scale):
+        ci = CompiledInstance.of(inst)
+        rng, rng_bounded = np.random.default_rng(seed), np.random.default_rng(seed)
+        tau, conf = search.greedy_construction(ci, n_tors, rng)
+        lde = metrics.lde_global(conf, ci)
+        bound = math.inf if scale == math.inf else scale * lde
+        tau_b, conf_b = search.greedy_construction(ci, n_tors, rng_bounded, bound=bound)
+        assert rng.bit_generator.state == rng_bounded.bit_generator.state
+        if conf_b is None:
+            assert list(tau_b.items()) == list(tau.items())[:len(tau_b)]
+            assert lde >= bound
+        else:
+            assert tau_b == tau
+            assert conf_b.coords.tobytes() == conf.coords.tobytes()
+        # an unbounded construction is the one that samples inside its loop
+        tau_o, conf_o = oracles.greedy_construction(
+            ci, n_tors, np.random.default_rng(seed))
+        assert tau == tau_o and conf.coords.tobytes() == conf_o.coords.tobytes()
 
 
 class TestInstanceFileRoundTrip:
