@@ -85,11 +85,12 @@ def cmd_bench(args) -> int:
     paths = [p for p in paths if p.is_file()]
     if not paths:
         raise IdgpError("no instances")
+    params = _solver_params(args)  # a bad flag is one error, not a row per file
     rows = []
     for path in paths:
         try:
             inst = io.parse_instance(path)
-            rep = multistart_solve(inst, _solver_params(args))
+            rep = multistart_solve(inst, params)
             row = _run_report(path.name, inst, rep)
         except (IdgpError, OSError) as exc:
             print(f"{path.name}: {exc}", file=sys.stderr)

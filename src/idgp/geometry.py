@@ -12,7 +12,6 @@ import numpy as np
 
 from .model import (
     DegenerateGeometryError,
-    DomainKind,
     InfeasibleDiscretizationError,
     TorsionDomain,
 )
@@ -150,17 +149,72 @@ def torsion_domain_from_distance(inst, i: int) -> TorsionDomain:
     return TorsionDomain.symmetric(math.acos(c_hi), math.acos(c_lo))
 
 
-def sample_torsions(dom: TorsionDomain, rng, size: int) -> np.ndarray:
-    """Draw `size` torsions uniformly over the domain."""
-    if dom.kind is DomainKind.SINGLE:
-        if dom.hi == dom.lo:
-            return np.full(size, dom.lo)
-        return rng.uniform(dom.lo, dom.hi, size)
-    if dom.lo == 0.0 and dom.hi == 0.0:
-        return np.zeros(size)
-    # symmetric union: the two sides have equal length, pick each with p=1/2
-    signs = 2.0 * rng.integers(0, 2, size) - 1.0
-    if dom.hi == dom.lo:
-        return signs * dom.lo
-    return signs * rng.uniform(dom.lo, dom.hi, size)
+def sample_torsions(lo, hi, symmetric, rng, size: int) -> np.ndarray:
+    """Draw `size` torsions uniformly over each of k domains; returns k x size.
 
+    Row r is the domain [lo[r], hi[r]] or, where `symmetric[r]`, the union
+    [-hi[r], -lo[r]] u [lo[r], hi[r]], whose sides are picked with p = 1/2.
+    Values, generator state and every later draw are bit-identical to k
+    per-domain calls in row order, each `rng.integers(0, 2, size)` for the
+    signs of a symmetric domain, then `rng.uniform(lo, hi, size)` unless the
+    domain is a point; symmetric {0} draws nothing and gives +0.0.
+
+    The draws come from one `random_raw` call, which needs the PCG64 bit
+    generator of `np.random.default_rng`: a uniform is
+    lo + (hi - lo) * ((w >> 11) * 2**-53) of one raw 64-bit word w, and a
+    sign is bit 31 of a 32-bit word that PCG64 takes from the low half of a
+    fresh raw word, keeping the high half (`has_uint32`/`uinteger` of its
+    state) for the next one. Any other bit generator raises TypeError.
+    """
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64:
+        raise TypeError(f"sample_torsions needs PCG64, not {type(bg).__name__}")
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    symmetric = np.asarray(symmetric, dtype=bool)
+    k = lo.size
+    uniform = lo != hi
+    signed = symmetric & (hi != 0.0)
+    n_signs = np.count_nonzero(signed) * size
+    # raw words of each row: its sign words first, then its uniforms
+    counts = np.zeros((k, 2), dtype=np.int64)
+    counts[:, 1] = uniform * size
+    if n_signs:
+        state = bg.state
+        buffered = state["has_uint32"]
+        # raw words the signs take through each row's end: the sign words
+        # so far, less the buffered one if any, two to a raw word
+        raw_to = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(signed, out=raw_to[1:])
+        raw_to = (raw_to * size - buffered + 1) // 2
+        counts[:, 0] = raw_to[1:] - raw_to[:-1]
+    ends = counts.cumsum()
+    words = bg.random_raw(counts.sum())
+
+    if words.size:
+        # a row's uniforms start where its sign words end; rows without
+        # uniforms read clipped garbage, and keep lo
+        at = ends[0::2, None] + np.arange(size)
+        u = (words.take(at, mode="clip") >> np.uint64(11)) * 2.0**-53
+        out = np.where(uniform[:, None], lo[:, None] + (hi - lo)[:, None] * u,
+                       lo[:, None])
+    else:
+        out = np.repeat(lo[:, None], size, axis=1)
+    if n_signs:
+        is_sign = np.zeros((k, 2), dtype=bool)
+        is_sign[:, 0] = True
+        sign_words = words[is_sign.ravel().repeat(counts.ravel())]
+        # the low then the high half of each raw word, bit 31 of each
+        bits = sign_words.astype("<u8", copy=False).view("<u4") >> np.uint32(31)
+        if buffered:
+            bits = np.concatenate(((state["uinteger"] >> 31,), bits))
+        out[signed] *= (2.0 * bits[:n_signs] - 1.0).reshape(-1, size)
+        # an odd count of fresh words leaves the last high half buffered;
+        # an even one has taken it, and PCG64 keeps it as a stale value
+        state = bg.state
+        state["has_uint32"] = (n_signs - buffered) % 2
+        if sign_words.size:
+            state["uinteger"] = int(sign_words[-1] >> np.uint64(32))
+        bg.state = state
+    out[symmetric & ~signed] = 0.0
+    return out

@@ -345,6 +345,8 @@ def synthetic_backbone(n_residues: int, seed: int = 0,
     hydrogen contacts. Returns (atoms, 3 x n coords)."""
     if n_residues < 1:
         raise IdgpError("need at least one residue")
+    if seed < 0:  # np.random.default_rng takes no negative seed
+        raise IdgpError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     pattern = _BACKBONE_WITH_H if include_hydrogens else _BACKBONE_PLAIN
 

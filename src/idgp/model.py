@@ -156,6 +156,8 @@ class SolverParams:
                 raise InvalidBoundsError(f"{name} must be positive")
         if self.n_impr < 0:  # zero disables the improvement phase (ablation)
             raise InvalidBoundsError("n_impr must be nonnegative")
+        if self.rng_seed < 0:  # np.random.SeedSequence takes no negative seed
+            raise InvalidBoundsError("rng_seed must be nonnegative")
         # written as "not > 0" so that NaN fails too
         for name in ("eps_mde", "eps_lde", "eps_similar", "spg_stress_success"):
             if not getattr(self, name) > 0:
@@ -200,9 +202,11 @@ class CompiledInstance:
     back-edge CSR, `back_ptr[i - 1]:back_ptr[i]`, lists the edges (j, i)
     with j < i in ascending j: 0-based j in `back_col`, bounds in
     `back_lower`/`back_upper`. `d_prev[i]` is d_{i-1,i} and `theta[i]` the
-    bond angle at atom i (1-based; nan where undefined). `rmsd_sel` holds
-    the 0-based atoms an RMSD compares: all of them for n <= 200, otherwise
-    the CA-named ones (empty if there are none).
+    bond angle at atom i (1-based; nan where undefined). Entry i - 4 of
+    `tors_lo`/`tors_hi`/`tors_sym` holds atom i's torsion domain (i >= 4)
+    as `geometry.sample_torsions` takes it (nan bounds where undefined).
+    `rmsd_sel` holds the 0-based atoms an RMSD compares: all of them for
+    n <= 200, otherwise the CA-named ones (empty if there are none).
     """
 
     n: int
@@ -220,6 +224,9 @@ class CompiledInstance:
     d_prev: np.ndarray
     theta: np.ndarray
     torsion_domains: dict
+    tors_lo: np.ndarray
+    tors_hi: np.ndarray
+    tors_sym: np.ndarray
     rmsd_sel: np.ndarray
 
     @classmethod
@@ -235,6 +242,7 @@ class CompiledInstance:
         d_prev = [math.nan] * 2 + [inst.edge(i - 1, i).lower for i in range(2, inst.n + 1)]
         theta = [inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)]
         rows = inst.n * np.arange(3)[:, None]
+        doms = [inst.torsion_domains.get(i) for i in range(4, inst.n + 1)]
         if inst.n <= _CA_SUBSET_THRESHOLD:
             rmsd_sel = np.arange(inst.n)
         else:
@@ -242,7 +250,12 @@ class CompiledInstance:
                                 dtype=int)
         view = cls(inst.n, ii, jj, ii + rows, jj + rows, lower, upper, w / w.sum(),
                    back_ptr, ii[by_end], lower[by_end], upper[by_end], np.array(d_prev),
-                   np.array(theta), dict(inst.torsion_domains), rmsd_sel)
+                   np.array(theta), dict(inst.torsion_domains),
+                   np.array([d.lo if d else math.nan for d in doms], dtype=float),
+                   np.array([d.hi if d else math.nan for d in doms], dtype=float),
+                   np.array([d is not None and d.kind is DomainKind.SYMMETRIC
+                             for d in doms], dtype=bool),
+                   rmsd_sel)
         for value in vars(view).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False

@@ -28,16 +28,17 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, domains=None,
     """Build a conformation atom by atom, keeping the sampled torsion with
     the smallest local inconsistency at each step.
 
-    Every atom's torsions are drawn first, in atom order, so the generator
-    ends in the same state however far the construction gets. Returns
+    `domains` is (lo, hi, symmetric), arrays laid out like `ci.tors_lo`,
+    `ci.tors_hi` and `ci.tors_sym`, which are the default. Every atom's
+    torsions are drawn first, in one call, so the generator ends in the
+    same state however far the construction gets. Returns
     (torsion assignment dict, Conformation), or (the torsions placed so far,
     None) as soon as a chosen candidate violates one of its edges by at
     least `bound`: the finished conformation's LDE could not be below it.
     """
     if domains is None:
-        domains = ci.torsion_domains
-    draws = [geometry.sample_torsions(domains[i], rng, n_tors)
-             for i in range(4, ci.n + 1)]
+        domains = ci.tors_lo, ci.tors_hi, ci.tors_sym
+    draws = geometry.sample_torsions(*domains, rng, n_tors)
     X = np.empty((3, ci.n))
     X[:, 0], X[:, 1], X[:, 2] = geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
                                                            ci.theta[3])
@@ -98,9 +99,10 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
             continue
         if time.monotonic() > deadline:
             break
-        trial_domains = dict(ci.torsion_domains)
-        trial_domains[i] = sign_restricted_domain(dom, -t_i)
-        tau_trial, X_trial = greedy_construction(ci, n_tors, rng, trial_domains,
+        trial = sign_restricted_domain(dom, -t_i)
+        lo, hi, sym = ci.tors_lo.copy(), ci.tors_hi.copy(), ci.tors_sym.copy()
+        lo[i - 4], hi[i - 4], sym[i - 4] = trial.lo, trial.hi, False
+        tau_trial, X_trial = greedy_construction(ci, n_tors, rng, (lo, hi, sym),
                                                  bound=current_lde)
         if X_trial is None:
             continue

@@ -2,15 +2,21 @@
 per-edge loops for the array code of `idgp.metrics` and
 `idgp.model.CompiledInstance`, column gathers for the flat-index edge kernel
 of `idgp.metrics`, numpy vector ops for the scalar-float
-`idgp.geometry.local_frame`, and a sign-flip sweep of full rebuilds for
-`idgp.search.improve`."""
+`idgp.geometry.local_frame`, one numpy draw call per domain for the
+single-call `idgp.geometry.sample_torsions`, and a sign-flip sweep of full
+rebuilds for `idgp.search.improve`."""
 
 import numpy as np
 
 from idgp import geometry, metrics
 from idgp.geometry import _COLLINEAR_TOL
 from idgp.metrics import _SMOOTHNESS_TOL
-from idgp.model import Conformation, DegenerateGeometryError, NonsmoothPointError
+from idgp.model import (
+    Conformation,
+    DegenerateGeometryError,
+    DomainKind,
+    NonsmoothPointError,
+)
 from idgp.search import sign_restricted_domain
 
 
@@ -113,6 +119,22 @@ def gradient(z, ci) -> np.ndarray:
     return np.concatenate([gX.ravel(), -t])
 
 
+def sample_torsions(dom, rng, size) -> np.ndarray:
+    """Draw `size` torsions uniformly over one domain with numpy's own
+    integers/uniform calls."""
+    if dom.kind is DomainKind.SINGLE:
+        if dom.hi == dom.lo:
+            return np.full(size, dom.lo)
+        return rng.uniform(dom.lo, dom.hi, size)
+    if dom.lo == 0.0 and dom.hi == 0.0:
+        return np.zeros(size)
+    # symmetric union: the two sides have equal length, pick each with p=1/2
+    signs = 2.0 * rng.integers(0, 2, size) - 1.0
+    if dom.hi == dom.lo:
+        return signs * dom.lo
+    return signs * rng.uniform(dom.lo, dom.hi, size)
+
+
 # The sign-flip sweep as full rebuilds: the construction samples each atom's
 # torsions inside its placement loop, and every attempt is finished and
 # scored. `idgp.search.improve` must accept the same flips and leave the
@@ -130,7 +152,7 @@ def greedy_construction(ci, n_tors, rng, domains=None):
     for i in range(4, ci.n + 1):
         rows = slice(ptr[i - 1], ptr[i])
         lower, upper = back_lower[rows], back_upper[rows]
-        taus = geometry.sample_torsions(domains[i], rng, n_tors)
+        taus = sample_torsions(domains[i], rng, n_tors)
         cand = geometry.place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2],
                                           d_prev[i], theta[i], taus)
         d = cand[:, None, :] - X.take(ci.back_col[rows], axis=1)[:, :, None]

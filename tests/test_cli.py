@@ -38,6 +38,11 @@ class TestSynthAndGenerate:
         assert run(["synth", *flags, "--out", str(tmp_path / "ref.txt")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        assert run(["synth", "--residues", "2", "--seed", "-2",
+                    "--out", str(tmp_path / "ref.txt")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSolve:
     def test_solves_and_writes_outputs(self, toy_file, tmp_path):
@@ -79,7 +84,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("flags", [["--eps-mde", "nan", "--eps-lde", "nan"],
                                        ["--time-limit", "nan"],
-                                       ["--time-limit", "-1"]])
+                                       ["--time-limit", "-1"],
+                                       ["--seed", "-1"]])
     def test_invalid_solver_flags_exit_1(self, flags, toy_file, capsys):
         assert run(["solve", "--instance", str(toy_file), *flags]) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -116,6 +122,19 @@ class TestBench:
         assert rows["a.inst"][-2] == "Solved"
         assert rows["broken.inst"][-2] == "Error"
         assert "broken.inst" in capsys.readouterr().err
+
+    def test_invalid_solver_flag_exits_1_without_rows(self, toy, tmp_path, capsys):
+        inst, _ = toy
+        d = tmp_path / "cases"
+        d.mkdir()
+        io.write_instance(inst, d / "a.inst")
+        io.write_instance(inst, d / "b.inst")
+        out = tmp_path / "results.tsv"
+        assert run(["bench", "--instances", str(d), "--seed", "-1",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_empty_directory_exits_1(self, tmp_path):
         d = tmp_path / "empty"

@@ -266,22 +266,30 @@ class TestTorsionDomainFromDistance:
             geometry.torsion_domain_from_distance(bad, 4)
 
 
+def sample_one(dom, rng, size):
+    """The batched sampler on a one-row input."""
+    taus = geometry.sample_torsions([dom.lo], [dom.hi],
+                                    [dom.kind is DomainKind.SYMMETRIC], rng, size)
+    assert taus.shape == (1, size)
+    return taus[0]
+
+
 class TestSampleTorsions:
     def test_single_in_bounds(self):
         rng = np.random.default_rng(0)
         dom = TorsionDomain.single(-0.5, 1.2)
-        taus = geometry.sample_torsions(dom, rng, 500)
+        taus = sample_one(dom, rng, 500)
         assert np.all((taus >= -0.5) & (taus <= 1.2))
 
     def test_point_domain(self):
         rng = np.random.default_rng(0)
-        taus = geometry.sample_torsions(TorsionDomain.point(0.7), rng, 10)
+        taus = sample_one(TorsionDomain.point(0.7), rng, 10)
         assert np.all(taus == 0.7)
 
     def test_symmetric_covers_both_signs(self):
         rng = np.random.default_rng(0)
         dom = TorsionDomain.symmetric(0.5, 1.0)
-        taus = geometry.sample_torsions(dom, rng, 1000)
+        taus = sample_one(dom, rng, 1000)
         mags = np.abs(taus)
         assert np.all((mags >= 0.5) & (mags <= 1.0))
         assert (taus > 0).any() and (taus < 0).any()
@@ -289,6 +297,6 @@ class TestSampleTorsions:
     def test_collapsed_symmetric_is_sign_pair(self):
         rng = np.random.default_rng(0)
         dom = TorsionDomain.symmetric(0.9, 0.9)
-        taus = geometry.sample_torsions(dom, rng, 200)
+        taus = sample_one(dom, rng, 200)
         assert set(np.unique(taus)) <= {-0.9, 0.9}
         assert len(np.unique(taus)) == 2

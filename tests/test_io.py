@@ -11,6 +11,7 @@ from idgp.model import (
     DomainKind,
     DuplicateEdgeError,
     EdgeConstraint,
+    IdgpError,
     TorsionDomain,
 )
 from tests.oracles import pair_distance
@@ -308,6 +309,10 @@ class TestSyntheticBackbone:
         np.testing.assert_array_equal(c1, c2)
         _, c3 = io.synthetic_backbone(3, seed=10)
         assert not np.array_equal(c1, c3)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(IdgpError, match="seed"):
+            io.synthetic_backbone(3, seed=-2)
 
     def test_atom_pattern(self):
         atoms, coords = io.synthetic_backbone(2)

@@ -135,7 +135,8 @@ class TestSolverParams:
                                     {"eps_similar": -2.0}, {"eps_mde": math.nan},
                                     {"eps_lde": math.nan}, {"eps_similar": math.nan},
                                     {"spg_stress_success": math.nan},
-                                    {"time_limit": math.nan}, {"time_limit": -1.0}])
+                                    {"time_limit": math.nan}, {"time_limit": -1.0},
+                                    {"rng_seed": -1}])
     def test_invalid_raise(self, kw):
         with pytest.raises(InvalidBoundsError):
             SolverParams(**kw)

@@ -1,14 +1,16 @@
 """Properties of the compiled array view, the stress model, the solver's
-pool, the improvement sweep's sign restriction and early stop, and the
-instance file format, checked on random valid instances."""
+pool, the improvement sweep's sign restriction and early stop, the batched
+torsion sampler, and the instance file format, checked on random valid
+instances and domains."""
 
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from idgp import io, metrics, search, spg
+from idgp import geometry, io, metrics, search, spg
 from idgp.model import CompiledInstance, DomainKind, SolverParams, TorsionDomain
 from tests import oracles
 
@@ -38,6 +40,23 @@ def torsion_domains(draw):
     if kind == "+-":
         return TorsionDomain.symmetric(a, b)
     return TorsionDomain.single(-a, b)
+
+
+@st.composite
+def sampler_domains(draw):
+    """Every case the sampler tells apart: interval, point, symmetric
+    interval, symmetric point and symmetric {0}."""
+    a, b = sorted(draw(st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi))))
+    kind = draw(st.sampled_from(["interval", "point", "+-", "+- point", "+- zero"]))
+    if kind == "interval":
+        return TorsionDomain.single(-a, b)
+    if kind == "point":
+        return TorsionDomain.point(draw(st.sampled_from([-b, b])))
+    if kind == "+-":
+        return TorsionDomain.symmetric(a, b)
+    if kind == "+- point":
+        return TorsionDomain.symmetric(b, b)
+    return TorsionDomain.symmetric(0.0, 0.0)
 
 
 class TestCompiledView:
@@ -254,6 +273,35 @@ class TestImprove:
         tau_o, conf_o = oracles.greedy_construction(
             ci, n_tors, np.random.default_rng(seed))
         assert tau == tau_o and conf.coords.tobytes() == conf_o.coords.tobytes()
+
+
+class TestSampleTorsions:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(sampler_domains(), max_size=8), st.integers(1, 9),
+           st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 3]))
+    @example([TorsionDomain.symmetric(0.5, 1.0)] * 3, 3, 0, 1)
+    @example([TorsionDomain.symmetric(0.5, 0.5), TorsionDomain.single(-1.0, 1.0)],
+             2, 0, 0)
+    def test_matches_per_domain_calls(self, doms, size, seed, odd_before):
+        # an odd integers(0, 2, k) call first leaves a half word buffered
+        rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        if odd_before:
+            rng.integers(0, 2, odd_before)
+            rng_oracle.integers(0, 2, odd_before)
+        taus = geometry.sample_torsions(
+            [d.lo for d in doms], [d.hi for d in doms],
+            [d.kind is DomainKind.SYMMETRIC for d in doms], rng, size)
+        expect = [oracles.sample_torsions(d, rng_oracle, size) for d in doms]
+        assert taus.shape == (len(doms), size)
+        assert [row.tobytes() for row in taus] == [row.tobytes() for row in expect]
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+        assert rng.integers(0, 2, 5).tolist() == rng_oracle.integers(0, 2, 5).tolist()
+        assert rng.random(3).tobytes() == rng_oracle.random(3).tobytes()
+
+    def test_other_bit_generator_raises(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError):
+            geometry.sample_torsions([0.0], [1.0], [True], rng, 3)
 
 
 class TestInstanceFileRoundTrip:

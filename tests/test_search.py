@@ -284,9 +284,9 @@ class TestMultistart:
 
     def test_time_limit_bounds_the_first_trial(self):
         # no torsion annotations: every atom is a flip candidate, and one
-        # trial left to finish runs for seconds (sweep, then up to 30000
-        # SPG iterations); a limit may be overrun by the one greedy
-        # construction or SPG iteration under way when it passes
+        # trial left to finish runs a sweep, then SPG until it stalls; a
+        # limit of half that trial's time must cut it, and may be overrun by
+        # the one greedy construction or SPG iteration under way when it passes
         atoms, coords = io.synthetic_backbone(30, seed=4)
         inst = io.generate_instance(atoms, coords, hh_width_adjacent=0.5,
                                     hh_width_other=1.0,
@@ -297,7 +297,10 @@ class TestMultistart:
             t0 = time.monotonic()
             search.greedy_construction(ci, 20, np.random.default_rng(seed))
             greedy_s = max(greedy_s, time.monotonic() - t0)
-        limit = 0.5
+        rep = search.multistart_solve(inst, SolverParams(
+            rng_seed=0, n_trial=1, eps_mde=1e-20, eps_lde=1e-20))
+        assert rep.status == "BestEffort"
+        limit = 0.5 * rep.wall_time
         # with n_trial=1 the limit cuts the last trial, not the trial loop
         for n_trial in (SolverParams().n_trial, 1):
             rep = search.multistart_solve(inst, SolverParams(
