@@ -256,8 +256,16 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
     reference torsion; hydrogen pairs within hh_cutoff get interval edges of
     total width hh_width_adjacent (adjacent residues) or hh_width_other;
     hh_cutoff=0 drops them. The reference is feasible for the result by
-    construction.
+    construction. The widths must be finite and nonnegative, and hh_cutoff
+    not NaN (no distance exceeds NaN, so it would keep every pair).
     """
+    for name, width in (("angle_width_deg", angle_width_deg),
+                        ("hh_width_adjacent", hh_width_adjacent),
+                        ("hh_width_other", hh_width_other)):
+        if not 0.0 <= width < math.inf:  # NaN fails too
+            raise IdgpError(f"{name} must be finite and nonnegative, got {width}")
+    if math.isnan(hh_cutoff):
+        raise IdgpError("hh_cutoff must not be NaN")
     coords = np.asarray(coords, dtype=float)
     n = len(atoms)
     if coords.shape != (3, n):

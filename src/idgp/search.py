@@ -23,29 +23,35 @@ from .spg import spg_minimize
 _STALL_TRIALS = 50  # consecutive duplicate candidates that end the search
 
 
-def greedy_construction(ci: CompiledInstance, n_tors: int, rng, domains=None,
-                        bound: float = math.inf):
+def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
+                        domains=None, bound: float = math.inf):
     """Build a conformation atom by atom, keeping the sampled torsion with
     the smallest local inconsistency at each step.
 
-    `domains` is (lo, hi, symmetric), arrays laid out like `ci.tors_lo`,
-    `ci.tors_hi` and `ci.tors_sym`, which are the default. Every atom's
-    torsions are drawn first, in one call, so the generator ends in the
-    same state however far the construction gets. Returns
-    (torsion assignment dict, Conformation), or (the torsions placed so far,
-    None) as soon as a chosen candidate violates one of its edges by at
-    least `bound`: the finished conformation's LDE could not be below it.
+    `prefix`, a 3 x (s - 1) array with s >= 4, keeps atoms 1..s-1 as given
+    and builds atoms s..n; by default s = 4 and atoms 1-3 are fixed by
+    `geometry.place_first_three`. `domains` is (lo, hi, symmetric) for atoms
+    s..n, arrays laid out like `ci.tors_lo[s - 4:]`, `ci.tors_hi[s - 4:]`
+    and `ci.tors_sym[s - 4:]`, which are the default. The torsions of atoms
+    s..n are drawn first, in one call, so the generator ends in the same
+    state however far the construction gets. Returns (torsion assignment
+    dict of atoms s..n, Conformation), or (the torsions placed so far, None)
+    as soon as a chosen candidate violates one of its edges by at least
+    `bound`: the finished conformation's LDE could not be below it.
     """
+    if prefix is None:
+        prefix = np.column_stack(geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
+                                                            ci.theta[3]))
+    start = prefix.shape[1] + 1
     if domains is None:
-        domains = ci.tors_lo, ci.tors_hi, ci.tors_sym
+        domains = ci.tors_lo[start - 4:], ci.tors_hi[start - 4:], ci.tors_sym[start - 4:]
     draws = geometry.sample_torsions(*domains, rng, n_tors)
     X = np.empty((3, ci.n))
-    X[:, 0], X[:, 1], X[:, 2] = geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
-                                                           ci.theta[3])
+    X[:, :start - 1] = prefix
     ptr, d_prev, theta = ci.back_ptr.tolist(), ci.d_prev.tolist(), ci.theta.tolist()
     back_lower, back_upper = ci.back_lower[:, None], ci.back_upper[:, None]
     tau = {}
-    for i, taus in enumerate(draws, start=4):
+    for i, taus in enumerate(draws, start=start):
         rows = slice(ptr[i - 1], ptr[i])
         lower, upper = back_lower[rows], back_upper[rows]
         cand = geometry.place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2],
@@ -82,17 +88,31 @@ def sign_restricted_domain(dom: TorsionDomain, tau: float) -> TorsionDomain:
     return TorsionDomain.single(dom.lo, min(dom.hi, 0.0))
 
 
+def _last_useful_flip(X, lde: float, ci: CompiledInstance) -> int:
+    """The smallest larger end (1-based) of the edges whose violation is
+    `lde`: a flip at any later atom keeps such an edge as it is, so it
+    cannot lower the LDE."""
+    return int(ci.jj[metrics._residuals(X, ci) == lde].min()) + 1
+
+
 def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
             deadline: float = math.inf):
     """One sweep of sign flips; each flip is kept only if the global LDE
     strictly decreases. Never increases the LDE. No flip is tried after
     `deadline` (a time.monotonic() value).
 
-    A flip rebuilds the chain with that atom's sign forced and stops once
-    its placed atoms violate some edge by the current LDE; a stopped
-    attempt is rejected, and leaves `rng` where a full rebuild would."""
+    A flip at atom i keeps atoms 1..i-1 and their torsions, draws torsions
+    for atoms i..n only, with atom i's sign forced, and regrows i..n
+    greedily. It stops once a placed atom violates some edge by the current
+    LDE; a stopped attempt is rejected. No flip is tried past J, the
+    smallest larger end of the edges whose violation is the current LDE: it
+    would keep such an edge as it is, so it could not be kept. J is found
+    again after each kept flip."""
     current_lde = metrics.lde_global(X, ci)
+    last = _last_useful_flip(X, current_lde, ci)
     for i in range(4, ci.n + 1):
+        if i > last:
+            break
         t_i = tau[i]
         dom = ci.torsion_domains[i]
         if t_i == 0.0 or not dom.contains(-t_i):
@@ -100,15 +120,19 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
         if time.monotonic() > deadline:
             break
         trial = sign_restricted_domain(dom, -t_i)
-        lo, hi, sym = ci.tors_lo.copy(), ci.tors_hi.copy(), ci.tors_sym.copy()
-        lo[i - 4], hi[i - 4], sym[i - 4] = trial.lo, trial.hi, False
-        tau_trial, X_trial = greedy_construction(ci, n_tors, rng, (lo, hi, sym),
-                                                 bound=current_lde)
+        tail = slice(i - 4, None)
+        lo, hi, sym = (ci.tors_lo[tail].copy(), ci.tors_hi[tail].copy(),
+                       ci.tors_sym[tail].copy())
+        lo[0], hi[0], sym[0] = trial.lo, trial.hi, False
+        placed, X_trial = greedy_construction(ci, n_tors, rng, as_coords(X)[:, :i - 1],
+                                              (lo, hi, sym), bound=current_lde)
         if X_trial is None:
             continue
         lde_trial = metrics.lde_global(X_trial, ci)
         if lde_trial < current_lde:
-            X, tau, current_lde = X_trial, tau_trial, lde_trial
+            X, current_lde = X_trial, lde_trial
+            tau = {**{k: tau[k] for k in range(4, i)}, **placed}
+            last = _last_useful_flip(X, current_lde, ci)
     return X, tau
 
 

@@ -73,9 +73,20 @@ def toy_file(toy, tmp_path):
 @pytest.fixture(scope="session")
 def hard():
     """20-atom instance with hydrogen contacts too tight for the greedy
-    construction alone; every candidate keeps a nonzero residual."""
+    construction alone; improvement sweeps can satisfy it exactly."""
     atoms, coords = io.synthetic_backbone(4, seed=0)
     inst = io.generate_instance(atoms, coords, hh_width_adjacent=0.5,
                                 hh_width_other=1.0,
                                 include_torsion_annotations=False)
     return inst, coords
+
+
+@pytest.fixture(scope="session")
+def unsatisfiable(hard):
+    """`hard` plus an edge (1, 5) whose lower bound exceeds the four bond
+    lengths from atom 1 to 5 added up, so no conformation satisfies every
+    edge: each candidate keeps a nonzero residual."""
+    inst, coords = hard
+    reach = sum(inst.edge(i - 1, i).upper for i in range(2, 6))
+    edges = [*inst.edges.values(), EdgeConstraint(1, 5, reach + 0.5, reach + 1.0)]
+    return io.build_instance(inst.atoms, edges), coords

@@ -3,8 +3,8 @@ per-edge loops for the array code of `idgp.metrics` and
 `idgp.model.CompiledInstance`, column gathers for the flat-index edge kernel
 of `idgp.metrics`, numpy vector ops for the scalar-float
 `idgp.geometry.local_frame`, one numpy draw call per domain for the
-single-call `idgp.geometry.sample_torsions`, and a sign-flip sweep of full
-rebuilds for `idgp.search.improve`."""
+single-call `idgp.geometry.sample_torsions`, and a prefix-keeping sign-flip
+sweep that regrows every attempt to the last atom for `idgp.search.improve`."""
 
 import numpy as np
 
@@ -135,21 +135,25 @@ def sample_torsions(dom, rng, size) -> np.ndarray:
     return signs * rng.uniform(dom.lo, dom.hi, size)
 
 
-# The sign-flip sweep as full rebuilds: the construction samples each atom's
-# torsions inside its placement loop, and every attempt is finished and
-# scored. `idgp.search.improve` must accept the same flips and leave the
-# generator in the same state.
+# The sign-flip sweep as plain prefix-keeping regrowths: the construction
+# samples each atom's torsions inside its placement loop, every attempt is
+# regrown to atom n and scored, and a flip at i is skipped when an edge inside
+# atoms 1..i-1 already has the current LDE. `idgp.search.improve` must keep
+# the same flips and leave the generator in the same state.
 
-def greedy_construction(ci, n_tors, rng, domains=None):
+def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
+    if prefix is None:
+        prefix = np.column_stack(geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
+                                                            ci.theta[3]))
     if domains is None:
         domains = ci.torsion_domains
+    start = prefix.shape[1] + 1
     X = np.empty((3, ci.n))
-    X[:, 0], X[:, 1], X[:, 2] = geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
-                                                           ci.theta[3])
+    X[:, :start - 1] = prefix
     ptr, d_prev, theta = ci.back_ptr.tolist(), ci.d_prev.tolist(), ci.theta.tolist()
     back_lower, back_upper = ci.back_lower[:, None], ci.back_upper[:, None]
     tau = {}
-    for i in range(4, ci.n + 1):
+    for i in range(start, ci.n + 1):
         rows = slice(ptr[i - 1], ptr[i])
         lower, upper = back_lower[rows], back_upper[rows]
         taus = sample_torsions(domains[i], rng, n_tors)
@@ -174,10 +178,14 @@ def improve(X, tau, ci, n_tors, rng):
         dom = ci.torsion_domains[i]
         if t_i == 0.0 or not dom.contains(-t_i):
             continue
+        if residuals(X.coords, ci)[ci.jj < i - 1].max() == current_lde:
+            continue
         trial_domains = dict(ci.torsion_domains)
         trial_domains[i] = sign_restricted_domain(dom, -t_i)
-        tau_trial, X_trial = greedy_construction(ci, n_tors, rng, trial_domains)
+        placed, X_trial = greedy_construction(ci, n_tors, rng, X.coords[:, :i - 1],
+                                              trial_domains)
         lde_trial = metrics.lde_global(X_trial, ci)
         if lde_trial < current_lde:
-            X, tau, current_lde = X_trial, tau_trial, lde_trial
+            X, current_lde = X_trial, lde_trial
+            tau = {**{k: tau[k] for k in range(4, i)}, **placed}
     return X, tau

@@ -43,6 +43,18 @@ class TestSynthAndGenerate:
                     "--out", str(tmp_path / "ref.txt")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flags", [["--angle-width", "inf"],
+                                       ["--hh-cutoff", "nan"],
+                                       ["--hh-width-adjacent", "-1"],
+                                       ["--hh-width-other", "nan"]])
+    def test_bad_generator_flag_exits_1(self, flags, tmp_path, capsys):
+        ref = tmp_path / "ref.txt"
+        assert run(["synth", "--residues", "2", "--out", str(ref)]) == 0
+        assert run(["generate", "--reference", str(ref), *flags,
+                    "--out", str(tmp_path / "case.inst")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestSolve:
     def test_solves_and_writes_outputs(self, toy_file, tmp_path):
@@ -90,8 +102,8 @@ class TestSolve:
         assert run(["solve", "--instance", str(toy_file), *flags]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_unreachable_tolerance_exits_2(self, hard, tmp_path):
-        inst, _ = hard
+    def test_unreachable_tolerance_exits_2(self, unsatisfiable, tmp_path):
+        inst, _ = unsatisfiable
         path = tmp_path / "hard.inst"
         io.write_instance(inst, path)
         code = run(["solve", "--instance", str(path),

@@ -283,6 +283,16 @@ class TestGenerateInstance:
         assert hh and all(e.lower >= 0.1 or e.lower == pytest.approx(
             pair_distance(coords, e.i, e.j)) for e in hh)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"angle_width_deg": math.inf}, {"angle_width_deg": math.nan},
+        {"angle_width_deg": -1.0}, {"hh_width_adjacent": math.inf},
+        {"hh_width_adjacent": -0.5}, {"hh_width_other": math.nan},
+        {"hh_width_other": -math.inf}, {"hh_cutoff": math.nan}])
+    def test_bad_widths_and_cutoff_raise(self, kwargs):
+        atoms, coords = io.synthetic_backbone(2, seed=2)
+        with pytest.raises(IdgpError, match=next(iter(kwargs))):
+            io.generate_instance(atoms, coords, **kwargs)
+
 
 class TestBuildInstance:
     def test_duplicate_edge_raises(self, toy):

@@ -1,8 +1,9 @@
 """Properties of the compiled array view, the stress model, the solver's
-pool, the improvement sweep's sign restriction and early stop, the batched
-torsion sampler, and the instance file format, checked on random valid
-instances and domains."""
+pool, the improvement sweep's sign restriction, early stop, kept prefix and
+skipped flips, the batched torsion sampler, and the instance file format,
+checked on random valid instances and domains."""
 
+import inspect
 import math
 from unittest import mock
 
@@ -13,6 +14,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from idgp import geometry, io, metrics, search, spg
 from idgp.model import CompiledInstance, DomainKind, SolverParams, TorsionDomain
 from tests import oracles
+
+
+# tight H-H widths and no torsion annotations: a sweep there keeps flips at
+# several atoms and leaves others out
+SWEEP_CASE = io.generate_instance(*io.synthetic_backbone(4, seed=0), hh_width_adjacent=0.5,
+                                  hh_width_other=1.0, include_torsion_annotations=False)
 
 
 @st.composite
@@ -238,9 +245,10 @@ class TestImprove:
 
     @settings(max_examples=40, deadline=None)
     @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
-    def test_sweep_matches_full_rebuild_oracle(self, inst, seed, n_tors):
-        # a stopped attempt is one the full rebuild would have rejected, and
-        # it consumes the same draws
+    def test_sweep_matches_prefix_keeping_oracle(self, inst, seed, n_tors):
+        # a stopped attempt is one the full regrowth would have rejected, and
+        # it consumes the same draws; a flip past the edges at the current
+        # LDE draws nothing
         ci = CompiledInstance.of(inst)
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         tau, X = search.greedy_construction(ci, n_tors, rng)
@@ -251,6 +259,70 @@ class TestImprove:
         assert X.coords.tobytes() == X_oracle.coords.tobytes()
         assert tau == tau_oracle
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    @staticmethod
+    def sweep_steps(ci, n_tors, seed):
+        """Run one sweep on a fresh construction; returns the conformation
+        and torsions before each atom's turn, and that atom's attempt
+        (None if the sweep made none), for atoms 4..n."""
+        rng = np.random.default_rng(seed)
+        tau, X = search.greedy_construction(ci, n_tors, rng)
+        attempts = {}
+        greedy = search.greedy_construction
+        signature = inspect.signature(greedy)
+
+        def recording(*args, **kwargs):
+            call = signature.bind(*args, **kwargs).arguments
+            out = greedy(*args, **kwargs)
+            # the flipped atom is the one whose domain differs from the instance's
+            start = call["prefix"].shape[1] + 1
+            own = ci.tors_lo[start - 4:], ci.tors_hi[start - 4:], ci.tors_sym[start - 4:]
+            differs = np.logical_or.reduce([a != b for a, b in zip(call["domains"], own)])
+            attempts[start + int(np.flatnonzero(differs)[0])] = out
+            return out
+
+        with mock.patch.object(search, "greedy_construction", recording):
+            X_out, tau_out = search.improve(X, tau, ci, n_tors, rng)
+        steps = []
+        for i in range(4, ci.n + 1):
+            steps.append((i, X, tau, attempts.get(i)))
+            placed, trial = attempts.get(i, ({}, None))
+            if trial is not None and metrics.lde_global(trial, ci) < metrics.lde_global(X, ci):
+                X, tau = trial, {**{k: tau[k] for k in range(4, i)}, **placed}
+        assert X is X_out and tau == tau_out
+        return steps
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @example(SWEEP_CASE, 1, 5)
+    def test_flip_keeps_the_prefix(self, inst, seed, n_tors):
+        # every finished attempt, so also every kept one
+        ci = CompiledInstance.of(inst)
+        for i, X, _, attempt in self.sweep_steps(ci, n_tors, seed):
+            if attempt is not None and attempt[1] is not None:
+                prefix = attempt[1].coords[:, :i - 1]
+                assert prefix.tobytes() == X.coords[:, :i - 1].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    @example(SWEEP_CASE, 3, 1, 0)
+    def test_skipped_flip_could_not_be_kept(self, inst, seed, n_tors, regrow_seed):
+        # regrow every flip the sweep left out, to the last atom
+        ci = CompiledInstance.of(inst)
+        for i, X, tau, attempt in self.sweep_steps(ci, n_tors, seed):
+            dom = ci.torsion_domains[i]
+            if attempt is not None or tau[i] == 0.0 or not dom.contains(-tau[i]):
+                continue
+            trial = search.sign_restricted_domain(dom, -tau[i])
+            lo, hi, sym = (ci.tors_lo[i - 4:].copy(), ci.tors_hi[i - 4:].copy(),
+                           ci.tors_sym[i - 4:].copy())
+            lo[0], hi[0], sym[0] = trial.lo, trial.hi, False
+            rng = np.random.default_rng(regrow_seed)
+            for _ in range(3):
+                _, regrown = search.greedy_construction(ci, n_tors, rng,
+                                                        X.coords[:, :i - 1], (lo, hi, sym))
+                assert metrics.lde_global(regrown, ci) >= metrics.lde_global(X, ci)
 
     @settings(max_examples=40, deadline=None)
     @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8),

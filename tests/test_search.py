@@ -260,8 +260,8 @@ class TestMultistart:
         assert not np.array_equal(r1.conformation.coords,
                                   r2.conformation.coords)
 
-    def test_unreachable_tolerance_builds_distinct_pool(self, hard):
-        inst, _ = hard
+    def test_unreachable_tolerance_builds_distinct_pool(self, unsatisfiable):
+        inst, _ = unsatisfiable
         params = SolverParams(rng_seed=1, n_trial=30, n_conf=8,
                               eps_mde=1e-20, eps_lde=1e-20, eps_similar=0.5,
                               time_limit=60.0)
@@ -274,8 +274,8 @@ class TestMultistart:
             for b in range(a + 1, len(confs)):
                 assert search.kabsch_rmsd(confs[a], confs[b], ci) > 0.5
 
-    def test_best_of_pool_reported(self, hard):
-        inst, _ = hard
+    def test_best_of_pool_reported(self, unsatisfiable):
+        inst, _ = unsatisfiable
         params = SolverParams(rng_seed=1, n_trial=20, n_conf=8,
                               eps_mde=1e-20, eps_lde=1e-20, eps_similar=0.5,
                               time_limit=60.0)
