@@ -1,17 +1,23 @@
 """Instance/reference file formats, instance generation, profile data.
 
-Instance files are line oriented, '#' starts a comment:
+Both formats are line oriented, '#' starts a comment. Instance records:
 
     E i j dL dU name_i res_i name_j res_j     distance edge (Angstrom)
     T i tauL_deg tauU_deg sign                torsion annotation (degrees)
 
-with sign one of '+', '-', '+-' (accepted alias: a Unicode plus-minus).
-'+' is a plain interval [tauL, tauU]; '-' mirrors the given magnitudes to
-[-tauU, -tauL]; '+-' is the sign-symmetric union of both sides.
+E needs integer i, j and residues with 1 <= i < j, finite 0 < dL <= dU, dL == dU
+when j - i <= 2, and a pair no earlier E gave; an atom's first E names it. T needs
+4 <= i <= n (the largest E index), an atom no earlier T gave, -180 <= tauL <= tauU
+<= 180 and a sign: '+' is [tauL, tauU]; '-' mirrors it to [-tauU, -tauL]; '+-' (or
+a Unicode plus-minus) is the sign-symmetric union of both and needs tauL >= 0.
+Each rule, and any other record type, is a ParseError at its line; no E record is
+one at line 0. The whole instance then needs edges (i-3, i), (i-2, i), (i-1, i)
+for each atom i >= 4 (ValidationError), a triangle for each bond angle and
+reachable three-apart bounds (other IdgpErrors), with no line.
 
-Reference/conformation files carry one atom per line:
-
-    index name residue x y z
+Reference/conformation files carry one atom per line, `index name residue
+x y z`: integers, index = atoms on earlier lines + 1, finite x, y, z. Each
+rule is a ParseError at its line; a file without atoms is one at line 0.
 """
 
 import math
@@ -32,6 +38,7 @@ from .model import (
     TorsionDomain,
     as_coords,
     bond_angle_from_distances,
+    edge_problem,
     validate_instance,
 )
 
@@ -56,22 +63,21 @@ class ProfileError(IdgpError):
 
 
 def build_instance(atoms, edges, torsion_overrides=None) -> Instance:
-    """Assemble an Instance: key edges by (i, j) with i < j, derive bond
-    angles from exact edges and torsion domains from d_{i-3,i} bounds.
-
-    Explicit torsion annotations take precedence over derived domains.
-    Raises ValidationError unless the result is fully valid.
-    """
+    """Assemble, derive and validate an Instance (see `_complete`) from edges
+    given with either end first; a repeated pair raises DuplicateEdgeError."""
     edge_map = {}
     for e in edges:
         i, j = (e.i, e.j) if e.i < e.j else (e.j, e.i)
         if (i, j) in edge_map:
             raise DuplicateEdgeError(f"duplicate edge record for pair ({i},{j})")
         edge_map[(i, j)] = EdgeConstraint(i, j, e.lower, e.upper)
+    return _complete(Instance(atoms=list(atoms), edges=edge_map), torsion_overrides or {})
 
-    inst = Instance(atoms=list(atoms), edges=edge_map)
+
+def _complete(inst: Instance, overrides: dict) -> Instance:
+    """Derive bond angles and, where `overrides` gives none, torsion domains
+    from the edges; raise ValidationError unless the result is fully valid."""
     n = inst.n
-
     for i in range(3, n + 1):
         ab = inst.edge(i - 2, i - 1)
         bc = inst.edge(i - 1, i)
@@ -80,7 +86,6 @@ def build_instance(atoms, edges, torsion_overrides=None) -> Instance:
             continue  # validate_instance reports the missing edge
         inst.bond_angles[i] = bond_angle_from_distances(ab.lower, bc.lower, ac.lower)
 
-    overrides = torsion_overrides or {}
     for i in range(4, n + 1):
         if i in overrides:
             inst.torsion_domains[i] = overrides[i]
@@ -106,11 +111,8 @@ def _parse_domain(lo_deg, hi_deg, sign) -> TorsionDomain:
 
 
 def parse_instance(path) -> Instance:
-    """Parse and fully validate an instance file."""
-    names, residues = {}, {}
-    edges = []
-    seen_pairs = set()
-    overrides = {}
+    """Parse and fully validate an instance file (rules: module docstring)."""
+    atoms, edges, overrides = {}, {}, {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -121,22 +123,15 @@ def parse_instance(path) -> Instance:
                 if tok[0] == "E":
                     if len(tok) != 9:
                         raise ValueError("expected: E i j dL dU name_i res_i name_j res_j")
-                    i, j = int(tok[1]), int(tok[2])
-                    lo, up = float(tok[3]), float(tok[4])
-                    if i >= j:
-                        raise ValueError(f"edge requires i < j, got ({i},{j})")
-                    if not (math.isfinite(lo) and math.isfinite(up)):
-                        raise ValueError(f"edge ({i},{j}): bounds {lo}, {up} not finite")
-                    if lo > up:
-                        raise ValueError(f"edge ({i},{j}): dL {lo} > dU {up}")
-                    if (i, j) in seen_pairs:
-                        raise ValueError(f"duplicate edge ({i},{j})")
-                    seen_pairs.add((i, j))
-                    names.setdefault(i, tok[5])
-                    residues.setdefault(i, int(tok[6]))
-                    names.setdefault(j, tok[7])
-                    residues.setdefault(j, int(tok[8]))
-                    edges.append(EdgeConstraint(i, j, lo, up))
+                    e = EdgeConstraint(int(tok[1]), int(tok[2]), float(tok[3]), float(tok[4]))
+                    problem = edge_problem(e)
+                    if problem:
+                        raise ValueError(problem)
+                    if (e.i, e.j) in edges:
+                        raise ValueError(f"duplicate edge ({e.i},{e.j})")
+                    edges[(e.i, e.j)] = e
+                    atoms.setdefault(e.i, (tok[5], int(tok[6])))  # name, residue
+                    atoms.setdefault(e.j, (tok[7], int(tok[8])))
                 elif tok[0] == "T":
                     if len(tok) != 5:
                         raise ValueError("expected: T i tauL_deg tauU_deg sign")
@@ -152,13 +147,12 @@ def parse_instance(path) -> Instance:
 
     if not edges:
         raise ParseError(path, 0, "no edge records")
-    n = max(max(i, j) for (i, j) in seen_pairs)
+    n = max(atoms)
     for i, (line_no, _) in overrides.items():
         if not 4 <= i <= n:
             raise ParseError(path, line_no, f"torsion record for atom {i} outside 4..{n}")
-    atoms = [AtomRecord(k, names.get(k, "X"), residues.get(k, 0))
-             for k in range(1, n + 1)]
-    return build_instance(atoms, edges, {i: dom for i, (_, dom) in overrides.items()})
+    atom_list = [AtomRecord(k, *atoms.get(k, ("X", 0))) for k in range(1, n + 1)]
+    return _complete(Instance(atom_list, edges), {i: dom for i, (_, dom) in overrides.items()})
 
 
 def _fmt(x: float) -> str:
@@ -197,19 +191,18 @@ def parse_reference(path):
             if len(tok) != 6:
                 raise ParseError(path, line_no, "expected: index name residue x y z")
             try:
-                atoms.append(AtomRecord(int(tok[0]), tok[1], int(tok[2])))
+                index = int(tok[0])
+                if index != len(atoms) + 1:
+                    raise ValueError(f"atom index {index} follows {len(atoms)} atoms")
+                atoms.append(AtomRecord(index, tok[1], int(tok[2])))
                 xyz.append([float(tok[3]), float(tok[4]), float(tok[5])])
+                if not all(map(math.isfinite, xyz[-1])):
+                    raise ValueError(f"atom {index}: non-finite coordinate")
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from exc
     if not atoms:
         raise ParseError(path, 0, "empty reference file")
-    for k, a in enumerate(atoms, start=1):
-        if a.index != k:
-            raise ParseError(path, 0, f"atom indices not contiguous at {a.index}")
-    coords = np.array(xyz).T
-    if not np.all(np.isfinite(coords)):
-        raise ParseError(path, 0, "non-finite coordinate")
-    return atoms, coords
+    return atoms, np.array(xyz).T
 
 
 def write_reference(atoms, coords, path) -> None:
@@ -275,13 +268,13 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
         diff = coords[:, p] - coords[:, q]
         return float(np.sqrt((diff * diff).sum()))
 
-    edges = []
+    edges = {}
     for i in range(2, n + 1):
         d = dist(i - 2, i - 1)
-        edges.append(EdgeConstraint(i - 1, i, d, d))
+        edges[(i - 1, i)] = EdgeConstraint(i - 1, i, d, d)
     for i in range(3, n + 1):
         d = dist(i - 3, i - 1)
-        edges.append(EdgeConstraint(i - 2, i, d, d))
+        edges[(i - 2, i)] = EdgeConstraint(i - 2, i, d, d)
 
     half = math.radians(angle_width_deg) / 2.0
     overrides = {}
@@ -290,7 +283,7 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
         tau_star = geometry.dihedral(p3, p2, p1, coords[:, i - 1])
         ref_d = dist(i - 4, i - 1)
         if half == 0.0:
-            edges.append(EdgeConstraint(i - 3, i, ref_d, ref_d))
+            edges[(i - 3, i)] = EdgeConstraint(i - 3, i, ref_d, ref_d)
             overrides[i] = TorsionDomain.point(tau_star)
             continue
         lo_t, hi_t = tau_star - half, tau_star + half
@@ -307,15 +300,14 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
         d_hi = math.sqrt(max(max(svals), 0.0))
         d_lo = min(max(d_lo, MIN_LOWER_BOUND), ref_d)
         d_hi = max(d_hi, ref_d)
-        edges.append(EdgeConstraint(i - 3, i, d_lo, d_hi))
+        edges[(i - 3, i)] = EdgeConstraint(i - 3, i, d_lo, d_hi)
         overrides[i] = TorsionDomain.single(max(lo_t, -math.pi), min(hi_t, math.pi))
 
-    existing = {(min(e.i, e.j), max(e.i, e.j)) for e in edges}
     h_idx = [a.index for a in atoms if a.name.startswith("H")]
     for ai in range(len(h_idx)):
         for bi in range(ai + 1, len(h_idx)):
             p, q = h_idx[ai], h_idx[bi]
-            if (p, q) in existing:
+            if (p, q) in edges:
                 continue
             d = dist(p - 1, q - 1)
             if d > hh_cutoff:
@@ -324,10 +316,10 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
                      if abs(atoms[p - 1].residue - atoms[q - 1].residue) <= 1
                      else hh_width_other)
             lo = max(MIN_LOWER_BOUND, d - width / 2.0)
-            edges.append(EdgeConstraint(p, q, min(lo, d), d + width / 2.0))
+            edges[(p, q)] = EdgeConstraint(p, q, min(lo, d), d + width / 2.0)
 
-    return build_instance(atoms, edges,
-                          overrides if include_torsion_annotations else None)
+    return _complete(Instance(list(atoms), edges),
+                     overrides if include_torsion_annotations else {})
 
 
 _BACKBONE_WITH_H = [

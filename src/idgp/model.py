@@ -275,6 +275,20 @@ def bond_angle_from_distances(d_ab: float, d_bc: float, d_ac: float) -> float:
     return math.acos(c)
 
 
+def edge_problem(e: EdgeConstraint):
+    """The rule one edge record breaks, or None: 1 <= i < j, finite bounds with
+    0 < lower <= upper, and exact when j - i <= 2, as the discretization needs."""
+    if not 1 <= e.i < e.j:
+        return f"edge ({e.i},{e.j}): indices must satisfy 1 <= i < j"
+    if not (math.isfinite(e.lower) and math.isfinite(e.upper)):
+        return f"edge ({e.i},{e.j}): bounds {e.lower}, {e.upper} not finite"
+    if not 0 < e.lower <= e.upper:
+        return f"edge ({e.i},{e.j}): bounds {e.lower}, {e.upper} must satisfy 0 < lower <= upper"
+    if e.j - e.i <= 2 and not e.exact:
+        return f"edge ({e.i},{e.j}): distance across at most two bonds must be exact"
+    return None
+
+
 def validate_instance(inst: Instance) -> list:
     """Return every violated instance invariant; empty list means valid."""
     out = []
@@ -286,21 +300,18 @@ def validate_instance(inst: Instance) -> list:
     for key, e in inst.edges.items():
         if key != (e.i, e.j):
             out.append(f"edge {key}: key does not match record pair ({e.i},{e.j})")
-        if not (1 <= e.i < e.j <= n):
-            out.append(f"edge ({e.i},{e.j}): indices out of range or not i < j")
-            continue
-        if not (0 < e.lower <= e.upper):
-            out.append(f"edge ({e.i},{e.j}): bounds must satisfy 0 < lower <= upper")
-        if e.j - e.i in (1, 2) and not e.exact:
-            out.append(f"edge ({e.i},{e.j}): distance across at most two bonds must be exact")
+        problem = edge_problem(e)
+        if problem:
+            out.append(problem)
+        elif e.j > n:
+            out.append(f"edge ({e.i},{e.j}): atom {e.j} beyond n = {n}")
 
     for i in range(4, n + 1):
-        for j, need_exact in ((i - 1, True), (i - 2, True), (i - 3, False)):
-            e = inst.edge(j, i)
-            if e is None:
+        for j in (i - 1, i - 2, i - 3):
+            if inst.edge(j, i) is None:
                 out.append(f"missing required edge ({j},{i})")
-            elif need_exact and not e.exact:
-                out.append(f"edge ({j},{i}): must be exact")
+        if i not in inst.torsion_domains:
+            out.append(f"missing torsion domain for atom {i}")
 
     for i in range(3, n + 1):
         theta = inst.bond_angles.get(i)
@@ -308,9 +319,5 @@ def validate_instance(inst: Instance) -> list:
             out.append(f"missing bond angle for atom {i}")
         elif not (0.0 < theta < math.pi):
             out.append(f"bond angle at atom {i} outside (0, pi)")
-
-    for i in range(4, n + 1):
-        if i not in inst.torsion_domains:
-            out.append(f"missing torsion domain for atom {i}")
 
     return out

@@ -106,6 +106,8 @@ E 1 4 2.8 3.2 N 1 N 2
         "Q 1 2 1.5 1.5 N 1 CA 1",          # unknown record
         "T 4 10 20 *",                     # unknown sign
         "E 1 2 abc 1.5 N 1 CA 1",          # bad float
+        "E 0 4 3.0 3.5 X 1 N 2",           # atom index below 1
+        "E 3 5 1.4 1.6 C 1 CA 2",          # two apart, not exact
     ])
     def test_malformed_lines_raise_with_location(self, tmp_path, line):
         path = self._write(tmp_path, self.VALID + line + "\n")
@@ -113,12 +115,18 @@ E 1 4 2.8 3.2 N 1 N 2
             io.parse_instance(path)
         assert ":8:" in str(err.value)
 
-    @pytest.mark.parametrize("bounds", ["2.8 inf", "nan 3.2"])
-    def test_non_finite_edge_bounds_raise_with_location(self, tmp_path, bounds):
-        path = self._write(tmp_path, self.VALID.replace("2.8 3.2", bounds))
+    @pytest.mark.parametrize("old,new,where,message", [
+        pytest.param("2.8 3.2", "2.8 inf", ":7:", "not finite", id="2.8 inf"),
+        pytest.param("2.8 3.2", "nan 3.2", ":7:", "not finite", id="nan 3.2"),
+        # zero bounds on an edge a bond angle is derived from
+        pytest.param("E 1 2 1.5 1.5", "E 1 2 0 0", ":2:", "0 < lower", id="E 1 2 0 0"),
+    ])
+    def test_non_finite_edge_bounds_raise_with_location(self, tmp_path, old, new, where,
+                                                        message):
+        path = self._write(tmp_path, self.VALID.replace(old, new))
         with pytest.raises(io.ParseError) as err:
             io.parse_instance(path)
-        assert ":7:" in str(err.value) and "not finite" in str(err.value)
+        assert where in str(err.value) and message in str(err.value)
 
     @pytest.mark.parametrize("line", [
         "T 3 10 20 +",                     # atom below 4: no torsion
@@ -167,8 +175,16 @@ class TestReferenceFiles:
     def test_noncontiguous_indices_raise(self, tmp_path):
         path = tmp_path / "ref.txt"
         path.write_text("1 N 1 0 0 0\n3 CA 1 1 0 0\n")
-        with pytest.raises(io.ParseError):
+        with pytest.raises(io.ParseError) as err:
             io.parse_reference(path)
+        assert ":2:" in str(err.value)
+
+    def test_non_finite_coordinate_raises_with_location(self, tmp_path):
+        path = tmp_path / "ref.txt"
+        path.write_text("1 N 1 0 0 0\n# comment\n2 CA 1 1 nan 0\n")
+        with pytest.raises(io.ParseError) as err:
+            io.parse_reference(path)
+        assert ":3:" in str(err.value) and "non-finite" in str(err.value)
 
     def test_bad_line_raises(self, tmp_path):
         path = tmp_path / "ref.txt"

@@ -12,7 +12,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from idgp import geometry, io, metrics, search, spg
-from idgp.model import CompiledInstance, DomainKind, SolverParams, TorsionDomain
+from idgp.model import (
+    CompiledInstance,
+    DomainKind,
+    EdgeConstraint,
+    IdgpError,
+    Instance,
+    SolverParams,
+    TorsionDomain,
+    validate_instance,
+)
 from tests import oracles
 
 
@@ -397,3 +406,29 @@ class TestInstanceFileRoundTrip:
             b = back.torsion_domains[i]
             assert b.kind is dom.kind
             assert abs(b.lo - dom.lo) <= 1e-12 and abs(b.hi - dom.hi) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(), st.data())
+    def test_file_and_memory_apply_one_edge_rule(self, tmp_path_factory, inst, data):
+        """With one edge's bounds replaced, parse_instance raises ParseError at
+        that edge's line exactly when validate_instance, given the same
+        instance in memory, reports that edge."""
+        keys = sorted(inst.edges)
+        i, j = key = data.draw(st.sampled_from(keys))
+        bound = st.one_of(st.sampled_from([0.0, -1.5, math.nan, math.inf, -math.inf]),
+                          st.floats(0.5, 6.0))
+        lower = data.draw(bound)
+        upper = data.draw(st.one_of(st.just(lower), bound))  # equal, swapped or apart
+        changed = Instance(inst.atoms, {**inst.edges, key: EdgeConstraint(i, j, lower, upper)},
+                           inst.torsion_domains, inst.bond_angles)
+        reported = any(v.startswith(f"edge ({i},{j}):") for v in validate_instance(changed))
+        path = tmp_path_factory.mktemp("one_rule") / "case.inst"
+        io.write_instance(changed, path)  # a header line, then the edges in key order
+        try:
+            io.parse_instance(path)
+            line = None
+        except io.ParseError as exc:
+            line = exc.line_no
+        except IdgpError:  # a rule of the whole instance, such as a triangle
+            line = None
+        assert line == (2 + keys.index(key) if reported else None)
