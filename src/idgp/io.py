@@ -11,9 +11,12 @@ when j - i <= 2, and a pair no earlier E gave; an atom's first E names it. T nee
 <= 180 and a sign: '+' is [tauL, tauU]; '-' mirrors it to [-tauU, -tauL]; '+-' (or
 a Unicode plus-minus) is the sign-symmetric union of both and needs tauL >= 0.
 Each rule, and any other record type, is a ParseError at its line; no E record is
-one at line 0. The whole instance then needs edges (i-3, i), (i-2, i), (i-1, i)
-for each atom i >= 4 (ValidationError), a triangle for each bond angle and
-reachable three-apart bounds (other IdgpErrors), with no line.
+one at line 0. The whole instance then needs an edge (j, i) for each atom i >= 2
+and each max(1, i-3) <= j < i (ValidationError), checked before anything is
+derived from the edges; then a triangle for each bond angle and reachable
+three-apart bounds (other IdgpErrors), with no line. `build_instance` applies the
+same E rules to in-memory edges as a ValidationError, and `generate_instance`
+ends in it.
 
 Reference/conformation files carry one atom per line, `index name residue
 x y z`: integers, index = atoms on earlier lines + 1, finite x, y, z. Each
@@ -39,7 +42,7 @@ from .model import (
     as_coords,
     bond_angle_from_distances,
     edge_problem,
-    validate_instance,
+    structure_problems,
 )
 
 MIN_LOWER_BOUND = 0.1  # floor for generated interval lower bounds (Angstrom)
@@ -63,39 +66,38 @@ class ProfileError(IdgpError):
 
 
 def build_instance(atoms, edges, torsion_overrides=None) -> Instance:
-    """Assemble, derive and validate an Instance (see `_complete`) from edges
-    given with either end first; a repeated pair raises DuplicateEdgeError."""
+    """Check each edge record, given with either end first, against
+    `edge_problem` (ValidationError) and assemble an Instance from them; a
+    repeated pair raises DuplicateEdgeError. `_complete` then checks the whole
+    instance and derives the rest."""
     edge_map = {}
     for e in edges:
         i, j = (e.i, e.j) if e.i < e.j else (e.j, e.i)
+        e = EdgeConstraint(i, j, e.lower, e.upper)
+        problem = edge_problem(e)
+        if problem:
+            raise ValidationError([problem])
         if (i, j) in edge_map:
             raise DuplicateEdgeError(f"duplicate edge record for pair ({i},{j})")
-        edge_map[(i, j)] = EdgeConstraint(i, j, e.lower, e.upper)
+        edge_map[(i, j)] = e
     return _complete(Instance(atoms=list(atoms), edges=edge_map), torsion_overrides or {})
 
 
 def _complete(inst: Instance, overrides: dict) -> Instance:
-    """Derive bond angles and, where `overrides` gives none, torsion domains
-    from the edges; raise ValidationError unless the result is fully valid."""
-    n = inst.n
-    for i in range(3, n + 1):
-        ab = inst.edge(i - 2, i - 1)
-        bc = inst.edge(i - 1, i)
-        ac = inst.edge(i - 2, i)
-        if ab is None or bc is None or ac is None:
-            continue  # validate_instance reports the missing edge
-        inst.bond_angles[i] = bond_angle_from_distances(ab.lower, bc.lower, ac.lower)
-
-    for i in range(4, n + 1):
-        if i in overrides:
-            inst.torsion_domains[i] = overrides[i]
-        elif inst.edge(i - 3, i) is not None and i in inst.bond_angles \
-                and (i - 1) in inst.bond_angles:
-            inst.torsion_domains[i] = geometry.torsion_domain_from_distance(inst, i)
-
-    violations = validate_instance(inst)
+    """Raise ValidationError unless the whole-instance rules hold
+    (`structure_problems`; the caller has checked each edge record), then
+    derive bond angles and, where `overrides` gives none, torsion domains
+    from the edges."""
+    violations = structure_problems(inst)
     if violations:
         raise ValidationError(violations)
+    edges = inst.edges
+    for i in range(3, inst.n + 1):
+        inst.bond_angles[i] = bond_angle_from_distances(
+            edges[(i - 2, i - 1)].lower, edges[(i - 1, i)].lower, edges[(i - 2, i)].lower)
+    for i in range(4, inst.n + 1):
+        inst.torsion_domains[i] = (overrides[i] if i in overrides
+                                   else geometry.torsion_domain_from_distance(inst, i))
     return inst
 
 
@@ -318,8 +320,8 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
             lo = max(MIN_LOWER_BOUND, d - width / 2.0)
             edges[(p, q)] = EdgeConstraint(p, q, min(lo, d), d + width / 2.0)
 
-    return _complete(Instance(list(atoms), edges),
-                     overrides if include_torsion_annotations else {})
+    return build_instance(atoms, edges.values(),
+                          overrides if include_torsion_annotations else {})
 
 
 _BACKBONE_WITH_H = [

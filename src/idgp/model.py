@@ -204,9 +204,11 @@ class CompiledInstance:
     `back_lower`/`back_upper`. `d_prev[i]` is d_{i-1,i} and `theta[i]` the
     bond angle at atom i (1-based; nan where undefined). Entry i - 4 of
     `tors_lo`/`tors_hi`/`tors_sym` holds atom i's torsion domain (i >= 4)
-    as `geometry.sample_torsions` takes it (nan bounds where undefined).
-    `rmsd_sel` holds the 0-based atoms an RMSD compares: all of them for
-    n <= 200, otherwise the CA-named ones (empty if there are none).
+    as `geometry.sample_torsions` takes it (nan bounds where undefined); it
+    is the solver's only copy of the domains. `rmsd_sel` holds the 0-based
+    atoms an RMSD compares: all of them for n <= 200, otherwise the CA-named
+    ones (empty if there are none). Every field is an int or a read-only
+    array.
     """
 
     n: int
@@ -223,7 +225,6 @@ class CompiledInstance:
     back_upper: np.ndarray
     d_prev: np.ndarray
     theta: np.ndarray
-    torsion_domains: dict
     tors_lo: np.ndarray
     tors_hi: np.ndarray
     tors_sym: np.ndarray
@@ -250,7 +251,7 @@ class CompiledInstance:
                                 dtype=int)
         view = cls(inst.n, ii, jj, ii + rows, jj + rows, lower, upper, w / w.sum(),
                    back_ptr, ii[by_end], lower[by_end], upper[by_end], np.array(d_prev),
-                   np.array(theta), dict(inst.torsion_domains),
+                   np.array(theta),
                    np.array([d.lo if d else math.nan for d in doms], dtype=float),
                    np.array([d.hi if d else math.nan for d in doms], dtype=float),
                    np.array([d is not None and d.kind is DomainKind.SYMMETRIC
@@ -289,35 +290,34 @@ def edge_problem(e: EdgeConstraint):
     return None
 
 
-def validate_instance(inst: Instance) -> list:
-    """Return every violated instance invariant; empty list means valid."""
-    out = []
+def structure_problems(inst: Instance) -> list:
+    """Every violated whole-instance rule: atoms numbered 1..n in order, each
+    edge keyed by its own pair (i, j) with j <= n, and an edge (j, i) for
+    every atom i >= 2 and every max(1, i - 3) <= j < i."""
     n = inst.n
-    for k, atom in enumerate(inst.atoms, start=1):
-        if atom.index != k:
-            out.append(f"atom index {atom.index} at position {k}: indices must be contiguous 1..n")
-
+    out = [f"atom index {atom.index} at position {k}: indices must be contiguous 1..n"
+           for k, atom in enumerate(inst.atoms, start=1) if atom.index != k]
     for key, e in inst.edges.items():
         if key != (e.i, e.j):
             out.append(f"edge {key}: key does not match record pair ({e.i},{e.j})")
-        problem = edge_problem(e)
-        if problem:
-            out.append(problem)
         elif e.j > n:
             out.append(f"edge ({e.i},{e.j}): atom {e.j} beyond n = {n}")
+    out += [f"missing required edge ({j},{i})" for i in range(2, n + 1)
+            for j in range(max(1, i - 3), i) if (j, i) not in inst.edges]
+    return out
 
-    for i in range(4, n + 1):
-        for j in (i - 1, i - 2, i - 3):
-            if inst.edge(j, i) is None:
-                out.append(f"missing required edge ({j},{i})")
+
+def validate_instance(inst: Instance) -> list:
+    """Return every violated instance invariant; empty list means valid."""
+    out = structure_problems(inst)
+    out += filter(None, map(edge_problem, inst.edges.values()))
+    for i in range(4, inst.n + 1):
         if i not in inst.torsion_domains:
             out.append(f"missing torsion domain for atom {i}")
-
-    for i in range(3, n + 1):
+    for i in range(3, inst.n + 1):
         theta = inst.bond_angles.get(i)
         if theta is None:
             out.append(f"missing bond angle for atom {i}")
         elif not (0.0 < theta < math.pi):
             out.append(f"bond angle at atom {i} outside (0, pi)")
-
     return out

@@ -11,11 +11,9 @@ from . import geometry, metrics
 from .model import (
     CompiledInstance,
     Conformation,
-    DomainKind,
     Instance,
     SelectionError,
     SolverParams,
-    TorsionDomain,
     as_coords,
 )
 from .spg import spg_minimize
@@ -74,20 +72,6 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     return tau, Conformation(X)
 
 
-def sign_restricted_domain(dom: TorsionDomain, tau: float) -> TorsionDomain:
-    """Portion of the domain on the same side of zero as tau, as one interval.
-
-    Requires tau != 0 with `dom.contains(tau)`, so the portion holds tau.
-    """
-    if dom.kind is DomainKind.SYMMETRIC:
-        if tau > 0.0:
-            return TorsionDomain.single(dom.lo, dom.hi)
-        return TorsionDomain.single(-dom.hi, -dom.lo)
-    if tau > 0.0:
-        return TorsionDomain.single(max(dom.lo, 0.0), dom.hi)
-    return TorsionDomain.single(dom.lo, min(dom.hi, 0.0))
-
-
 def _last_useful_flip(X, lde: float, ci: CompiledInstance) -> int:
     """The smallest larger end (1-based) of the edges whose violation is
     `lde`: a flip at any later atom keeps such an edge as it is, so it
@@ -104,7 +88,9 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
     A flip at atom i keeps atoms 1..i-1 and their torsions, draws torsions
     for atoms i..n only, with atom i's sign forced, and regrows i..n
     greedily. It stops once a placed atom violates some edge by the current
-    LDE; a stopped attempt is rejected. No flip is tried past J, the
+    LDE; a stopped attempt is rejected. Atom i's forced side is the part of
+    its domain on the other side of zero from tau[i], one interval; a flip is
+    tried only if that part holds -tau[i] != 0. No flip is tried past J, the
     smallest larger end of the edges whose violation is the current LDE: it
     would keep such an edge as it is, so it could not be kept. J is found
     again after each kept flip."""
@@ -113,19 +99,22 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
     for i in range(4, ci.n + 1):
         if i > last:
             break
-        t_i = tau[i]
-        dom = ci.torsion_domains[i]
-        if t_i == 0.0 or not dom.contains(-t_i):
+        t = -tau[i]
+        lo, hi = ci.tors_lo[i - 4], ci.tors_hi[i - 4]
+        if ci.tors_sym[i - 4] and t < 0.0:
+            lo, hi = -hi, -lo  # the negative half of a sign-symmetric union
+        if t == 0.0 or not lo <= t <= hi:
             continue
         if time.monotonic() > deadline:
             break
-        trial = sign_restricted_domain(dom, -t_i)
         tail = slice(i - 4, None)
-        lo, hi, sym = (ci.tors_lo[tail].copy(), ci.tors_hi[tail].copy(),
-                       ci.tors_sym[tail].copy())
-        lo[0], hi[0], sym[0] = trial.lo, trial.hi, False
+        lo_tail, hi_tail, sym_tail = (ci.tors_lo[tail].copy(), ci.tors_hi[tail].copy(),
+                                      ci.tors_sym[tail].copy())
+        lo_tail[0], hi_tail[0] = (max(lo, 0.0), hi) if t > 0.0 else (lo, min(hi, 0.0))
+        sym_tail[0] = False
         placed, X_trial = greedy_construction(ci, n_tors, rng, as_coords(X)[:, :i - 1],
-                                              (lo, hi, sym), bound=current_lde)
+                                              (lo_tail, hi_tail, sym_tail),
+                                              bound=current_lde)
         if X_trial is None:
             continue
         lde_trial = metrics.lde_global(X_trial, ci)

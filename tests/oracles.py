@@ -4,7 +4,8 @@ per-edge loops for the array code of `idgp.metrics` and
 of `idgp.metrics`, numpy vector ops for the scalar-float
 `idgp.geometry.local_frame`, one numpy draw call per domain for the
 single-call `idgp.geometry.sample_torsions`, and a prefix-keeping sign-flip
-sweep that regrows every attempt to the last atom for `idgp.search.improve`."""
+sweep that regrows every attempt to the last atom, with its sign restriction
+on `TorsionDomain` objects, for `idgp.search.improve`."""
 
 import numpy as np
 
@@ -16,8 +17,8 @@ from idgp.model import (
     DegenerateGeometryError,
     DomainKind,
     NonsmoothPointError,
+    TorsionDomain,
 )
-from idgp.search import sign_restricted_domain
 
 
 def pair_distance(coords, i, j) -> float:
@@ -135,6 +136,27 @@ def sample_torsions(dom, rng, size) -> np.ndarray:
     return signs * rng.uniform(dom.lo, dom.hi, size)
 
 
+def torsion_domains(ci) -> dict:
+    """Atom i -> its TorsionDomain, rebuilt from `ci.tors_lo/tors_hi/tors_sym`."""
+    return {i: TorsionDomain(DomainKind.SYMMETRIC if sym else DomainKind.SINGLE, lo, hi)
+            for i, (lo, hi, sym) in enumerate(zip(ci.tors_lo.tolist(), ci.tors_hi.tolist(),
+                                                  ci.tors_sym.tolist()), start=4)}
+
+
+def sign_restricted_domain(dom: TorsionDomain, tau: float) -> TorsionDomain:
+    """Portion of the domain on the same side of zero as tau, as one interval.
+
+    Requires tau != 0 with `dom.contains(tau)`, so the portion holds tau.
+    """
+    if dom.kind is DomainKind.SYMMETRIC:
+        if tau > 0.0:
+            return TorsionDomain.single(dom.lo, dom.hi)
+        return TorsionDomain.single(-dom.hi, -dom.lo)
+    if tau > 0.0:
+        return TorsionDomain.single(max(dom.lo, 0.0), dom.hi)
+    return TorsionDomain.single(dom.lo, min(dom.hi, 0.0))
+
+
 # The sign-flip sweep as plain prefix-keeping regrowths: the construction
 # samples each atom's torsions inside its placement loop, every attempt is
 # regrown to atom n and scored, and a flip at i is skipped when an edge inside
@@ -146,7 +168,7 @@ def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
         prefix = np.column_stack(geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
                                                             ci.theta[3]))
     if domains is None:
-        domains = ci.torsion_domains
+        domains = torsion_domains(ci)
     start = prefix.shape[1] + 1
     X = np.empty((3, ci.n))
     X[:, :start - 1] = prefix
@@ -173,14 +195,15 @@ def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
 
 def improve(X, tau, ci, n_tors, rng):
     current_lde = metrics.lde_global(X, ci)
+    domains = torsion_domains(ci)
     for i in range(4, ci.n + 1):
         t_i = tau[i]
-        dom = ci.torsion_domains[i]
+        dom = domains[i]
         if t_i == 0.0 or not dom.contains(-t_i):
             continue
         if residuals(X.coords, ci)[ci.jj < i - 1].max() == current_lde:
             continue
-        trial_domains = dict(ci.torsion_domains)
+        trial_domains = dict(domains)
         trial_domains[i] = sign_restricted_domain(dom, -t_i)
         placed, X_trial = greedy_construction(ci, n_tors, rng, X.coords[:, :i - 1],
                                               trial_domains)

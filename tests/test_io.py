@@ -162,6 +162,17 @@ E 1 4 2.8 3.2 N 1 N 2
             io.parse_instance(self._write(tmp_path, text))
         assert any("(2,4)" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("pair", ["1 2", "1 3", "2 3"])
+    def test_missing_first_edges_raise_validation(self, tmp_path, pair):
+        # the rule covers the pairs among atoms 1-3 too, before any bond
+        # angle is derived from them
+        text = "".join(l + "\n" for l in self.VALID.splitlines()
+                       if not l.startswith(f"E {pair}"))
+        with pytest.raises(io.ValidationError) as err:
+            io.parse_instance(self._write(tmp_path, text))
+        i, j = pair.split()
+        assert err.value.violations == [f"missing required edge ({i},{j})"]
+
 
 class TestReferenceFiles:
     def test_round_trip(self, tmp_path):
@@ -317,6 +328,29 @@ class TestBuildInstance:
         edges.append(EdgeConstraint(2, 1, 1.0, 1.0))  # same pair, swapped
         with pytest.raises(DuplicateEdgeError):
             io.build_instance(inst.atoms, edges)
+
+    @pytest.mark.parametrize("pair, bounds, message", [
+        ((1, 2), (0.0, 0.0), "edge (1,2): bounds 0.0, 0.0 must satisfy 0 < lower <= upper"),
+        ((1, 3), (2.0, 2.5), "edge (1,3): distance across at most two bonds must be exact")])
+    def test_edge_record_checked_before_derivation(self, pair, bounds, message):
+        # deriving a bond angle or torsion domain from such an edge would
+        # raise another error, or blame another edge, first
+        inst = io.generate_instance(*io.synthetic_backbone(2, seed=1))
+        edges = {**inst.edges, pair: EdgeConstraint(*pair, *bounds)}
+        with pytest.raises(io.ValidationError) as err:
+            io.build_instance(inst.atoms, edges.values())
+        assert err.value.violations == [message]
+
+    def test_generated_edge_records_are_checked(self):
+        # atom 19 (the last H) on atom 2 (the first): their H-H edge gets
+        # lower bound 0
+        atoms, coords = io.synthetic_backbone(4, seed=1)
+        assert (atoms[1].name, atoms[18].name) == ("HN", "HA")
+        coords[:, 18] = coords[:, 1]
+        with pytest.raises(io.ValidationError) as err:
+            io.generate_instance(atoms, coords)
+        assert err.value.violations == [
+            "edge (2,19): bounds 0.0, 1.0 must satisfy 0 < lower <= upper"]
 
     def test_override_precedence(self, toy):
         inst, _ = toy

@@ -104,6 +104,15 @@ class TestCompiledView:
             if i >= 3:
                 assert ci.theta[i] == inst.bond_angles[i]
 
+    @settings(max_examples=20, deadline=None)
+    @given(instances())
+    def test_fields_are_ints_or_read_only_arrays(self, inst):
+        # one array view: no field carries a second, mutable copy of the instance
+        ci = CompiledInstance.of(inst)
+        for name, value in vars(ci).items():
+            assert isinstance(value, int) or (isinstance(value, np.ndarray)
+                                              and not value.flags.writeable), name
+
     @settings(max_examples=10, deadline=None)
     @given(instances(), st.integers(0, 2**32 - 1))
     def test_solve_leaves_instance_untouched(self, inst, seed):
@@ -231,12 +240,13 @@ class TestImprove:
     @settings(max_examples=200, deadline=None)
     @given(torsion_domains(), st.data())
     def test_sign_restriction_keeps_tau_side(self, dom, data):
-        # improve asks only for a nonzero tau inside the domain
+        # the reference restriction of the sweep oracle, asked only for a
+        # nonzero tau inside the domain
         tau = data.draw(st.floats(dom.lo, dom.hi))
         if dom.kind is DomainKind.SYMMETRIC and data.draw(st.booleans()):
             tau = -tau
         assume(tau != 0.0)
-        r = search.sign_restricted_domain(dom, tau)
+        r = oracles.sign_restricted_domain(dom, tau)
         assert r.kind is DomainKind.SINGLE
         assert dom.contains(r.lo) and dom.contains(r.hi)
         assert (r.lo >= 0.0) if tau > 0.0 else (r.hi <= 0.0)
@@ -319,11 +329,12 @@ class TestImprove:
     def test_skipped_flip_could_not_be_kept(self, inst, seed, n_tors, regrow_seed):
         # regrow every flip the sweep left out, to the last atom
         ci = CompiledInstance.of(inst)
+        domains = oracles.torsion_domains(ci)
         for i, X, tau, attempt in self.sweep_steps(ci, n_tors, seed):
-            dom = ci.torsion_domains[i]
+            dom = domains[i]
             if attempt is not None or tau[i] == 0.0 or not dom.contains(-tau[i]):
                 continue
-            trial = search.sign_restricted_domain(dom, -tau[i])
+            trial = oracles.sign_restricted_domain(dom, -tau[i])
             lo, hi, sym = (ci.tors_lo[i - 4:].copy(), ci.tors_hi[i - 4:].copy(),
                            ci.tors_sym[i - 4:].copy())
             lo[0], hi[0], sym[0] = trial.lo, trial.hi, False

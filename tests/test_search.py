@@ -1,5 +1,7 @@
+import inspect
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from idgp.model import (
     AtomRecord,
     CompiledInstance,
     Conformation,
-    DomainKind,
     EdgeConstraint,
     Instance,
     SelectionError,
@@ -75,26 +76,57 @@ class TestGreedyConstruction:
         np.testing.assert_array_equal(c1.coords, c2.coords)
 
 
-class TestSignRestrictedDomain:
-    def test_symmetric_positive_side(self):
-        dom = TorsionDomain.symmetric(0.5, 1.0)
-        r = search.sign_restricted_domain(dom, 0.7)
-        assert r.kind is DomainKind.SINGLE and (r.lo, r.hi) == (0.5, 1.0)
+def flip_at_atom_4(dom, t):
+    """Run one sweep with atom 4's domain `dom` and torsion `t`, the other
+    atoms left far from their edges so a flip at 4 could lower the LDE.
+    Returns the (lo, hi, symmetric) arrays of the flip attempt at atom 4, or
+    None if the sweep made none."""
+    atoms, coords = io.synthetic_backbone(2, seed=3, include_hydrogens=False)
+    edges = io.generate_instance(atoms, coords, include_torsion_annotations=False).edges
+    ci = CompiledInstance.of(io.build_instance(atoms, edges.values(), {4: dom}))
+    rng = np.random.default_rng(0)
+    tau, X = search.greedy_construction(ci, 5, rng)
+    tau[4] = t
+    X.coords[:, 3:] += 100.0
+    greedy, domains = search.greedy_construction, {}
+    signature = inspect.signature(greedy)
 
-    def test_symmetric_negative_side(self):
-        dom = TorsionDomain.symmetric(0.5, 1.0)
-        r = search.sign_restricted_domain(dom, -0.7)
-        assert r.kind is DomainKind.SINGLE and (r.lo, r.hi) == (-1.0, -0.5)
+    def recording(*args, **kwargs):
+        call = signature.bind(*args, **kwargs).arguments
+        domains.setdefault(call["prefix"].shape[1] + 1, call["domains"])
+        return greedy(*args, **kwargs)
 
-    def test_single_intersection(self):
-        dom = TorsionDomain.single(-0.4, 1.0)
-        r = search.sign_restricted_domain(dom, 0.2)
-        assert (r.lo, r.hi) == (0.0, 1.0)
-        r = search.sign_restricted_domain(dom, -0.2)
-        assert (r.lo, r.hi) == (-0.4, 0.0)
+    with mock.patch.object(search, "greedy_construction", recording):
+        search.improve(X, tau, ci, 5, rng)
+    if 4 not in domains:
+        return None
+    lo, hi, sym = domains[4]
+    # only atom 4's domain is restricted; the later atoms keep their own
+    assert (lo[1:].tobytes(), hi[1:].tobytes(), sym[1:].tobytes()) == \
+        (ci.tors_lo[1:].tobytes(), ci.tors_hi[1:].tobytes(), ci.tors_sym[1:].tobytes())
+    return lo[0], hi[0], sym[0]
 
 
 class TestImprove:
+    def test_flip_symmetric_to_positive_side(self):
+        assert flip_at_atom_4(TorsionDomain.symmetric(0.5, 1.0), -0.7) == (0.5, 1.0, False)
+
+    def test_flip_symmetric_to_negative_side(self):
+        assert flip_at_atom_4(TorsionDomain.symmetric(0.5, 1.0), 0.7) == (-1.0, -0.5, False)
+
+    def test_flip_single_across_zero(self):
+        dom = TorsionDomain.single(-0.4, 1.0)
+        assert flip_at_atom_4(dom, -0.2) == (0.0, 1.0, False)
+        assert flip_at_atom_4(dom, 0.2) == (-0.4, 0.0, False)
+
+    @pytest.mark.parametrize("dom, t", [
+        (TorsionDomain.single(-0.4, 1.0), 0.7),    # -0.7 is outside
+        (TorsionDomain.single(0.0, 1.0), 0.7),     # nothing on the negative side
+        (TorsionDomain.symmetric(0.5, 1.0), 0.0),  # no sign to flip
+        (TorsionDomain.point(0.7), 0.7)])
+    def test_flip_outside_the_domain_is_not_tried(self, dom, t):
+        assert flip_at_atom_4(dom, t) is None
+
     def test_never_increases_lde(self, toy):
         inst, _ = toy
         ci = CompiledInstance.of(inst)
