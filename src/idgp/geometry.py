@@ -82,6 +82,23 @@ def place_atoms_batch(x_im3, x_im2, x_im1, d: float, theta: float, taus):
     return x_im1[:, None] + U @ local
 
 
+def reflect_tail(X, i: int) -> np.ndarray:
+    """A copy of the 3 x n coordinates X with atoms i..n (1-based, i >= 4)
+    mirrored through the plane of atoms i-3, i-2, i-1.
+
+    Atoms 1..i-1 are copied bit for bit. In exact arithmetic the mirror
+    negates every torsion of atoms i..n and keeps every distance within
+    atoms 1..i-1 and within atoms i-3..n; rounding moves the reflected
+    atoms by a few ulps.
+    """
+    X = np.asarray(X, dtype=float)
+    u = local_frame(X[:, i - 4], X[:, i - 3], X[:, i - 2])[:, 1]  # plane normal
+    Y = X.copy()
+    tail = Y[:, i - 1:]
+    tail -= np.outer(2.0 * u, u @ (tail - X[:, i - 2, None]))
+    return Y
+
+
 def dihedral(a, b, c, d) -> float:
     """Signed torsion of the quadruple (a, b, c, d) in (-pi, pi].
 

@@ -13,10 +13,11 @@ a Unicode plus-minus) is the sign-symmetric union of both and needs tauL >= 0.
 Each rule, and any other record type, is a ParseError at its line; no E record is
 one at line 0. The whole instance then needs an edge (j, i) for each atom i >= 2
 and each max(1, i-3) <= j < i (ValidationError), checked before anything is
-derived from the edges; then a triangle for each bond angle and reachable
-three-apart bounds (other IdgpErrors), with no line. `build_instance` applies the
-same E rules to in-memory edges as a ValidationError, and `generate_instance`
-ends in it.
+derived from the edges; then a triangle for each bond angle at atom i, a ParseError
+at the line of E (i-2, i), and three-apart bounds (i-3, i) some torsion reaches, one
+at the line of that E. `build_instance` applies the same E rules, and the T rule
+4 <= i <= n, to in-memory records as a ValidationError (derivation errors there
+carry no line), and `generate_instance` ends in it.
 
 Reference/conformation files carry one atom per line, `index name residue
 x y z`: integers, index = atoms on earlier lines + 1, finite x, y, z. Each
@@ -68,7 +69,8 @@ class ProfileError(IdgpError):
 def build_instance(atoms, edges, torsion_overrides=None) -> Instance:
     """Check each edge record, given with either end first, against
     `edge_problem` (ValidationError) and assemble an Instance from them; a
-    repeated pair raises DuplicateEdgeError. `_complete` then checks the whole
+    repeated pair raises DuplicateEdgeError, and a torsion override for an
+    atom outside 4..n a ValidationError. `_complete` then checks the whole
     instance and derives the rest."""
     edge_map = {}
     for e in edges:
@@ -80,24 +82,39 @@ def build_instance(atoms, edges, torsion_overrides=None) -> Instance:
         if (i, j) in edge_map:
             raise DuplicateEdgeError(f"duplicate edge record for pair ({i},{j})")
         edge_map[(i, j)] = e
-    return _complete(Instance(atoms=list(atoms), edges=edge_map), torsion_overrides or {})
+    atoms = list(atoms)
+    overrides = torsion_overrides or {}
+    outside = [f"torsion override for atom {i} outside 4..{len(atoms)}"
+               for i in overrides if not 4 <= i <= len(atoms)]
+    if outside:
+        raise ValidationError(outside)
+    return _complete(Instance(atoms=atoms, edges=edge_map), overrides)
 
 
-def _complete(inst: Instance, overrides: dict) -> Instance:
+def _complete(inst: Instance, overrides: dict, path=None, edge_lines=None) -> Instance:
     """Raise ValidationError unless the whole-instance rules hold
     (`structure_problems`; the caller has checked each edge record), then
     derive bond angles and, where `overrides` gives none, torsion domains
-    from the edges."""
+    from the edges. Given the `path` and `edge_lines` (pair -> line) of a
+    file, a derivation error is a ParseError at the line of edge (i-2, i)
+    for a bond angle and of edge (i-3, i) for a torsion domain."""
     violations = structure_problems(inst)
     if violations:
         raise ValidationError(violations)
     edges = inst.edges
-    for i in range(3, inst.n + 1):
-        inst.bond_angles[i] = bond_angle_from_distances(
-            edges[(i - 2, i - 1)].lower, edges[(i - 1, i)].lower, edges[(i - 2, i)].lower)
-    for i in range(4, inst.n + 1):
-        inst.torsion_domains[i] = (overrides[i] if i in overrides
-                                   else geometry.torsion_domain_from_distance(inst, i))
+    try:
+        for i in range(3, inst.n + 1):
+            pair = (i - 2, i)
+            inst.bond_angles[i] = bond_angle_from_distances(
+                edges[(i - 2, i - 1)].lower, edges[(i - 1, i)].lower, edges[pair].lower)
+        for i in range(4, inst.n + 1):
+            pair = (i - 3, i)
+            inst.torsion_domains[i] = (overrides[i] if i in overrides
+                                       else geometry.torsion_domain_from_distance(inst, i))
+    except IdgpError as exc:
+        if edge_lines is None:
+            raise
+        raise ParseError(path, edge_lines[pair], str(exc)) from exc
     return inst
 
 
@@ -114,7 +131,7 @@ def _parse_domain(lo_deg, hi_deg, sign) -> TorsionDomain:
 
 def parse_instance(path) -> Instance:
     """Parse and fully validate an instance file (rules: module docstring)."""
-    atoms, edges, overrides = {}, {}, {}
+    atoms, edges, edge_lines, overrides = {}, {}, {}, {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -129,9 +146,11 @@ def parse_instance(path) -> Instance:
                     problem = edge_problem(e)
                     if problem:
                         raise ValueError(problem)
-                    if (e.i, e.j) in edges:
+                    key = e.i, e.j
+                    if key in edges:
                         raise ValueError(f"duplicate edge ({e.i},{e.j})")
-                    edges[(e.i, e.j)] = e
+                    edges[key] = e
+                    edge_lines[key] = line_no
                     atoms.setdefault(e.i, (tok[5], int(tok[6])))  # name, residue
                     atoms.setdefault(e.j, (tok[7], int(tok[8])))
                 elif tok[0] == "T":
@@ -154,7 +173,8 @@ def parse_instance(path) -> Instance:
         if not 4 <= i <= n:
             raise ParseError(path, line_no, f"torsion record for atom {i} outside 4..{n}")
     atom_list = [AtomRecord(k, *atoms.get(k, ("X", 0))) for k in range(1, n + 1)]
-    return _complete(Instance(atom_list, edges), {i: dom for i, (_, dom) in overrides.items()})
+    return _complete(Instance(atom_list, edges), {i: dom for i, (_, dom) in overrides.items()},
+                     path, edge_lines)
 
 
 def _fmt(x: float) -> str:

@@ -72,18 +72,30 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     return tau, Conformation(X)
 
 
-def _last_useful_flip(X, lde: float, ci: CompiledInstance) -> int:
-    """The smallest larger end (1-based) of the edges whose violation is
-    `lde`: a flip at any later atom keeps such an edge as it is, so it
-    cannot lower the LDE."""
-    return int(ci.jj[metrics._residuals(X, ci) == lde].min()) + 1
+def _last_useful_flip(res, lde: float, ci: CompiledInstance) -> int:
+    """The smallest larger end (1-based) of the edges whose violation in the
+    residuals `res` is `lde`: a flip at any later atom keeps such an edge as
+    it is, so it cannot lower the LDE."""
+    return int(ci.jj[res == lde].min()) + 1
 
 
 def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
             deadline: float = math.inf):
-    """One sweep of sign flips; each flip is kept only if the global LDE
-    strictly decreases. Never increases the LDE. No flip is tried after
-    `deadline` (a time.monotonic() value).
+    """A pass of partial reflections, then, if it kept none, one sweep of
+    sign flips. A reflection or flip is kept only if the global LDE strictly
+    decreases, so neither raises the LDE. Nothing is tried after `deadline`
+    (a time.monotonic() value).
+
+    A reflection at atom i mirrors atoms i..n through the plane of atoms
+    i-3, i-2, i-1 (`geometry.reflect_tail`) and negates tau[k] for k >= i;
+    it draws no random numbers. It changes only the edges (j, k) with
+    j < i-3 and k >= i, so it is tried only for i in the window
+    max(j) + 3 < i <= min(k) over the edges whose violation is the current
+    LDE, and only if every atom k >= i has -tau[k] in its domain
+    (`ci.tors_sym` or `ci.tors_lo <= -tau[k] <= ci.tors_hi`). Each scan of
+    the window keeps the reflection that lowers the LDE most (the smallest
+    such i on a tie), and the pass scans the new window, until a scan keeps
+    none.
 
     A flip at atom i keeps atoms 1..i-1 and their torsions, draws torsions
     for atoms i..n only, with atom i's sign forced, and regrows i..n
@@ -94,8 +106,33 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
     smallest larger end of the edges whose violation is the current LDE: it
     would keep such an edge as it is, so it could not be kept. J is found
     again after each kept flip."""
-    current_lde = metrics.lde_global(X, ci)
-    last = _last_useful_flip(X, current_lde, ci)
+    res = metrics._residuals(X, ci)
+    current_lde = float(res.max())
+    reflected = False
+    while current_lde > 0.0:
+        at = res == current_lde
+        neg = -np.fromiter((tau[k] for k in range(4, ci.n + 1)), float, ci.n - 3)
+        bad = np.flatnonzero(~(ci.tors_sym | (ci.tors_lo <= neg) & (neg <= ci.tors_hi)))
+        # past the last atom that may not flip, every later atom may
+        first = max(int(ci.ii[at].max()) + 5, int(bad[-1]) + 5 if bad.size else 4)
+        best = None  # (LDE, i, coordinates, residuals) of the lowest LDE so far
+        for i in range(first, int(ci.jj[at].min()) + 2):
+            if time.monotonic() > deadline:
+                break
+            Y = geometry.reflect_tail(as_coords(X), i)
+            res_y = metrics._residuals(Y, ci)
+            lde_y = float(res_y.max())
+            if lde_y < (current_lde if best is None else best[0]):
+                best = lde_y, i, Y, res_y
+        if best is None:
+            break
+        current_lde, i, Y, res = best
+        X, reflected = Conformation(Y), True
+        tau = {k: -t if k >= i else t for k, t in tau.items()}
+    if reflected:
+        return X, tau
+
+    last = _last_useful_flip(res, current_lde, ci)
     for i in range(4, ci.n + 1):
         if i > last:
             break
@@ -121,7 +158,7 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
         if lde_trial < current_lde:
             X, current_lde = X_trial, lde_trial
             tau = {**{k: tau[k] for k in range(4, i)}, **placed}
-            last = _last_useful_flip(X, current_lde, ci)
+            last = _last_useful_flip(metrics._residuals(X, ci), current_lde, ci)
     return X, tau
 
 

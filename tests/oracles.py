@@ -3,9 +3,10 @@ per-edge loops for the array code of `idgp.metrics` and
 `idgp.model.CompiledInstance`, column gathers for the flat-index edge kernel
 of `idgp.metrics`, numpy vector ops for the scalar-float
 `idgp.geometry.local_frame`, one numpy draw call per domain for the
-single-call `idgp.geometry.sample_torsions`, and a prefix-keeping sign-flip
-sweep that regrows every attempt to the last atom, with its sign restriction
-on `TorsionDomain` objects, for `idgp.search.improve`."""
+single-call `idgp.geometry.sample_torsions`, and, for `idgp.search.improve`,
+a reflection pass that tries every atom and tests each domain on its own,
+then a prefix-keeping sign-flip sweep that regrows every attempt to the last
+atom, with its sign restriction on `TorsionDomain` objects."""
 
 import numpy as np
 
@@ -193,7 +194,43 @@ def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
     return tau, Conformation(X)
 
 
+# The reflection pass as a plain scan: every i in 4..n, in order, is tried
+# when each edge at the current LDE has j < i - 3 and k >= i (the edges a
+# reflection at i changes; outside that window rounding alone could lower the
+# LDE by an ulp) and every atom k >= i has -tau[k] in its TorsionDomain; the
+# first lowest LDE below the current one is kept, and the scan starts again.
+# `idgp.search.improve` must keep the same reflections, then sweep only if it
+# kept none.
+
+def reflection_pass(X, tau, ci):
+    """Returns the conformation, its torsions and whether a reflection was kept."""
+    domains = torsion_domains(ci)
+    kept = False
+    while True:
+        res = residuals(X.coords, ci)
+        lde = res.max()
+        at = [(j + 1, k + 1) for j, k, r in zip(ci.ii.tolist(), ci.jj.tolist(), res.tolist())
+              if r == lde]
+        for i in range(4, ci.n + 1):
+            if not all(j < i - 3 and k >= i for j, k in at):
+                continue
+            if not all(domains[k].contains(-tau[k]) for k in range(i, ci.n + 1)):
+                continue
+            Y = geometry.reflect_tail(X.coords, i)
+            lde_y = metrics.lde_global(Y, ci)
+            if lde_y < lde:
+                lde, best = lde_y, (i, Y)
+        if lde == res.max():
+            return X, tau, kept
+        i, Y = best
+        X, kept = Conformation(Y), True
+        tau = {k: -t if k >= i else t for k, t in tau.items()}
+
+
 def improve(X, tau, ci, n_tors, rng):
+    X, tau, kept = reflection_pass(X, tau, ci)
+    if kept:
+        return X, tau
     current_lde = metrics.lde_global(X, ci)
     domains = torsion_domains(ci)
     for i in range(4, ci.n + 1):

@@ -173,6 +173,22 @@ E 1 4 2.8 3.2 N 1 N 2
         i, j = pair.split()
         assert err.value.violations == [f"missing required edge ({i},{j})"]
 
+    @pytest.mark.parametrize("old, new, where, message", [
+        pytest.param("E 1 4 2.8 3.2", "E 1 4 9 9.5", ":7:",
+                     "edge (1,4) bounds [9.0,9.5] outside the reachable distance range",
+                     id="unreachable (1,4)"),
+        pytest.param("E 1 3 2.5 2.5", "E 1 3 3.5 3.5", ":5:",
+                     "no triangle with sides 1.5, 1.5, 3.5", id="no triangle (1,3)")])
+    def test_derivation_errors_raise_with_location(self, tmp_path, old, new, where,
+                                                   message):
+        # each record is valid on its own; deriving atom i's torsion domain
+        # or bond angle fails, and the error names the line of (i-3, i) or
+        # (i-2, i)
+        path = self._write(tmp_path, self.VALID.replace(old, new))
+        with pytest.raises(io.ParseError) as err:
+            io.parse_instance(path)
+        assert str(err.value) == f"{path}{where} {message}"
+
 
 class TestReferenceFiles:
     def test_round_trip(self, tmp_path):
@@ -359,6 +375,14 @@ class TestBuildInstance:
                                     torsion_overrides={5: dom})
         assert rebuilt.torsion_domains[5] is dom
         assert rebuilt.torsion_domains[4].kind is DomainKind.SYMMETRIC
+
+    def test_override_outside_the_chain_raises(self):
+        inst = io.generate_instance(*io.synthetic_backbone(2, seed=1))
+        dom = TorsionDomain.single(0.1, 0.2)
+        with pytest.raises(io.ValidationError) as err:
+            io.build_instance(inst.atoms, inst.edges.values(), {3: dom, 99: dom})
+        assert err.value.violations == ["torsion override for atom 3 outside 4..10",
+                                        "torsion override for atom 99 outside 4..10"]
 
 
 class TestSyntheticBackbone:

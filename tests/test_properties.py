@@ -1,7 +1,7 @@
 """Properties of the compiled array view, the stress model, the solver's
 pool, the improvement sweep's sign restriction, early stop, kept prefix and
-skipped flips, the batched torsion sampler, and the instance file format,
-checked on random valid instances and domains."""
+skipped flips, the reflection pass, the batched torsion sampler, and the
+instance file format, checked on random valid instances and domains."""
 
 import inspect
 import math
@@ -280,28 +280,54 @@ class TestImprove:
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
     @staticmethod
-    def sweep_steps(ci, n_tors, seed):
-        """Run one sweep on a fresh construction; returns the conformation
-        and torsions before each atom's turn, and that atom's attempt
-        (None if the sweep made none), for atoms 4..n."""
-        rng = np.random.default_rng(seed)
-        tau, X = search.greedy_construction(ci, n_tors, rng)
-        attempts = {}
-        greedy = search.greedy_construction
+    def improve_recorded(X, tau, ci, n_tors, rng):
+        """Run `search.improve`; returns its output, the (X, i, result) of
+        each `geometry.reflect_tail` call, whether its pass kept a reflection,
+        and the (prefix, domains, result) of each `greedy_construction` call."""
+        reflections, attempts = [], []
+        reflect, greedy = geometry.reflect_tail, search.greedy_construction
         signature = inspect.signature(greedy)
 
-        def recording(*args, **kwargs):
-            call = signature.bind(*args, **kwargs).arguments
-            out = greedy(*args, **kwargs)
-            # the flipped atom is the one whose domain differs from the instance's
-            start = call["prefix"].shape[1] + 1
-            own = ci.tors_lo[start - 4:], ci.tors_hi[start - 4:], ci.tors_sym[start - 4:]
-            differs = np.logical_or.reduce([a != b for a, b in zip(call["domains"], own)])
-            attempts[start + int(np.flatnonzero(differs)[0])] = out
-            return out
+        def recording_reflect(X, i):
+            reflections.append((X, i, reflect(X, i)))
+            return reflections[-1][2]
 
-        with mock.patch.object(search, "greedy_construction", recording):
+        def recording_greedy(*args, **kwargs):
+            call = signature.bind(*args, **kwargs).arguments
+            attempts.append((call["prefix"], call["domains"], greedy(*args, **kwargs)))
+            return attempts[-1][2]
+
+        with mock.patch.object(geometry, "reflect_tail", recording_reflect), \
+                mock.patch.object(search, "greedy_construction", recording_greedy):
             X_out, tau_out = search.improve(X, tau, ci, n_tors, rng)
+        reflected = any(Y is X_out.coords for _, _, Y in reflections)
+        return X_out, tau_out, reflections, reflected, attempts
+
+    @classmethod
+    def sweep_steps(cls, ci, n_tors, seed):
+        """Run `improve` on a fresh construction, and once more if its
+        reflection pass kept a reflection (the sweep then does not run; the
+        second pass starts where the first stopped and keeps none). Returns
+        the conformation and torsions before each atom's turn in the sweep
+        that ran, and that atom's attempt (None if the sweep made none), for
+        atoms 4..n."""
+        rng = np.random.default_rng(seed)
+        tau, X = search.greedy_construction(ci, n_tors, rng)
+        for _ in range(2):
+            X_out, tau_out, _, reflected, calls = cls.improve_recorded(X, tau, ci, n_tors,
+                                                                       rng)
+            if not reflected:
+                break
+            assert not calls
+            X, tau = X_out, tau_out
+        assert not reflected
+        attempts = {}
+        for prefix, domains, out in calls:
+            # the flipped atom is the one whose domain differs from the instance's
+            start = prefix.shape[1] + 1
+            own = ci.tors_lo[start - 4:], ci.tors_hi[start - 4:], ci.tors_sym[start - 4:]
+            differs = np.logical_or.reduce([a != b for a, b in zip(domains, own)])
+            attempts[start + int(np.flatnonzero(differs)[0])] = out
         steps = []
         for i in range(4, ci.n + 1):
             steps.append((i, X, tau, attempts.get(i)))
@@ -367,6 +393,89 @@ class TestImprove:
         assert tau == tau_o and conf.coords.tobytes() == conf_o.coords.tobytes()
 
 
+class TestReflectionPass:
+    @staticmethod
+    def pass_steps(ci, n_tors, seed):
+        """Run `improve` on a fresh construction; returns, for each
+        reflection its pass tried, (conformation, torsions, i, result,
+        whether it was kept), and the torsions `improve` returned."""
+        rng = np.random.default_rng(seed)
+        tau, X = search.greedy_construction(ci, n_tors, rng)
+        X_out, tau_out, reflections, reflected, _ = TestImprove.improve_recorded(
+            X, tau, ci, n_tors, rng)
+        # a kept reflection is the start of the next scan, or the output
+        taus = {id(X.coords): tau}  # torsions of each conformation scanned from
+        steps = []
+        for r, (X_in, i, Y) in enumerate(reflections):
+            kept = Y is X_out.coords or any(Y is Z for Z, _, _ in reflections[r + 1:])
+            if kept:
+                taus[id(Y)] = {k: -t if k >= i else t for k, t in taus[id(X_in)].items()}
+            steps.append((X_in, taus[id(X_in)], i, Y, kept))
+        assert reflected == any(step[4] for step in steps)
+        if reflected:
+            assert taus[id(X_out.coords)] == tau_out
+        return steps
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @example(SWEEP_CASE, 0, 1)
+    def test_reflection_keeps_the_prefix(self, inst, seed, n_tors):
+        # every tried reflection, so also every kept one
+        for X, _, i, Y, _ in self.pass_steps(CompiledInstance.of(inst), n_tors, seed):
+            assert Y[:, :i - 1].tobytes() == X[:, :i - 1].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @example(SWEEP_CASE, 0, 1)
+    def test_negated_torsions_match_the_geometry(self, inst, seed, n_tors):
+        ci = CompiledInstance.of(inst)
+        for _, tau, i, Y, kept in self.pass_steps(ci, n_tors, seed):
+            if not kept:
+                continue
+            for k in range(i, ci.n + 1):
+                measured = geometry.dihedral(*(Y[:, a] for a in range(k - 4, k)))
+                assert abs(math.remainder(measured + tau[k], 2.0 * math.pi)) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @example(SWEEP_CASE, 0, 1)
+    def test_no_reflection_leaves_a_domain(self, inst, seed, n_tors):
+        # every tried reflection, so no kept one puts a torsion outside
+        ci = CompiledInstance.of(inst)
+        domains = oracles.torsion_domains(ci)
+        for _, tau, i, _, _ in self.pass_steps(ci, n_tors, seed):
+            assert all(domains[k].contains(-tau[k]) for k in range(i, ci.n + 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @example(SWEEP_CASE, 0, 1)
+    def test_tried_only_where_every_edge_at_the_lde_changes(self, inst, seed, n_tors):
+        # j < i - 3 and k >= i for each edge (j, k) at the LDE; elsewhere the
+        # reflection keeps such an edge, up to rounding
+        ci = CompiledInstance.of(inst)
+        for X, _, i, _, _ in self.pass_steps(ci, n_tors, seed):
+            res = oracles.residuals(X, ci)
+            at = res == res.max()
+            assert ci.ii[at].max() + 1 < i - 3 and ci.jj[at].min() + 1 >= i
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @example(SWEEP_CASE, 0, 1)
+    def test_lde_never_rises(self, inst, seed, n_tors):
+        # a scan of the window from X keeps its first lowest LDE if that is
+        # below X's, else nothing; the next scan starts from what it kept
+        ci = CompiledInstance.of(inst)
+        scans = []
+        for X, _, _, Y, kept in self.pass_steps(ci, n_tors, seed):
+            if not scans or scans[-1][0] is not X:
+                scans.append((X, [], []))
+            scans[-1][1].append(metrics.lde_global(Y, ci))
+            scans[-1][2].append(kept)
+        for X, ldes, kept in scans:
+            lowest = ldes.index(min(ldes)) if min(ldes) < metrics.lde_global(X, ci) else None
+            assert kept == [r == lowest for r in range(len(ldes))]
+
+
 class TestSampleTorsions:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(sampler_domains(), max_size=8), st.integers(1, 9),
@@ -421,9 +530,10 @@ class TestInstanceFileRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(instances(), st.data())
     def test_file_and_memory_apply_one_edge_rule(self, tmp_path_factory, inst, data):
-        """With one edge's bounds replaced, parse_instance raises ParseError at
-        that edge's line exactly when validate_instance, given the same
-        instance in memory, reports that edge."""
+        """With one edge's bounds replaced, parse_instance raises a record's
+        ParseError at that edge's line exactly when validate_instance, given
+        the same instance in memory, reports that edge; a derivation it
+        breaks is a ParseError at the line of an edge spanning it."""
         keys = sorted(inst.edges)
         i, j = key = data.draw(st.sampled_from(keys))
         bound = st.one_of(st.sampled_from([0.0, -1.5, math.nan, math.inf, -math.inf]),
@@ -440,6 +550,13 @@ class TestInstanceFileRoundTrip:
             line = None
         except io.ParseError as exc:
             line = exc.line_no
-        except IdgpError:  # a rule of the whole instance, such as a triangle
+            if not isinstance(exc.__cause__, ValueError):
+                # deriving atom a's bond angle or torsion domain failed, at
+                # the line of edge (a-2, a) or (a-3, a); the edges it reads
+                # lie within atoms a-2..a or a-3..a
+                first, a = keys[line - 2]
+                assert a - first in (2, 3) and first <= i < j <= a
+                line = None
+        except IdgpError:  # a rule of the whole instance
             line = None
         assert line == (2 + keys.index(key) if reported else None)

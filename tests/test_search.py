@@ -160,13 +160,21 @@ class TestImprove:
         assert fixed == hard
 
     def test_past_deadline_tries_no_flip(self, hard):
-        inst, _ = hard
-        ci = CompiledInstance.of(inst)
-        rng = np.random.default_rng(0)
-        tau, conf = search.greedy_construction(ci, 5, rng)
-        state = rng.bit_generator.state
-        X, tau_out = search.improve(conf, tau, ci, 5, rng, deadline=-math.inf)
-        assert X is conf and tau_out is tau
+        # on the pinned chain at seed 0, greedy with one sample per atom
+        # commits an atom to the wrong sign, which a reflection repairs
+        pinned, _ = pinned_sign_instance()
+        for inst, n_tors in ((hard[0], 5), (pinned, 1)):
+            ci = CompiledInstance.of(inst)
+            rng = np.random.default_rng(0)
+            tau, conf = search.greedy_construction(ci, n_tors, rng)
+            state = rng.bit_generator.state
+            X, tau_out = search.improve(conf, tau, ci, n_tors, rng, deadline=-math.inf)
+            assert X is conf and tau_out is tau
+            assert rng.bit_generator.state == state
+        # with no deadline the LDE drops and nothing is drawn: a reflection
+        # was kept, and the sweep did not run
+        X, _ = search.improve(conf, tau, ci, 1, rng)
+        assert metrics.lde_global(X, ci) < 1e-8 < metrics.lde_global(conf, ci)
         assert rng.bit_generator.state == state
 
 
