@@ -133,8 +133,8 @@ def _read_results_table(path) -> dict:
 
 def cmd_profile(args) -> int:
     labels = args.labels or [Path(p).stem for p in args.results]
-    if len(labels) != len(args.results):
-        raise io.ProfileError("--labels count must match --results count")
+    if len(labels) != len(args.results) or len(set(labels)) < len(labels):
+        raise io.ProfileError(f"need one distinct label per --results file, got {labels}")
     results = {lab: _read_results_table(p) for lab, p in zip(labels, args.results)}
     profile = io.performance_profile(results)
     lines = [f"{lab}\t{t:.6g}\t{rho:.6g}"

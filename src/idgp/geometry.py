@@ -51,9 +51,9 @@ def local_frame(x_im3, x_im2, x_im1) -> np.ndarray:
     vn = math.sqrt(v.dot(v))
     e0, e1, e2 = v0 / vn, v1 / vn, v2 / vn
     n0, n1, n2 = c0 / cn, c1 / cn, c2 / cn
-    return np.array(((e0, n0, n1 * e2 - n2 * e1),
-                     (e1, n1, n2 * e0 - n0 * e2),
-                     (e2, n2, n0 * e1 - n1 * e0)))
+    return np.array((e0, n0, n1 * e2 - n2 * e1,
+                     e1, n1, n2 * e0 - n0 * e2,
+                     e2, n2, n0 * e1 - n1 * e0)).reshape(3, 3)
 
 
 def place_atom(x_im3, x_im2, x_im1, d: float, theta: float, tau: float):
@@ -70,16 +70,19 @@ def place_atom(x_im3, x_im2, x_im1, d: float, theta: float, tau: float):
     return x_im1 + U @ local
 
 
-def place_atoms_batch(x_im3, x_im2, x_im1, d: float, theta: float, taus):
-    """Vectorized `place_atom` over an array of torsions; returns 3 x len(taus)."""
-    U = local_frame(x_im3, x_im2, x_im1)
-    taus = np.asarray(taus, dtype=float)
-    s = d * math.sin(theta)
-    local = np.empty((3, taus.size))
-    local[0] = -d * math.cos(theta)
-    np.multiply(s, np.sin(taus), out=local[1])
-    np.multiply(s, np.cos(taus), out=local[2])
-    return x_im1[:, None] + U @ local
+def place_atoms_batch(x_im3, x_im2, x_im1, local):
+    """`place_atom` over a 3 x k block of local coordinates; returns 3 x k."""
+    return x_im1[:, None] + local_frame(x_im3, x_im2, x_im1) @ local
+
+
+def _local_table(axial, radial, taus) -> np.ndarray:
+    """Local coordinates (k x 3 x size) of k atoms' k x size torsions `taus`: block
+    r is (axial[r], radial[r] sin tau, radial[r] cos tau) for `place_atoms_batch`."""
+    local = np.empty((taus.shape[0], 3, taus.shape[1]))
+    local[:, 0] = axial[:, None]
+    np.multiply(radial[:, None], np.sin(taus), out=local[:, 1])
+    np.multiply(radial[:, None], np.cos(taus), out=local[:, 2])
+    return local
 
 
 def reflect_tail(X, i: int) -> np.ndarray:

@@ -10,15 +10,16 @@ _SMOOTHNESS_TOL = 1e-12
 def _edge_lengths(flat: np.ndarray, ci: CompiledInstance):
     """Edge vectors x_i - x_j (3 x m) and their lengths, gathered from the
     row-major flattened 3 x n coordinates (or a z that starts with them)."""
-    diff = flat[ci.ii3] - flat[ci.jj3]
+    diff = flat.take(ci.ii3)
+    diff -= flat.take(ci.jj3)
     sq = diff * diff
     return diff, np.sqrt(sq[0] + sq[1] + sq[2])
 
 
 def _violations(r: np.ndarray, ci: CompiledInstance) -> np.ndarray:
     """Normalized interval violation of edge lengths r; zero iff satisfied."""
-    return np.maximum(0.0, np.maximum((ci.lower - r) / ci.lower,
-                                      (r - ci.upper) / ci.upper))
+    v = np.maximum((ci.lower - r) / ci.lower, (r - ci.upper) / ci.upper)
+    return np.maximum(0.0, v, out=v)
 
 
 def _residuals(X, ci: CompiledInstance) -> np.ndarray:
@@ -28,11 +29,11 @@ def _residuals(X, ci: CompiledInstance) -> np.ndarray:
 
 
 def lde_global(X, ci: CompiledInstance) -> float:
-    return float(_residuals(X, ci).max())
+    return float(np.maximum.reduce(_residuals(X, ci)))
 
 
 def mde_global(X, ci: CompiledInstance) -> float:
-    return float(_residuals(X, ci).mean())
+    return float(np.add.reduce(_residuals(X, ci)) / ci.ii.size)
 
 
 class StressProblem:
@@ -52,6 +53,7 @@ class StressProblem:
         self.n = ci.n
         self.m = ci.ii.size
         self.w, self.lower, self.upper = ci.w, ci.lower, ci.upper
+        self._ii3, self._jj3 = ci.ii3.ravel(), ci.jj3.ravel()
         self._z = self._z_edges = None
 
     def pack(self, coords: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -75,26 +77,29 @@ class StressProblem:
         """The solve criterion MDE <= eps_mde or LDE <= eps_lde on z's
         coordinate block, equal to mde_global/lde_global of unpack(z)."""
         res = _violations(self._edges(z)[1], self.ci)
-        return float(res.mean()) <= eps_mde or float(res.max()) <= eps_lde
+        return bool(np.add.reduce(res) / self.m <= eps_mde
+                    or np.maximum.reduce(res) <= eps_lde)
 
     def project(self, z: np.ndarray) -> np.ndarray:
         out = z.copy()
-        nc = 3 * self.n
-        np.clip(out[nc:], self.lower, self.upper, out=out[nc:])
+        d = out[3 * self.n:]  # np.clip's max then min, without its wrapper
+        np.minimum(np.maximum(d, self.lower, out=d), self.upper, out=d)
         return out
 
     def objective(self, z: np.ndarray) -> float:
         _, r = self._edges(z)
-        d = z[3 * self.n:]
-        return float(0.5 * np.sum(self.w * (r - d) ** 2))
+        t = r - z[3 * self.n:]
+        return float(0.5 * np.add.reduce(self.w * (t * t)))
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
         diff, r = self._edges(z)
-        if r.size and r.min() <= _SMOOTHNESS_TOL:
+        if r.size and np.minimum.reduce(r) <= _SMOOTHNESS_TOL:
             raise NonsmoothPointError("coincident endpoints on an edge")
         nc = 3 * self.n
         t = self.w * (r - z[nc:])
         unit = (diff * (t / r)).ravel()
-        gX = (np.bincount(self.ci.ii3.ravel(), weights=unit, minlength=nc)
-              - np.bincount(self.ci.jj3.ravel(), weights=unit, minlength=nc))
-        return np.concatenate([gX, -t])
+        out = np.empty(nc + self.m)
+        np.subtract(np.bincount(self._ii3, weights=unit, minlength=nc),
+                    np.bincount(self._jj3, weights=unit, minlength=nc), out=out[:nc])
+        np.negative(t, out=out[nc:])
+        return out

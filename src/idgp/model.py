@@ -197,18 +197,18 @@ class CompiledInstance:
 
     Edges are sorted by (i, j) with 0-based ends `ii` < `jj`; `ii3`/`jj3`
     (3 x m) index the same ends in the row-major flattened 3 x n coordinates,
-    `ii + n * row` for rows 0..2. `w` holds the stress weights
-    (discretization edges doubled, sum 1). Row i of the
-    back-edge CSR, `back_ptr[i - 1]:back_ptr[i]`, lists the edges (j, i)
-    with j < i in ascending j: 0-based j in `back_col`, bounds in
-    `back_lower`/`back_upper`. `d_prev[i]` is d_{i-1,i} and `theta[i]` the
-    bond angle at atom i (1-based; nan where undefined). Entry i - 4 of
-    `tors_lo`/`tors_hi`/`tors_sym` holds atom i's torsion domain (i >= 4)
-    as `geometry.sample_torsions` takes it (nan bounds where undefined); it
-    is the solver's only copy of the domains. `rmsd_sel` holds the 0-based
-    atoms an RMSD compares: all of them for n <= 200, otherwise the CA-named
-    ones (empty if there are none). Every field is an int or a read-only
-    array.
+    `ii + n * row` for rows 0..2. `w` holds the stress weights (discretization
+    edges doubled, sum 1). Row i of the back-edge CSR,
+    `back_ptr[i - 1]:back_ptr[i]`, lists the edges (j, i) with j < i in
+    ascending j: 0-based j in `back_col`, bounds in `back_lower`/`back_upper`.
+    `d_prev[i]` is d_{i-1,i}, `theta[i]` the bond angle at atom i, and
+    `axial[i]`/`radial[i]` are -d_prev[i] cos(theta[i])/d_prev[i] sin(theta[i])
+    (1-based; nan where undefined). Entry i - 4 of `tors_lo`/`tors_hi`/
+    `tors_sym` holds atom i's torsion domain (i >= 4) as
+    `geometry.sample_torsions` takes it (nan bounds where undefined); it is
+    the solver's only copy of the domains. `rmsd_sel` holds the 0-based atoms
+    an RMSD compares: all of them for n <= 200, otherwise the CA-named ones
+    (empty if there are none). Every field is an int or a read-only array.
     """
 
     n: int
@@ -225,6 +225,8 @@ class CompiledInstance:
     back_upper: np.ndarray
     d_prev: np.ndarray
     theta: np.ndarray
+    axial: np.ndarray
+    radial: np.ndarray
     tors_lo: np.ndarray
     tors_hi: np.ndarray
     tors_sym: np.ndarray
@@ -242,6 +244,8 @@ class CompiledInstance:
         back_ptr = np.concatenate(([0], np.cumsum(np.bincount(jj, minlength=inst.n))))
         d_prev = [math.nan] * 2 + [inst.edge(i - 1, i).lower for i in range(2, inst.n + 1)]
         theta = [inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)]
+        axial = [-d * math.cos(t) for d, t in zip(d_prev, theta)]
+        radial = [d * math.sin(t) for d, t in zip(d_prev, theta)]
         rows = inst.n * np.arange(3)[:, None]
         doms = [inst.torsion_domains.get(i) for i in range(4, inst.n + 1)]
         if inst.n <= _CA_SUBSET_THRESHOLD:
@@ -251,7 +255,7 @@ class CompiledInstance:
                                 dtype=int)
         view = cls(inst.n, ii, jj, ii + rows, jj + rows, lower, upper, w / w.sum(),
                    back_ptr, ii[by_end], lower[by_end], upper[by_end], np.array(d_prev),
-                   np.array(theta),
+                   np.array(theta), np.array(axial), np.array(radial),
                    np.array([d.lo if d else math.nan for d in doms], dtype=float),
                    np.array([d.hi if d else math.nan for d in doms], dtype=float),
                    np.array([d is not None and d.kind is DomainKind.SYMMETRIC

@@ -31,11 +31,12 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     `geometry.place_first_three`. `domains` is (lo, hi, symmetric) for atoms
     s..n, arrays laid out like `ci.tors_lo[s - 4:]`, `ci.tors_hi[s - 4:]`
     and `ci.tors_sym[s - 4:]`, which are the default. The torsions of atoms
-    s..n are drawn first, in one call, so the generator ends in the same
-    state however far the construction gets. Returns (torsion assignment
-    dict of atoms s..n, Conformation), or (the torsions placed so far, None)
-    as soon as a chosen candidate violates one of its edges by at least
-    `bound`: the finished conformation's LDE could not be below it.
+    s..n are drawn and turned into local coordinates first, one call each, so
+    the generator ends in the same state however far the construction gets.
+    Returns (torsion assignment dict of atoms s..n, Conformation), or (the
+    torsions placed so far, None) as soon as a chosen candidate violates one
+    of its edges by at least `bound`: the finished conformation's LDE could
+    not be below it.
     """
     if prefix is None:
         prefix = np.column_stack(geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
@@ -44,16 +45,16 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     if domains is None:
         domains = ci.tors_lo[start - 4:], ci.tors_hi[start - 4:], ci.tors_sym[start - 4:]
     draws = geometry.sample_torsions(*domains, rng, n_tors)
+    table = geometry._local_table(ci.axial[start:], ci.radial[start:], draws)
     X = np.empty((3, ci.n))
     X[:, :start - 1] = prefix
-    ptr, d_prev, theta = ci.back_ptr.tolist(), ci.d_prev.tolist(), ci.theta.tolist()
+    ptr = ci.back_ptr.tolist()
     back_lower, back_upper = ci.back_lower[:, None], ci.back_upper[:, None]
     tau = {}
-    for i, taus in enumerate(draws, start=start):
+    for i, (taus, local) in enumerate(zip(draws, table), start=start):
         rows = slice(ptr[i - 1], ptr[i])
         lower, upper = back_lower[rows], back_upper[rows]
-        cand = geometry.place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2],
-                                          d_prev[i], theta[i], taus)
+        cand = geometry.place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2], local)
         # r = ||cand - x_j||, summed in np.linalg.norm(axis=0)'s order; the
         # operations of metrics.lde_global (its edge vector is negated, which
         # squaring undoes exactly), so worst[best] is a lower bound on the LDE
@@ -63,10 +64,10 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
         delta = (lower - r) / lower
         np.maximum(delta, (r - upper) / upper, out=delta)
         # the clamp at 0 ties all satisfied candidates; argmin keeps the first
-        worst = delta.max(axis=0)
+        worst = np.maximum.reduce(delta, axis=0)
         best = np.maximum(worst, 0.0, out=worst).argmin()
         X[:, i - 1] = cand[:, best]
-        tau[i] = float(taus[best])
+        tau[i] = taus.item(best)
         if worst[best] >= bound:
             return tau, None
     return tau, Conformation(X)

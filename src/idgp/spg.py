@@ -79,7 +79,7 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
             gx = g(x)
         except NonsmoothPointError:
             return None
-        return gx if np.all(np.isfinite(gx)) else None
+        return gx if np.isfinite(gx).all() else None
 
     z = np.asarray(z0, dtype=float).copy()
     fz = f(z)
@@ -108,7 +108,7 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
             break
         k += 1
         direction = project(z - lam * gz) - z
-        if float(np.max(np.abs(direction))) <= _STEP_ZERO_TOL:
+        if np.maximum.reduce(np.abs(direction)) <= _STEP_ZERO_TOL:
             status = SpgStatus.STALLED
             break
 

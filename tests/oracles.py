@@ -1,12 +1,16 @@
 """Reference implementations the optimized code is checked against: scalar
 per-edge loops for the array code of `idgp.metrics` and
 `idgp.model.CompiledInstance`, column gathers for the flat-index edge kernel
-of `idgp.metrics`, numpy vector ops for the scalar-float
-`idgp.geometry.local_frame`, one numpy draw call per domain for the
-single-call `idgp.geometry.sample_torsions`, and, for `idgp.search.improve`,
-a reflection pass that tries every atom and tests each domain on its own,
-then a prefix-keeping sign-flip sweep that regrows every attempt to the last
-atom, with its sign restriction on `TorsionDomain` objects."""
+of `idgp.metrics` and np.clip for its projection, numpy vector ops for the
+scalar-float `idgp.geometry.local_frame`, per-atom trig for the
+local-coordinate table of `idgp.geometry.place_atoms_batch`, one numpy draw
+call per domain for the single-call `idgp.geometry.sample_torsions`, and,
+for `idgp.search.improve`, a reflection pass that tries every atom and tests
+each domain on its own, then a prefix-keeping sign-flip sweep that regrows
+every attempt to the last atom, with its sign restriction on
+`TorsionDomain` objects."""
+
+import math
 
 import numpy as np
 
@@ -80,6 +84,20 @@ def local_frame(x_im3, x_im2, x_im1):
     return np.column_stack((u1, u2, u3))
 
 
+def place_atoms_batch(x_im3, x_im2, x_im1, d: float, theta: float, taus):
+    """Candidates of atom i (3 x len(taus)) with the trig of one atom's
+    torsions taken per call: the local coordinates of each batch built from
+    d, theta and np.sin/np.cos of its own torsions."""
+    U = geometry.local_frame(x_im3, x_im2, x_im1)
+    taus = np.asarray(taus, dtype=float)
+    s = d * math.sin(theta)
+    local = np.empty((3, taus.size))
+    local[0] = -d * math.cos(theta)
+    np.multiply(s, np.sin(taus), out=local[1])
+    np.multiply(s, np.cos(taus), out=local[2])
+    return x_im1[:, None] + U @ local
+
+
 # Column-gather numpy versions of the stress model and the residuals: each
 # recomputes diff/r from coords[:, ii] - coords[:, jj] and scatters the
 # gradient one coordinate row at a time. The flat-index kernel must match
@@ -99,6 +117,12 @@ def residuals(coords, ci) -> np.ndarray:
 def init_d(coords, ci) -> np.ndarray:
     _, r = _diff_and_r(coords, ci)
     return np.clip(r, ci.lower, ci.upper)
+
+
+def project(z, ci) -> np.ndarray:
+    out = z.copy()
+    np.clip(out[3 * ci.n:], ci.lower, ci.upper, out=out[3 * ci.n:])
+    return out
 
 
 def objective(z, ci) -> float:
@@ -180,8 +204,8 @@ def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
         rows = slice(ptr[i - 1], ptr[i])
         lower, upper = back_lower[rows], back_upper[rows]
         taus = sample_torsions(domains[i], rng, n_tors)
-        cand = geometry.place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2],
-                                          d_prev[i], theta[i], taus)
+        cand = place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2], d_prev[i], theta[i],
+                                 taus)
         d = cand[:, None, :] - X.take(ci.back_col[rows], axis=1)[:, :, None]
         d *= d
         r = np.sqrt(d[0] + d[1] + d[2])

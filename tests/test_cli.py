@@ -190,6 +190,20 @@ class TestProfile:
         self._table(a, [("p1", "Solved", "1.0")])
         assert run(["profile", "--results", str(a), "--labels", "x", "y"]) == 1
 
+    @pytest.mark.parametrize("labels", [[], ["A", "A"]])
+    def test_duplicate_labels_exit_1(self, labels, tmp_path, capsys):
+        # two result sets under one label would be merged into one curve
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        a, b = tmp_path / "a" / "runs.tsv", tmp_path / "b" / "runs.tsv"
+        self._table(a, [("p1", "Solved", "1.0")])
+        self._table(b, [("p1", "Solved", "2.0")])
+        flags = ["--labels", *labels] if labels else []
+        assert run(["profile", "--results", str(a), str(b), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_bad_table_exits_1(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("nope\n")

@@ -132,9 +132,12 @@ class TestPlaceAtom:
                                                        abs=1e-12)
 
     def test_batch_matches_scalar(self):
+        # one row of the local-coordinate table, as greedy construction builds it
         x1, x2, x3 = TRIPLE
         taus = np.linspace(-3.0, 3.0, 17)
-        batch = geometry.place_atoms_batch(x1, x2, x3, 1.3, 1.9, taus)
+        local = geometry._local_table(np.array([-1.3 * math.cos(1.9)]),
+                                      np.array([1.3 * math.sin(1.9)]), taus[None])
+        batch = geometry.place_atoms_batch(x1, x2, x3, local[0])
         for k, tau in enumerate(taus):
             one = geometry.place_atom(x1, x2, x3, 1.3, 1.9, float(tau))
             np.testing.assert_array_equal(batch[:, k], one)

@@ -1,7 +1,8 @@
 """Properties of the compiled array view, the stress model, the solver's
 pool, the improvement sweep's sign restriction, early stop, kept prefix and
-skipped flips, the reflection pass, the batched torsion sampler, and the
-instance file format, checked on random valid instances and domains."""
+skipped flips, the reflection pass, the batched torsion sampler, the
+placement table, and the instance file format, checked on random valid
+instances and domains."""
 
 import inspect
 import math
@@ -102,7 +103,14 @@ class TestCompiledView:
             if i >= 2:
                 assert ci.d_prev[i] == inst.edge(i - 1, i).lower
             if i >= 3:
-                assert ci.theta[i] == inst.bond_angles[i]
+                d, theta = inst.edge(i - 1, i).lower, inst.bond_angles[i]
+                assert ci.theta[i] == theta
+                assert ci.axial[i] == -d * math.cos(theta)
+                assert ci.radial[i] == d * math.sin(theta)
+            else:
+                assert math.isnan(ci.axial[i]) and math.isnan(ci.radial[i])
+        assert ci.axial.shape == ci.radial.shape == (inst.n + 1,)
+        assert math.isnan(ci.axial[0]) and math.isnan(ci.radial[0])
 
     @settings(max_examples=20, deadline=None)
     @given(instances())
@@ -156,22 +164,46 @@ class TestStressKernel:
         assert prob.objective(z_other) == oracles.objective(z_other, ci)
         assert np.array_equal(prob.gradient(z), oracles.gradient(z, ci))
 
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.floats(0.0, 2.0))
+    def test_project_matches_clip_oracle(self, inst, seed, spread):
+        # distances inside, on and outside their intervals
+        ci = CompiledInstance.of(inst)
+        prob = metrics.StressProblem(ci)
+        rng = np.random.default_rng(seed)
+        d = rng.uniform(ci.lower * (1.0 - spread), ci.upper * (1.0 + spread))
+        on = rng.random(d.size)
+        d[on < 0.1], d[on > 0.9] = ci.lower[on < 0.1], ci.upper[on > 0.9]
+        z = prob.pack(rng.normal(scale=3.0, size=(3, inst.n)), d)
+        before = z.copy()
+        assert prob.project(z).tobytes() == oracles.project(z, ci).tobytes()
+        assert z.tobytes() == before.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(instances(), st.integers(0, 2**32 - 1))
     def test_solved_matches_lde_mde(self, inst, seed):
-        # at the criterion's edge: eps equal to the metric or one ulp below
+        # at the criterion's edge, eps equal to the metric or one ulp below,
+        # on a z no call has seen, right after objective(z) and after
+        # objective at another point
         ci = CompiledInstance.of(inst)
-        prob = metrics.StressProblem(ci)
         rng = np.random.default_rng(seed)
-        z = prob.pack(rng.normal(scale=3.0, size=(3, inst.n)),
-                      rng.uniform(ci.lower, ci.upper))
-        X = prob.unpack(z)[0].copy()
-        mde, lde = metrics.mde_global(X, ci), metrics.lde_global(X, ci)
-        for eps_mde in (mde, np.nextafter(mde, -math.inf)):
-            for eps_lde in (lde, np.nextafter(lde, -math.inf)):
-                assert prob.solved(z, eps_mde, eps_lde) == \
-                       (mde <= eps_mde or lde <= eps_lde)
+
+        def point():
+            return prob.pack(rng.normal(scale=3.0, size=(3, inst.n)),
+                             rng.uniform(ci.lower, ci.upper))
+
+        for state in ("fresh", "same", "other"):
+            prob = metrics.StressProblem(ci)
+            z, z_other = point(), point()
+            if state != "fresh":
+                prob.objective(z if state == "same" else z_other)
+            X = prob.unpack(z)[0].copy()
+            mde, lde = metrics.mde_global(X, ci), metrics.lde_global(X, ci)
+            for eps_mde in (mde, np.nextafter(mde, -math.inf)):
+                for eps_lde in (lde, np.nextafter(lde, -math.inf)):
+                    got = prob.solved(z, eps_mde, eps_lde)
+                    assert type(got) is bool
+                    assert got == (mde <= eps_mde or lde <= eps_lde), state
 
 
 class TestEarlyStop:
@@ -503,6 +535,36 @@ class TestSampleTorsions:
         rng = np.random.Generator(np.random.MT19937(0))
         with pytest.raises(TypeError):
             geometry.sample_torsions([0.0], [1.0], [True], rng, 3)
+
+
+class TestPlacementTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(sampler_domains(), st.floats(0.5, 3.0),
+                              st.floats(0.05, math.pi - 0.05)), min_size=1, max_size=6),
+           st.integers(1, 25), st.integers(0, 2**32 - 1),
+           st.lists(st.floats(-5.0, 5.0), min_size=9, max_size=9))
+    @example([(TorsionDomain.point(0.7), 1.5, 1.9)], 1, 0, [0.0, 0.0, 0.0, -1.5, 0.0, 0.0,
+                                                            -2.0, 1.4, 0.0])
+    def test_row_matches_per_atom_trig(self, rows, n_tors, seed, points):
+        # a row of one table over k atoms' torsion block, as greedy construction
+        # builds it, places each atom as the per-call trig of the oracle does
+        x1, x2, x3 = np.array(points).reshape(3, 3)
+        try:
+            geometry.local_frame(x1, x2, x3)
+        except IdgpError:
+            assume(False)
+        doms, d, theta = zip(*rows)
+        taus = geometry.sample_torsions([t.lo for t in doms], [t.hi for t in doms],
+                                        [t.kind is DomainKind.SYMMETRIC for t in doms],
+                                        np.random.default_rng(seed), n_tors)
+        table = geometry._local_table(
+            np.array([-a * math.cos(b) for a, b in zip(d, theta)]),
+            np.array([a * math.sin(b) for a, b in zip(d, theta)]), taus)
+        assert table.shape == (len(rows), 3, n_tors)
+        for r in range(len(rows)):
+            got = geometry.place_atoms_batch(x1, x2, x3, table[r])
+            expect = oracles.place_atoms_batch(x1, x2, x3, d[r], theta[r], taus[r])
+            assert got.tobytes() == expect.tobytes()
 
 
 class TestInstanceFileRoundTrip:
