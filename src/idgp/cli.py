@@ -123,9 +123,9 @@ def _read_results_table(path) -> dict:
         try:
             solved = cols[c_status] == "Solved"
             seconds = float(cols[c_time]) if solved else None
-            if solved and not math.isfinite(seconds):
-                raise ValueError("solved run without a finite time")
-            out[cols[c_name]] = max(1.0, seconds) if solved else None
+            if solved and not 0.0 < seconds < math.inf:  # NaN fails too
+                raise ValueError("solved run without a positive finite time")
+            out[cols[c_name]] = seconds
         except (IndexError, ValueError) as exc:
             raise io.ProfileError(f"{path}: bad row {line!r}: {exc}") from exc
     return out

@@ -16,16 +16,16 @@ def _edge_lengths(flat: np.ndarray, ci: CompiledInstance):
     return diff, np.sqrt(sq[0] + sq[1] + sq[2])
 
 
-def _violations(r: np.ndarray, ci: CompiledInstance) -> np.ndarray:
+def _violations(r: np.ndarray, lower, upper) -> np.ndarray:
     """Normalized interval violation of edge lengths r; zero iff satisfied."""
-    v = np.maximum((ci.lower - r) / ci.lower, (r - ci.upper) / ci.upper)
+    v = np.maximum((lower - r) / lower, (r - upper) / upper)
     return np.maximum(0.0, v, out=v)
 
 
 def _residuals(X, ci: CompiledInstance) -> np.ndarray:
     """Normalized interval violation per edge; zero iff the edge is satisfied."""
     _, r = _edge_lengths(as_coords(X).ravel(), ci)
-    return _violations(r, ci)
+    return _violations(r, ci.lower, ci.upper)
 
 
 def lde_global(X, ci: CompiledInstance) -> float:
@@ -76,7 +76,7 @@ class StressProblem:
     def solved(self, z: np.ndarray, eps_mde: float, eps_lde: float) -> bool:
         """The solve criterion MDE <= eps_mde or LDE <= eps_lde on z's
         coordinate block, equal to mde_global/lde_global of unpack(z)."""
-        res = _violations(self._edges(z)[1], self.ci)
+        res = _violations(self._edges(z)[1], self.lower, self.upper)
         return bool(np.add.reduce(res) / self.m <= eps_mde
                     or np.maximum.reduce(res) <= eps_lde)
 

@@ -203,7 +203,9 @@ class CompiledInstance:
     ascending j: 0-based j in `back_col`, bounds in `back_lower`/`back_upper`.
     `d_prev[i]` is d_{i-1,i}, `theta[i]` the bond angle at atom i, and
     `axial[i]`/`radial[i]` are -d_prev[i] cos(theta[i])/d_prev[i] sin(theta[i])
-    (1-based; nan where undefined). Entry i - 4 of `tors_lo`/`tors_hi`/
+    (1-based; nan where undefined). `law_a[i]`/`law_b[i]` (i >= 4; nan below)
+    are the torsion-distance law d_{i-3,i}^2 = law_a[i] + law_b[i] cos(tau_i)
+    of atoms i-3..i that realize their exact edges. Entry i - 4 of `tors_lo`/`tors_hi`/
     `tors_sym` holds atom i's torsion domain (i >= 4) as
     `geometry.sample_torsions` takes it (nan bounds where undefined); it is
     the solver's only copy of the domains. `rmsd_sel` holds the 0-based atoms
@@ -227,6 +229,8 @@ class CompiledInstance:
     theta: np.ndarray
     axial: np.ndarray
     radial: np.ndarray
+    law_a: np.ndarray
+    law_b: np.ndarray
     tors_lo: np.ndarray
     tors_hi: np.ndarray
     tors_sym: np.ndarray
@@ -235,17 +239,24 @@ class CompiledInstance:
     @classmethod
     def of(cls, inst: Instance) -> "CompiledInstance":
         edges = [inst.edges[k] for k in sorted(inst.edges)]
-        ii = np.array([e.i - 1 for e in edges], dtype=int)
-        jj = np.array([e.j - 1 for e in edges], dtype=int)
-        lower = np.array([e.lower for e in edges], dtype=float)
-        upper = np.array([e.upper for e in edges], dtype=float)
-        w = np.array([2.0 if e.is_discretization else 1.0 for e in edges])
+        m = len(edges)
+        ii = np.fromiter((e.i for e in edges), int, m) - 1
+        jj = np.fromiter((e.j for e in edges), int, m) - 1
+        lower = np.fromiter((e.lower for e in edges), float, m)
+        upper = np.fromiter((e.upper for e in edges), float, m)
+        w = np.where(jj - ii <= 3, 2.0, 1.0)  # discretization edges doubled
         by_end = np.lexsort((ii, jj))
         back_ptr = np.concatenate(([0], np.cumsum(np.bincount(jj, minlength=inst.n))))
         d_prev = [math.nan] * 2 + [inst.edge(i - 1, i).lower for i in range(2, inst.n + 1)]
         theta = [inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)]
         axial = [-d * math.cos(t) for d, t in zip(d_prev, theta)]
         radial = [d * math.sin(t) for d, t in zip(d_prev, theta)]
+        d, t, axial, radial = map(np.array, (d_prev, theta, axial, radial))
+        # atoms i-3 and i about the axis x_{i-2} -> x_{i-1}: gap h along it, radii p, q
+        h = d[3:-1] - d[2:-2] * np.cos(t[3:-1]) + axial[4:]
+        p, q = d[2:-2] * np.sin(t[3:-1]), radial[4:]
+        law_a, law_b = np.full(inst.n + 1, math.nan), np.full(inst.n + 1, math.nan)
+        law_a[4:], law_b[4:] = h * h + p * p + q * q, -2.0 * p * q
         rows = inst.n * np.arange(3)[:, None]
         doms = [inst.torsion_domains.get(i) for i in range(4, inst.n + 1)]
         if inst.n <= _CA_SUBSET_THRESHOLD:
@@ -254,8 +265,8 @@ class CompiledInstance:
             rmsd_sel = np.array([a.index - 1 for a in inst.atoms if a.name == "CA"],
                                 dtype=int)
         view = cls(inst.n, ii, jj, ii + rows, jj + rows, lower, upper, w / w.sum(),
-                   back_ptr, ii[by_end], lower[by_end], upper[by_end], np.array(d_prev),
-                   np.array(theta), np.array(axial), np.array(radial),
+                   back_ptr, ii[by_end], lower[by_end], upper[by_end], d, t, axial, radial,
+                   law_a, law_b,
                    np.array([d.lo if d else math.nan for d in doms], dtype=float),
                    np.array([d.hi if d else math.nan for d in doms], dtype=float),
                    np.array([d is not None and d.kind is DomainKind.SYMMETRIC

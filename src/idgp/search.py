@@ -21,22 +21,39 @@ from .spg import spg_minimize
 _STALL_TRIALS = 50  # consecutive duplicate candidates that end the search
 
 
+def _back_worst(X, cand, rows: slice, ci: CompiledInstance):
+    """Each of the 3 x k candidates' largest violation of the back edges `rows`
+    to atoms of X, in the operations of `metrics.lde_global` (its edge vector
+    is negated, which squaring undoes exactly)."""
+    d = cand[:, None, :] - X.take(ci.back_col[rows], axis=1)[:, :, None]
+    d *= d
+    r = np.sqrt(d[0] + d[1] + d[2])
+    violations = metrics._violations(r, ci.back_lower[rows, None], ci.back_upper[rows, None])
+    return np.maximum.reduce(violations, axis=0)
+
+
 def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
                         domains=None, bound: float = math.inf):
     """Build a conformation atom by atom, keeping the sampled torsion with
     the smallest local inconsistency at each step.
 
-    `prefix`, a 3 x (s - 1) array with s >= 4, keeps atoms 1..s-1 as given
-    and builds atoms s..n; by default s = 4 and atoms 1-3 are fixed by
+    `prefix`, a 3 x (s - 1) array with s >= 4 that realizes its exact edges,
+    as every prefix the solver builds does, keeps atoms 1..s-1 as given and
+    builds atoms s..n; by default s = 4 and atoms 1-3 are fixed by
     `geometry.place_first_three`. `domains` is (lo, hi, symmetric) for atoms
     s..n, arrays laid out like `ci.tors_lo[s - 4:]`, `ci.tors_hi[s - 4:]`
     and `ci.tors_sym[s - 4:]`, which are the default. The torsions of atoms
     s..n are drawn and turned into local coordinates first, one call each, so
     the generator ends in the same state however far the construction gets.
-    Returns (torsion assignment dict of atoms s..n, Conformation), or (the
-    torsions placed so far, None) as soon as a chosen candidate violates one
-    of its edges by at least `bound`: the finished conformation's LDE could
-    not be below it.
+
+    A candidate for atom i scores its largest violation of the edge (i-3, i),
+    by the torsion-distance law `ci.law_a`/`ci.law_b`, and of the edges
+    (j, i), j < i-3, measured; (i-2, i) and (i-1, i) hold by construction.
+    The first lowest score wins, placed alone if atom i has no edge (j, i),
+    j < i-3. Returns (torsion assignment dict of atoms s..n, Conformation),
+    or (the torsions placed so far, None) once a kept atom scores at least
+    `bound` and violates an edge, as `metrics.lde_global` measures it, by at
+    least `bound`: the finished conformation's LDE could not be below it.
     """
     if prefix is None:
         prefix = np.column_stack(geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
@@ -46,29 +63,30 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
         domains = ci.tors_lo[start - 4:], ci.tors_hi[start - 4:], ci.tors_sym[start - 4:]
     draws = geometry.sample_torsions(*domains, rng, n_tors)
     table = geometry._local_table(ci.axial[start:], ci.radial[start:], draws)
+    # (i-3, i) violations of every candidate; table row 2 is radial cos(tau)
+    slope = ci.law_b[start:] / ci.radial[start:]
+    r3 = np.sqrt(ci.law_a[start:, None] + slope[:, None] * table[:, 2])
+    at3 = ci.back_ptr[start:] - 3
+    law = metrics._violations(r3, ci.back_lower[at3, None], ci.back_upper[at3, None])
     X = np.empty((3, ci.n))
     X[:, :start - 1] = prefix
     ptr = ci.back_ptr.tolist()
-    back_lower, back_upper = ci.back_lower[:, None], ci.back_upper[:, None]
     tau = {}
-    for i, (taus, local) in enumerate(zip(draws, table), start=start):
-        rows = slice(ptr[i - 1], ptr[i])
-        lower, upper = back_lower[rows], back_upper[rows]
-        cand = geometry.place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2], local)
-        # r = ||cand - x_j||, summed in np.linalg.norm(axis=0)'s order; the
-        # operations of metrics.lde_global (its edge vector is negated, which
-        # squaring undoes exactly), so worst[best] is a lower bound on the LDE
-        d = cand[:, None, :] - X.take(ci.back_col[rows], axis=1)[:, :, None]
-        d *= d
-        r = np.sqrt(d[0] + d[1] + d[2])
-        delta = (lower - r) / lower
-        np.maximum(delta, (r - upper) / upper, out=delta)
-        # the clamp at 0 ties all satisfied candidates; argmin keeps the first
-        worst = np.maximum.reduce(delta, axis=0)
-        best = np.maximum(worst, 0.0, out=worst).argmin()
-        X[:, i - 1] = cand[:, best]
+    for i, (taus, local, score) in enumerate(zip(draws, table, law), start=start):
+        frame = X[:, i - 4], X[:, i - 3], X[:, i - 2]
+        far = slice(ptr[i - 1], ptr[i] - 3)  # the edges (j, i) with j < i - 3
+        if far.start == far.stop:
+            best = score.argmin()
+            X[:, i - 1:i] = geometry.place_atoms_batch(*frame, local[:, best:best + 1])
+        else:
+            cand = geometry.place_atoms_batch(*frame, local)
+            score = np.maximum(_back_worst(X, cand, far, ci), score)
+            best = score.argmin()
+            X[:, i - 1] = cand[:, best]
         tau[i] = taus.item(best)
-        if worst[best] >= bound:
+        # the score rounds unlike lde_global and leaves out (i-2, i), (i-1, i)
+        if score[best] >= bound and _back_worst(X, X[:, i - 1:i],
+                                                slice(ptr[i - 1], ptr[i]), ci)[0] >= bound:
             return tau, None
     return tau, Conformation(X)
 

@@ -189,6 +189,14 @@ def sign_restricted_domain(dom: TorsionDomain, tau: float) -> TorsionDomain:
 # the same flips and leave the generator in the same state.
 
 def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
+    """Every one of the n_tors candidates of atom i is scored: its (i-3, i)
+    violation by the torsion-distance law, from d^2 = law_a + law_b cos(tau)
+    written as law_a + (law_b / s) (s cos(tau)) with s = d sin(theta), the
+    placement's own cos term; its violations of the edges (j, i), j < i-3,
+    measured on all k placed candidates; the largest clamped one. The first
+    lowest score is kept. Where atom i has no such edge, the kept candidate is
+    placed on its own, as `idgp.search.greedy_construction` places it: a
+    3 x 1 product may round differently from a column of the 3 x k one."""
     if prefix is None:
         prefix = np.column_stack(geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
                                                             ci.theta[3]))
@@ -198,22 +206,24 @@ def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
     X = np.empty((3, ci.n))
     X[:, :start - 1] = prefix
     ptr, d_prev, theta = ci.back_ptr.tolist(), ci.d_prev.tolist(), ci.theta.tolist()
-    back_lower, back_upper = ci.back_lower[:, None], ci.back_upper[:, None]
     tau = {}
     for i in range(start, ci.n + 1):
-        rows = slice(ptr[i - 1], ptr[i])
-        lower, upper = back_lower[rows], back_upper[rows]
         taus = sample_torsions(domains[i], rng, n_tors)
-        cand = place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2], d_prev[i], theta[i],
-                                 taus)
-        d = cand[:, None, :] - X.take(ci.back_col[rows], axis=1)[:, :, None]
-        d *= d
-        r = np.sqrt(d[0] + d[1] + d[2])
-        delta = (lower - r) / lower
-        np.maximum(delta, (r - upper) / upper, out=delta)
-        worst = delta.max(axis=0)
-        best = np.maximum(worst, 0.0, out=worst).argmin()
-        X[:, i - 1] = cand[:, best]
+        frame = X[:, i - 4], X[:, i - 3], X[:, i - 2]
+        cand = place_atoms_batch(*frame, d_prev[i], theta[i], taus)
+        s = d_prev[i] * math.sin(theta[i])
+        r = np.sqrt(ci.law_a[i] + ci.law_b[i] / s * (s * np.cos(taus)))
+        lower, upper = ci.back_lower[ptr[i] - 3], ci.back_upper[ptr[i] - 3]
+        score = np.maximum(0.0, np.maximum((lower - r) / lower, (r - upper) / upper))
+        for e in range(ptr[i - 1], ptr[i] - 3):  # the edges (j, i), j < i - 3
+            lower, upper = ci.back_lower[e], ci.back_upper[e]
+            d = cand - X[:, ci.back_col[e], None]
+            d *= d
+            r = np.sqrt(d[0] + d[1] + d[2])
+            score = np.maximum(score, np.maximum((lower - r) / lower, (r - upper) / upper))
+        best = int(np.flatnonzero(score == score.min())[0])
+        X[:, i - 1] = (cand[:, best] if ptr[i - 1] < ptr[i] - 3 else
+                       place_atoms_batch(*frame, d_prev[i], theta[i], taus[best:best + 1])[:, 0])
         tau[i] = float(taus[best])
     return tau, Conformation(X)
 

@@ -175,6 +175,21 @@ class TestProfile:
         assert points["B"][1.0] == 0.5
         assert points["B"][2.0] == 1.0
 
+    def test_sub_second_times_keep_their_ratios(self, tmp_path):
+        # only `idgp bench` floors its times at 1 s; a table with finer times,
+        # such as the benchmark's, is profiled as written
+        a, b = tmp_path / "fast.tsv", tmp_path / "slow.tsv"
+        self._table(a, [("p1", "Solved", "0.01"), ("p2", "Solved", "0.04")])
+        self._table(b, [("p1", "Solved", "0.03"), ("p2", "Solved", "0.02")])
+        out = tmp_path / "profile.tsv"
+        assert run(["profile", "--results", str(a), str(b), "--out", str(out)]) == 0
+        points = {}
+        for line in out.read_text().splitlines():
+            lab, t, rho = line.split("\t")
+            points.setdefault(lab, []).append((float(t), float(rho)))
+        assert points == {"fast": [(1.0, 0.5), (2.0, 1.0)],
+                          "slow": [(1.0, 0.5), (3.0, 1.0)]}
+
     def test_failures_never_complete(self, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         self._table(a, [("p1", "Solved", "1.0"), ("p2", "BestEffort", "9.0")])
@@ -209,7 +224,8 @@ class TestProfile:
         bad.write_text("nope\n")
         assert run(["profile", "--results", str(bad)]) == 1
 
-    @pytest.mark.parametrize("row", ["p1\tSolved", "p1\tSolved\tfast", "p1\tSolved\tnan"])
+    @pytest.mark.parametrize("row", ["p1\tSolved", "p1\tSolved\tfast", "p1\tSolved\tnan",
+                                     "p1\tSolved\t0", "p1\tSolved\t-1"])
     def test_bad_row_exits_1(self, row, tmp_path, capsys):
         table = tmp_path / "a.tsv"
         table.write_text(f"instance\tstatus\ttime_s\n{row}\n")

@@ -33,8 +33,9 @@ SWEEP_CASE = io.generate_instance(*io.synthetic_backbone(4, seed=0), hh_width_ad
 
 
 @st.composite
-def instances(draw):
-    """A generated instance: random backbone, torsion window and H-H widths."""
+def instances(draw, hh_cutoff=5.0):
+    """A generated instance: random backbone, torsion window and H-H widths;
+    `hh_cutoff=0` leaves out every H-H edge."""
     hydrogens = draw(st.booleans())
     residues = draw(st.integers(1 if hydrogens else 2, 4))
     atoms, coords = io.synthetic_backbone(residues, seed=draw(st.integers(0, 10**6)),
@@ -42,7 +43,7 @@ def instances(draw):
     adjacent = draw(st.floats(0.2, 2.0))
     return io.generate_instance(
         atoms, coords, angle_width_deg=draw(st.sampled_from([0.0, 20.0, 50.0, 90.0])),
-        hh_width_adjacent=adjacent, hh_width_other=2.0 * adjacent,
+        hh_cutoff=hh_cutoff, hh_width_adjacent=adjacent, hh_width_other=2.0 * adjacent,
         include_torsion_annotations=draw(st.booleans()))
 
 
@@ -111,6 +112,27 @@ class TestCompiledView:
                 assert math.isnan(ci.axial[i]) and math.isnan(ci.radial[i])
         assert ci.axial.shape == ci.radial.shape == (inst.n + 1,)
         assert math.isnan(ci.axial[0]) and math.isnan(ci.radial[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=5))
+    def test_torsion_distance_law(self, inst, taus):
+        # on any predecessor triple with the instance's lengths and angle
+        ci = CompiledInstance.of(inst)
+        assert np.isnan(ci.law_a[:4]).all() and np.isnan(ci.law_b[:4]).all()
+        assert ci.law_a.shape == ci.law_b.shape == (inst.n + 1,)
+        for i in range(4, inst.n + 1):
+            d, theta = ci.d_prev[i], ci.theta[i]
+            triple = geometry.place_first_three(ci.d_prev[i - 2], ci.d_prev[i - 1],
+                                                ci.theta[i - 1])
+            a, b = geometry.cos_affine_coefficients(*triple, d, theta)
+            scale = abs(a) + abs(b)
+            assert math.isclose(ci.law_a[i], a, rel_tol=1e-12, abs_tol=1e-12 * scale)
+            assert math.isclose(ci.law_b[i], b, rel_tol=1e-12, abs_tol=1e-12 * scale)
+            for tau in taus:
+                x = geometry.place_atom(*triple, d, theta, tau)
+                d2 = float(((x - triple[0]) ** 2).sum())
+                assert math.isclose(ci.law_a[i] + ci.law_b[i] * math.cos(tau), d2,
+                                    rel_tol=1e-12, abs_tol=1e-12 * scale)
 
     @settings(max_examples=20, deadline=None)
     @given(instances())
@@ -423,6 +445,43 @@ class TestImprove:
         tau_o, conf_o = oracles.greedy_construction(
             ci, n_tors, np.random.default_rng(seed))
         assert tau == tau_o and conf.coords.tobytes() == conf_o.coords.tobytes()
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_stop_is_judged_as_lde_global_judges(self, inst, seed, n_tors):
+        # a candidate's score rounds unlike lde_global and leaves out the exact
+        # edges, so the stop measures the kept atom again: a construction stops
+        # only at an atom whose back edges reach the bound as lde_global
+        # measures them, and a bound one ulp above that never stops there
+        ci = CompiledInstance.of(inst)
+        _, conf = search.greedy_construction(ci, n_tors, np.random.default_rng(seed))
+        worst = np.zeros(ci.n + 1)  # atom k's largest back-edge violation
+        np.maximum.at(worst, ci.jj + 1, metrics._residuals(conf, ci))
+        for bound in {*worst[4:], *np.nextafter(worst[4:], math.inf)}:
+            tau_b, conf_b = search.greedy_construction(ci, n_tors, np.random.default_rng(seed),
+                                                       bound=bound)
+            if conf_b is None:
+                assert worst[3 + len(tau_b)] >= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(hh_cutoff=0.0), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_law_alone_chooses_without_h_h_edges(self, inst, seed, n_tors):
+        # every atom's only scored edge is (i-3, i): its torsion is the first
+        # lowest clamped violation of d^2 = law_a + law_b cos(tau)
+        ci = CompiledInstance.of(inst)
+        assert (ci.back_ptr[4:] - ci.back_ptr[3:-1] == 3).all()
+        rng, rng_draws = np.random.default_rng(seed), np.random.default_rng(seed)
+        tau, conf = search.greedy_construction(ci, n_tors, rng)
+        draws = geometry.sample_torsions(ci.tors_lo, ci.tors_hi, ci.tors_sym, rng_draws,
+                                         n_tors)
+        for i, row in enumerate(draws, start=4):
+            r = np.sqrt(ci.law_a[i] + ci.law_b[i] * np.cos(row))
+            e = ci.back_ptr[i] - 3
+            lower, upper = ci.back_lower[e], ci.back_upper[e]
+            score = np.maximum(0.0, np.maximum((lower - r) / lower, (r - upper) / upper))
+            assert tau[i] == row[np.flatnonzero(score == score.min())[0]]
+        assert conf is not None and metrics.lde_global(conf, ci) < 1e-9
 
 
 class TestReflectionPass:
