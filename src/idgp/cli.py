@@ -121,13 +121,15 @@ def _read_results_table(path) -> dict:
             continue
         cols = line.split("\t")
         try:
-            solved = cols[c_status] == "Solved"
+            name, solved = cols[c_name], cols[c_status] == "Solved"
             seconds = float(cols[c_time]) if solved else None
             if solved and not 0.0 < seconds < math.inf:  # NaN fails too
                 raise ValueError("solved run without a positive finite time")
-            out[cols[c_name]] = seconds
         except (IndexError, ValueError) as exc:
             raise io.ProfileError(f"{path}: bad row {line!r}: {exc}") from exc
+        if name in out:
+            raise io.ProfileError(f"{path}: instance {name!r} on two rows")
+        out[name] = seconds
     return out
 
 

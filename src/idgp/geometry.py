@@ -32,28 +32,33 @@ def place_first_three(d12: float, d23: float, theta3: float):
     return x1, x2, x3
 
 
-def local_frame(x_im3, x_im2, x_im1) -> np.ndarray:
-    """Orthonormal frame at x_{i-1}: columns u1 (chain direction),
-    u2 (predecessor-plane normal), u3 = u2 x u1 (in-plane)."""
-    (a0, a1, a2), (b0, b1, b2) = x_im3.tolist(), x_im2.tolist()
-    p0, p1, p2 = x_im1.tolist()
+def local_frame(x_im3, x_im2, x_im1) -> tuple:
+    """Orthonormal frame at x_{i-1} of three points, each three floats, as
+    nine Python floats: e (chain direction), n (predecessor-plane normal)
+    and m = n x e (in-plane), three components each."""
+    (a0, a1, a2), (b0, b1, b2), (p0, p1, p2) = x_im3, x_im2, x_im1
     v0, v1, v2 = p0 - b0, p1 - b1, p2 - b2
     w0, w1, w2 = a0 - b0, a1 - b1, a2 - b2
-    # the np.cross formula, term for term, in Python floats
     c0, c1, c2 = v1 * w2 - v2 * w1, v2 * w0 - v0 * w2, v0 * w1 - v1 * w0
-    # norms as np.linalg.norm takes them: sqrt of ndarray.dot, the BLAS ddot,
-    # which may fuse multiply-adds; a Python sum of squares rounds differently
-    c = np.array((c0, c1, c2))
-    cn = math.sqrt(c.dot(c))
+    cn = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
     if cn <= _COLLINEAR_TOL:
         raise DegenerateGeometryError("collinear predecessors")
-    v = np.array((v0, v1, v2))
-    vn = math.sqrt(v.dot(v))
+    vn = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
     e0, e1, e2 = v0 / vn, v1 / vn, v2 / vn
     n0, n1, n2 = c0 / cn, c1 / cn, c2 / cn
-    return np.array((e0, n0, n1 * e2 - n2 * e1,
-                     e1, n1, n2 * e0 - n0 * e2,
-                     e2, n2, n0 * e1 - n1 * e0)).reshape(3, 3)
+    return (e0, e1, e2, n0, n1, n2,
+            n1 * e2 - n2 * e1, n2 * e0 - n0 * e2, n0 * e1 - n1 * e0)
+
+
+def place_local(frame, x_im1, local) -> tuple:
+    """The point x_{i-1} + e l0 + n l1 + m l2 of local coordinates `local`
+    (three floats) in `frame` (`local_frame`), as three floats summed left
+    to right."""
+    e0, e1, e2, n0, n1, n2, m0, m1, m2 = frame
+    (p0, p1, p2), (l0, l1, l2) = x_im1, local
+    return (p0 + e0 * l0 + n0 * l1 + m0 * l2,
+            p1 + e1 * l0 + n1 * l1 + m1 * l2,
+            p2 + e2 * l0 + n2 * l1 + m2 * l2)
 
 
 def place_atom(x_im3, x_im2, x_im1, d: float, theta: float, tau: float):
@@ -63,16 +68,23 @@ def place_atom(x_im3, x_im2, x_im1, d: float, theta: float, tau: float):
         raise DegenerateGeometryError("nonpositive distance")
     if not (0.0 < theta < math.pi):
         raise DegenerateGeometryError("bond angle outside (0, pi)")
-    U = local_frame(x_im3, x_im2, x_im1)
+    points = [np.asarray(x, dtype=float).tolist() for x in (x_im3, x_im2, x_im1)]
     s = d * math.sin(theta)
-    # sin(tau) rides the plane normal (u2); cos(tau) the in-plane axis (u3)
-    local = np.array([-d * math.cos(theta), s * math.sin(tau), s * math.cos(tau)])
-    return x_im1 + U @ local
+    # sin(tau) rides the plane normal n; cos(tau) the in-plane axis m
+    local = -d * math.cos(theta), s * math.sin(tau), s * math.cos(tau)
+    return np.array(place_local(local_frame(*points), points[2], local))
 
 
-def place_atoms_batch(x_im3, x_im2, x_im1, local):
-    """`place_atom` over a 3 x k block of local coordinates; returns 3 x k."""
-    return x_im1[:, None] + local_frame(x_im3, x_im2, x_im1) @ local
+def place_atoms_batch(frame, x_im1, local):
+    """`place_local` over a 3 x k block of local coordinates; returns 3 x k.
+    Each column takes `place_local`'s operations in its order, elementwise,
+    so it equals `place_local` of that column bit for bit."""
+    f = np.array((*x_im1, *frame)).reshape(4, 3, 1)  # p, e, n, m as 3 x 1 columns
+    out = f[1] * local[0]
+    out += f[0]  # e l0 + p rounds as p + e l0
+    out += f[2] * local[1]
+    out += f[3] * local[2]
+    return out
 
 
 def _local_table(axial, radial, taus) -> np.ndarray:
@@ -95,7 +107,7 @@ def reflect_tail(X, i: int) -> np.ndarray:
     atoms by a few ulps.
     """
     X = np.asarray(X, dtype=float)
-    u = local_frame(X[:, i - 4], X[:, i - 3], X[:, i - 2])[:, 1]  # plane normal
+    u = np.array(local_frame(*X[:, i - 4:i - 1].T.tolist())[3:6])  # plane normal
     Y = X.copy()
     tail = Y[:, i - 1:]
     tail -= np.outer(2.0 * u, u @ (tail - X[:, i - 2, None]))

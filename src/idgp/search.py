@@ -32,6 +32,19 @@ def _back_worst(X, cand, rows: slice, ci: CompiledInstance):
     return np.maximum.reduce(violations, axis=0)
 
 
+def _satisfies(x, points, rows: slice, ci: CompiledInstance) -> bool:
+    """Whether the point x (three floats) violates none of the back edges
+    `rows` to `points`, with the distances of `_back_worst`."""
+    x0, x1, x2 = x
+    for j, lower, upper in zip(ci.back_col[rows].tolist(), ci.back_lower[rows].tolist(),
+                               ci.back_upper[rows].tolist()):
+        q0, q1, q2 = points[j]
+        d0, d1, d2 = x0 - q0, x1 - q1, x2 - q2
+        if not lower <= math.sqrt(d0 * d0 + d1 * d1 + d2 * d2) <= upper:
+            return False
+    return True
+
+
 def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
                         domains=None, bound: float = math.inf):
     """Build a conformation atom by atom, keeping the sampled torsion with
@@ -49,11 +62,14 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     A candidate for atom i scores its largest violation of the edge (i-3, i),
     by the torsion-distance law `ci.law_a`/`ci.law_b`, and of the edges
     (j, i), j < i-3, measured; (i-2, i) and (i-1, i) hold by construction.
-    The first lowest score wins, placed alone if atom i has no edge (j, i),
-    j < i-3. Returns (torsion assignment dict of atoms s..n, Conformation),
-    or (the torsions placed so far, None) once a kept atom scores at least
-    `bound` and violates an edge, as `metrics.lde_global` measures it, by at
-    least `bound`: the finished conformation's LDE could not be below it.
+    The first lowest score wins. It is placed alone, in floats, if atom i
+    has no edge (j, i), j < i-3, or if it is draw 0 and violates no edge;
+    otherwise all candidates are placed as one block, which rounds each
+    column as the one alone. Returns (torsion assignment dict of atoms
+    s..n, Conformation), or (the torsions placed so far, None) once a kept
+    atom scores at least `bound` and violates an edge, as
+    `metrics.lde_global` measures it, by at least `bound`: the finished
+    conformation's LDE could not be below it.
     """
     if prefix is None:
         prefix = np.column_stack(geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
@@ -70,23 +86,30 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     law = metrics._violations(r3, ci.back_lower[at3, None], ci.back_upper[at3, None])
     X = np.empty((3, ci.n))
     X[:, :start - 1] = prefix
+    points = prefix.T.tolist() + [None] * (ci.n - start + 1)  # X as float triples
     ptr = ci.back_ptr.tolist()
     tau = {}
     for i, (taus, local, score) in enumerate(zip(draws, table, law), start=start):
-        frame = X[:, i - 4], X[:, i - 3], X[:, i - 2]
+        frame = geometry.local_frame(*points[i - 4:i - 1])
         far = slice(ptr[i - 1], ptr[i] - 3)  # the edges (j, i) with j < i - 3
         if far.start == far.stop:
             best = score.argmin()
-            X[:, i - 1:i] = geometry.place_atoms_batch(*frame, local[:, best:best + 1])
+            x = geometry.place_local(frame, points[i - 2], local[:, best].tolist())
         else:
-            cand = geometry.place_atoms_batch(*frame, local)
-            score = np.maximum(_back_worst(X, cand, far, ci), score)
-            best = score.argmin()
-            X[:, i - 1] = cand[:, best]
+            # draw 0 is the first lowest score if it violates no edge
+            best = 0
+            x = (geometry.place_local(frame, points[i - 2], local[:, 0].tolist())
+                 if score.item(0) == 0.0 else None)
+            if x is None or not _satisfies(x, points, far, ci):
+                cand = geometry.place_atoms_batch(frame, points[i - 2], local)
+                score = np.maximum(_back_worst(X, cand, far, ci), score)
+                best = score.argmin()
+                x = cand[:, best].tolist()
+        X[:, i - 1] = points[i - 1] = x
         tau[i] = taus.item(best)
         # the score rounds unlike lde_global and leaves out (i-2, i), (i-1, i)
-        if score[best] >= bound and _back_worst(X, X[:, i - 1:i],
-                                                slice(ptr[i - 1], ptr[i]), ci)[0] >= bound:
+        if score.item(best) >= bound and _back_worst(X, X[:, i - 1:i],
+                                                     slice(ptr[i - 1], ptr[i]), ci)[0] >= bound:
             return tau, None
     return tau, Conformation(X)
 

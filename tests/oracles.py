@@ -1,9 +1,10 @@
 """Reference implementations the optimized code is checked against: scalar
 per-edge loops for the array code of `idgp.metrics` and
 `idgp.model.CompiledInstance`, column gathers for the flat-index edge kernel
-of `idgp.metrics` and np.clip for its projection, numpy vector ops for the
-scalar-float `idgp.geometry.local_frame`, per-atom trig for the
-local-coordinate table of `idgp.geometry.place_atoms_batch`, one numpy draw
+of `idgp.metrics` and np.clip for its projection, vector helpers in the
+same operation order and numpy vector ops for the scalar-float
+`idgp.geometry.local_frame`, per-atom trig for the local-coordinate table
+of `idgp.geometry.place_atoms_batch`, one numpy draw
 call per domain for the single-call `idgp.geometry.sample_torsions`, and,
 for `idgp.search.improve`, a reflection pass that tries every atom and tests
 each domain on its own, then a prefix-keeping sign-flip sweep that regrows
@@ -69,6 +70,32 @@ def stress_gradient(coords, d: dict, weights: dict):
     return gX, gd
 
 
+def _sub(a, b):
+    return [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
+
+
+def _cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _norm(a) -> float:
+    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+
+
+def frame_floats(x_im3, x_im2, x_im1) -> tuple:
+    """The frame (e, n, m) at x_{i-1} as nine floats, from vector helpers
+    that take `geometry.local_frame`'s operations in its order."""
+    v = _sub(x_im1, x_im2)
+    c = _cross(v, _sub(x_im3, x_im2))
+    cn = _norm(c)
+    if cn <= _COLLINEAR_TOL:
+        raise DegenerateGeometryError("collinear predecessors")
+    vn = _norm(v)
+    e = [t / vn for t in v]
+    n = [t / cn for t in c]
+    return (*e, *n, *_cross(n, e))
+
+
 def local_frame(x_im3, x_im2, x_im1):
     """Frame at x_{i-1} from numpy vector ops: columns chain direction,
     predecessor-plane normal, and their cross product."""
@@ -87,15 +114,14 @@ def local_frame(x_im3, x_im2, x_im1):
 def place_atoms_batch(x_im3, x_im2, x_im1, d: float, theta: float, taus):
     """Candidates of atom i (3 x len(taus)) with the trig of one atom's
     torsions taken per call: the local coordinates of each batch built from
-    d, theta and np.sin/np.cos of its own torsions."""
-    U = geometry.local_frame(x_im3, x_im2, x_im1)
+    d, theta and np.sin/np.cos of its own torsions, placed as one block."""
     taus = np.asarray(taus, dtype=float)
     s = d * math.sin(theta)
     local = np.empty((3, taus.size))
     local[0] = -d * math.cos(theta)
     np.multiply(s, np.sin(taus), out=local[1])
     np.multiply(s, np.cos(taus), out=local[2])
-    return x_im1[:, None] + U @ local
+    return geometry.place_atoms_batch(geometry.local_frame(x_im3, x_im2, x_im1), x_im1, local)
 
 
 # Column-gather numpy versions of the stress model and the residuals: each
@@ -194,9 +220,7 @@ def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
     written as law_a + (law_b / s) (s cos(tau)) with s = d sin(theta), the
     placement's own cos term; its violations of the edges (j, i), j < i-3,
     measured on all k placed candidates; the largest clamped one. The first
-    lowest score is kept. Where atom i has no such edge, the kept candidate is
-    placed on its own, as `idgp.search.greedy_construction` places it: a
-    3 x 1 product may round differently from a column of the 3 x k one."""
+    lowest score is kept, as its column of the k placed candidates."""
     if prefix is None:
         prefix = np.column_stack(geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
                                                             ci.theta[3]))
@@ -209,8 +233,8 @@ def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
     tau = {}
     for i in range(start, ci.n + 1):
         taus = sample_torsions(domains[i], rng, n_tors)
-        frame = X[:, i - 4], X[:, i - 3], X[:, i - 2]
-        cand = place_atoms_batch(*frame, d_prev[i], theta[i], taus)
+        cand = place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2], d_prev[i], theta[i],
+                                 taus)
         s = d_prev[i] * math.sin(theta[i])
         r = np.sqrt(ci.law_a[i] + ci.law_b[i] / s * (s * np.cos(taus)))
         lower, upper = ci.back_lower[ptr[i] - 3], ci.back_upper[ptr[i] - 3]
@@ -222,8 +246,7 @@ def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
             r = np.sqrt(d[0] + d[1] + d[2])
             score = np.maximum(score, np.maximum((lower - r) / lower, (r - upper) / upper))
         best = int(np.flatnonzero(score == score.min())[0])
-        X[:, i - 1] = (cand[:, best] if ptr[i - 1] < ptr[i] - 3 else
-                       place_atoms_batch(*frame, d_prev[i], theta[i], taus[best:best + 1])[:, 0])
+        X[:, i - 1] = cand[:, best]
         tau[i] = float(taus[best])
     return tau, Conformation(X)
 

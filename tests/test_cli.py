@@ -219,6 +219,17 @@ class TestProfile:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    def test_repeated_instance_exits_1(self, tmp_path, capsys):
+        # keeping either row would profile a time the other row contradicts
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        self._table(a, [("a", "Solved", "1.0"), ("a", "Solved", "9.0"), ("b", "Solved", "2.0")])
+        self._table(b, [("a", "Solved", "3.0"), ("b", "Solved", "2.0")])
+        assert run(["profile", "--results", str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "'a'" in captured.err
+        assert str(a) in captured.err
+
     def test_bad_table_exits_1(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("nope\n")

@@ -46,22 +46,32 @@ class TestPlaceFirstThree:
             geometry.place_first_three(*args)
 
 
+def frame_columns(frame):
+    """The nine floats of a `local_frame` as the 3 x 3 matrix [e n m], whose
+    columns the tests call u1, u2, u3."""
+    return np.array(frame).reshape(3, 3).T
+
+
 class TestLocalFrame:
     def test_orthonormal(self):
-        U = geometry.local_frame(*TRIPLE)
+        U = frame_columns(geometry.local_frame(*TRIPLE))
         np.testing.assert_allclose(U.T @ U, np.eye(3), atol=1e-14)
+
+    def test_returns_python_floats(self):
+        frame = geometry.local_frame(*(x.tolist() for x in TRIPLE))
+        assert len(frame) == 9 and all(type(t) is float for t in frame)
 
     def test_u1_is_chain_direction(self):
         x1, x2, x3 = TRIPLE
-        U = geometry.local_frame(x1, x2, x3)
+        e = geometry.local_frame(x1, x2, x3)[0:3]
         v1 = (x3 - x2) / np.linalg.norm(x3 - x2)
-        np.testing.assert_allclose(U[:, 0], v1, atol=1e-14)
+        np.testing.assert_allclose(e, v1, atol=1e-14)
 
     def test_u2_normal_to_predecessor_plane(self):
         x1, x2, x3 = TRIPLE
-        U = geometry.local_frame(x1, x2, x3)
-        assert abs(U[:, 1] @ (x3 - x2)) < 1e-14
-        assert abs(U[:, 1] @ (x1 - x2)) < 1e-14
+        n = np.array(geometry.local_frame(x1, x2, x3)[3:6])
+        assert abs(n @ (x3 - x2)) < 1e-14
+        assert abs(n @ (x1 - x2)) < 1e-14
 
     def test_collinear_raises(self):
         a = np.array([0.0, 0.0, 0.0])
@@ -74,20 +84,29 @@ class TestLocalFrame:
     @given(st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9),
            st.integers(0, 4), st.integers(1, 3))
     def test_matches_numpy_oracle(self, values, first, step):
-        # the three predecessors as contiguous vectors and as strided column
-        # views of a 3 x n coordinate matrix, as greedy construction passes them
-        triples = [tuple(np.array(values[k:k + 3]) for k in (0, 3, 6))]
+        # the three predecessors as float lists, as greedy construction passes
+        # them, and as strided column views of a 3 x n coordinate matrix;
+        # bit for bit against the same operations in helper form, and within
+        # a relative 1e-15 per unit vector against np.cross/np.linalg.norm
+        triples = [tuple(values[k:k + 3] for k in (0, 3, 6))]
         X = np.full((3, first + 3 * step), np.nan)
         X[:, first::step] = np.reshape(values, (3, 3)).T
         triples.append((X[:, first], X[:, first + step], X[:, first + 2 * step]))
         for triple in triples:
             try:
-                want = oracles.local_frame(*triple)
+                want = oracles.frame_floats(*triple)
             except DegenerateGeometryError:
                 with pytest.raises(DegenerateGeometryError):
                     geometry.local_frame(*triple)
                 continue
-            assert np.array_equal(geometry.local_frame(*triple), want)
+            got = geometry.local_frame(*triple)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            try:
+                U = oracles.local_frame(*map(np.asarray, triple))
+            except DegenerateGeometryError:
+                continue
+            err = np.linalg.norm(frame_columns(got) - U, axis=0)
+            assert np.all(err <= 1e-15 * np.linalg.norm(U, axis=0))
 
 
 class TestPlaceAtom:
@@ -137,7 +156,7 @@ class TestPlaceAtom:
         taus = np.linspace(-3.0, 3.0, 17)
         local = geometry._local_table(np.array([-1.3 * math.cos(1.9)]),
                                       np.array([1.3 * math.sin(1.9)]), taus[None])
-        batch = geometry.place_atoms_batch(x1, x2, x3, local[0])
+        batch = geometry.place_atoms_batch(geometry.local_frame(x1, x2, x3), x3, local[0])
         for k, tau in enumerate(taus):
             one = geometry.place_atom(x1, x2, x3, 1.3, 1.9, float(tau))
             np.testing.assert_array_equal(batch[:, k], one)

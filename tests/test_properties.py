@@ -47,6 +47,28 @@ def instances(draw, hh_cutoff=5.0):
         include_torsion_annotations=draw(st.booleans()))
 
 
+def narrowed(backbone, narrow_deg: float, wide_deg: float):
+    """An instance whose (i-3, i) intervals come from a torsion window of
+    `narrow_deg` and its torsion annotations from one of `wide_deg`, so that
+    drawn torsions violate the torsion-distance law."""
+    narrow = io.generate_instance(*backbone, angle_width_deg=narrow_deg)
+    wide = io.generate_instance(*backbone, angle_width_deg=wide_deg)
+    return io.build_instance(backbone[0], narrow.edges.values(), wide.torsion_domains)
+
+
+@st.composite
+def narrowed_instances(draw):
+    backbone = io.synthetic_backbone(draw(st.integers(2, 4)), seed=draw(st.integers(0, 10**6)))
+    return narrowed(backbone, draw(st.sampled_from([0.0, 10.0, 20.0])),
+                    draw(st.sampled_from([60.0, 120.0, 360.0])))
+
+
+# exact (i-3, i) edges and 60-degree torsion windows: with rng seed 4 and 8
+# torsions, an atom's draw 0 violates the law by less than 1e-3 and meets its
+# long-range edges, and a later draw scores lower
+NARROWED_CASE = narrowed(io.synthetic_backbone(4, seed=0), 0.0, 60.0)
+
+
 @st.composite
 def torsion_domains(draw):
     a, b = sorted(draw(st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi))))
@@ -317,7 +339,9 @@ class TestImprove:
         assert metrics.lde_global(X, ci) <= before
 
     @settings(max_examples=40, deadline=None)
-    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @given(st.one_of(instances(), narrowed_instances()), st.integers(0, 2**32 - 1),
+           st.integers(1, 8))
+    @example(NARROWED_CASE, 4, 8)
     def test_sweep_matches_prefix_keeping_oracle(self, inst, seed, n_tors):
         # a stopped attempt is one the full regrowth would have rejected, and
         # it consumes the same draws; a flip past the edges at the current
@@ -425,8 +449,9 @@ class TestImprove:
                 assert metrics.lde_global(regrown, ci) >= metrics.lde_global(X, ci)
 
     @settings(max_examples=40, deadline=None)
-    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8),
-           st.one_of(st.floats(0.0, 2.0), st.just(math.inf)))
+    @given(st.one_of(instances(), narrowed_instances()), st.integers(0, 2**32 - 1),
+           st.integers(1, 8), st.one_of(st.floats(0.0, 2.0), st.just(math.inf)))
+    @example(NARROWED_CASE, 4, 8, math.inf)
     def test_bounded_construction_is_prefix_of_full(self, inst, seed, n_tors, scale):
         ci = CompiledInstance.of(inst)
         rng, rng_bounded = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -609,7 +634,7 @@ class TestPlacementTable:
         # builds it, places each atom as the per-call trig of the oracle does
         x1, x2, x3 = np.array(points).reshape(3, 3)
         try:
-            geometry.local_frame(x1, x2, x3)
+            frame = geometry.local_frame(x1, x2, x3)
         except IdgpError:
             assume(False)
         doms, d, theta = zip(*rows)
@@ -621,9 +646,29 @@ class TestPlacementTable:
             np.array([a * math.sin(b) for a, b in zip(d, theta)]), taus)
         assert table.shape == (len(rows), 3, n_tors)
         for r in range(len(rows)):
-            got = geometry.place_atoms_batch(x1, x2, x3, table[r])
+            got = geometry.place_atoms_batch(frame, x3, table[r])
             expect = oracles.place_atoms_batch(x1, x2, x3, d[r], theta[r], taus[r])
             assert got.tobytes() == expect.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9), st.integers(1, 25),
+           st.data())
+    def test_block_column_is_one_atom_placed_alone(self, points, k, data):
+        # one rounding rule: a candidate placed in a block of k is the same
+        # point, bit for bit, as that candidate placed alone
+        x1, x2, x3 = points[0:3], points[3:6], points[6:9]
+        try:
+            frame = geometry.local_frame(x1, x2, x3)
+        except IdgpError:
+            assume(False)
+        local = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=3 * k,
+                                            max_size=3 * k))).reshape(3, k)
+        block = geometry.place_atoms_batch(frame, x3, local)
+        assert block.shape == (3, k)
+        for c in range(k):
+            alone = geometry.place_local(frame, x3, local[:, c].tolist())
+            assert all(type(t) is float for t in alone)
+            assert np.array(alone).tobytes() == block[:, c].tobytes()
 
 
 class TestInstanceFileRoundTrip:
