@@ -14,6 +14,7 @@ from .model import (
     DegenerateGeometryError,
     InfeasibleDiscretizationError,
     TorsionDomain,
+    torsion_law,
 )
 
 _COLLINEAR_TOL = 1e-12
@@ -135,27 +136,12 @@ def dihedral(a, b, c, d) -> float:
     return math.atan2(-y if y != 0.0 else 0.0, x)
 
 
-def cos_affine_coefficients(x_im3, x_im2, x_im1, d: float, theta: float):
-    """Coefficients (a, b) of ||x_i - x_{i-3}||^2 = a + b cos(tau) for atom i
-    placed at distance d and bond angle theta after the given predecessors.
-
-    Computed from two placements (tau = 0 and pi); exact because the
-    relation is affine in cos(tau).
-    """
-    d0 = float(np.linalg.norm(place_atom(x_im3, x_im2, x_im1, d, theta, 0.0) - x_im3))
-    dpi = float(np.linalg.norm(place_atom(x_im3, x_im2, x_im1, d, theta, math.pi)
-                               - x_im3))
-    return 0.5 * (d0 * d0 + dpi * dpi), 0.5 * (d0 * d0 - dpi * dpi)
-
-
 def torsion_domain_from_distance(inst, i: int) -> TorsionDomain:
     """Invert the d_{i-3,i} interval into a sign-symmetric torsion domain."""
     e = inst.edge(i - 3, i)
-    # any predecessor triple with the instance's lengths and angle will do
-    triple = place_first_three(inst.edge(i - 3, i - 2).lower,
-                               inst.edge(i - 2, i - 1).lower, inst.bond_angles[i - 1])
-    a, b = cos_affine_coefficients(*triple, inst.edge(i - 1, i).lower,
-                                   inst.bond_angles[i])
+    a, b = torsion_law(inst.edge(i - 3, i - 2).lower, inst.edge(i - 2, i - 1).lower,
+                       inst.bond_angles[i - 1], inst.edge(i - 1, i).lower,
+                       inst.bond_angles[i])
     s_lo, s_up = e.lower * e.lower, e.upper * e.upper
 
     if abs(b) <= _COLLINEAR_TOL:
@@ -185,68 +171,20 @@ def sample_torsions(lo, hi, symmetric, rng, size: int) -> np.ndarray:
     """Draw `size` torsions uniformly over each of k domains; returns k x size.
 
     Row r is the domain [lo[r], hi[r]] or, where `symmetric[r]`, the union
-    [-hi[r], -lo[r]] u [lo[r], hi[r]], whose sides are picked with p = 1/2.
-    Values, generator state and every later draw are bit-identical to k
-    per-domain calls in row order, each `rng.integers(0, 2, size)` for the
-    signs of a symmetric domain, then `rng.uniform(lo, hi, size)` unless the
-    domain is a point; symmetric {0} draws nothing and gives +0.0.
-
-    The draws come from one `random_raw` call, which needs the PCG64 bit
-    generator of `np.random.default_rng`: a uniform is
-    lo + (hi - lo) * ((w >> 11) * 2**-53) of one raw 64-bit word w, and a
-    sign is bit 31 of a 32-bit word that PCG64 takes from the low half of a
-    fresh raw word, keeping the high half (`has_uint32`/`uinteger` of its
-    state) for the next one. Any other bit generator raises TypeError.
+    [-hi[r], -lo[r]] u [lo[r], hi[r]]. Each torsion, point rows too, takes one
+    64-bit word w of one `random_raw` call, in row order, so a call advances
+    the generator by exactly k * size words. The torsion is
+    lo + (hi - lo) * ((w >> 11) * 2**-53), as `rng.uniform` draws it, negated
+    on a symmetric row when bit 0 of w is set; a symmetric {0} row may give
+    -0.0. `random_raw` needs the PCG64 bit generator of
+    `np.random.default_rng`; any other raises TypeError.
     """
     bg = rng.bit_generator
     if type(bg) is not np.random.PCG64:
         raise TypeError(f"sample_torsions needs PCG64, not {type(bg).__name__}")
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    symmetric = np.asarray(symmetric, dtype=bool)
-    k = lo.size
-    uniform = lo != hi
-    signed = symmetric & (hi != 0.0)
-    n_signs = np.count_nonzero(signed) * size
-    # raw words of each row: its sign words first, then its uniforms
-    counts = np.zeros((k, 2), dtype=np.int64)
-    counts[:, 1] = uniform * size
-    if n_signs:
-        state = bg.state
-        buffered = state["has_uint32"]
-        # raw words the signs take through each row's end: the sign words
-        # so far, less the buffered one if any, two to a raw word
-        raw_to = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(signed, out=raw_to[1:])
-        raw_to = (raw_to * size - buffered + 1) // 2
-        counts[:, 0] = raw_to[1:] - raw_to[:-1]
-    ends = counts.cumsum()
-    words = bg.random_raw(counts.sum())
-
-    if words.size:
-        # a row's uniforms start where its sign words end; rows without
-        # uniforms read clipped garbage, and keep lo
-        at = ends[0::2, None] + np.arange(size)
-        u = (words.take(at, mode="clip") >> np.uint64(11)) * 2.0**-53
-        out = np.where(uniform[:, None], lo[:, None] + (hi - lo)[:, None] * u,
-                       lo[:, None])
-    else:
-        out = np.repeat(lo[:, None], size, axis=1)
-    if n_signs:
-        is_sign = np.zeros((k, 2), dtype=bool)
-        is_sign[:, 0] = True
-        sign_words = words[is_sign.ravel().repeat(counts.ravel())]
-        # the low then the high half of each raw word, bit 31 of each
-        bits = sign_words.astype("<u8", copy=False).view("<u4") >> np.uint32(31)
-        if buffered:
-            bits = np.concatenate(((state["uinteger"] >> 31,), bits))
-        out[signed] *= (2.0 * bits[:n_signs] - 1.0).reshape(-1, size)
-        # an odd count of fresh words leaves the last high half buffered;
-        # an even one has taken it, and PCG64 keeps it as a stale value
-        state = bg.state
-        state["has_uint32"] = (n_signs - buffered) % 2
-        if sign_words.size:
-            state["uinteger"] = int(sign_words[-1] >> np.uint64(32))
-        bg.state = state
-    out[symmetric & ~signed] = 0.0
-    return out
+    lo = np.asarray(lo, dtype=float)[:, None]
+    hi = np.asarray(hi, dtype=float)[:, None]
+    words = bg.random_raw((lo.shape[0], size))
+    out = lo + (hi - lo) * ((words >> np.uint64(11)) * 2.0**-53)
+    negate = (words & np.uint64(1)).astype(bool) & np.asarray(symmetric, dtype=bool)[:, None]
+    return np.where(negate, -out, out)

@@ -44,6 +44,7 @@ from .model import (
     bond_angle_from_distances,
     edge_problem,
     structure_problems,
+    torsion_law,
 )
 
 MIN_LOWER_BOUND = 0.1  # floor for generated interval lower bounds (Angstrom)
@@ -301,8 +302,7 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
     half = math.radians(angle_width_deg) / 2.0
     overrides = {}
     for i in range(4, n + 1):
-        p3, p2, p1 = coords[:, i - 4], coords[:, i - 3], coords[:, i - 2]
-        tau_star = geometry.dihedral(p3, p2, p1, coords[:, i - 1])
+        tau_star = geometry.dihedral(*coords[:, i - 4:i].T)
         ref_d = dist(i - 4, i - 1)
         if half == 0.0:
             edges[(i - 3, i)] = EdgeConstraint(i - 3, i, ref_d, ref_d)
@@ -315,8 +315,9 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
             cands.append(1.0)
         if hi_t >= math.pi or lo_t <= -math.pi:
             cands.append(-1.0)
-        a, b = geometry.cos_affine_coefficients(
-            p3, p2, p1, dist(i - 2, i - 1), _angle_at(coords, i - 3, i - 2, i - 1))
+        a, b = torsion_law(dist(i - 4, i - 3), dist(i - 3, i - 2),
+                           _angle_at(coords, i - 4, i - 3, i - 2), dist(i - 2, i - 1),
+                           _angle_at(coords, i - 3, i - 2, i - 1))
         svals = [a + b * c for c in cands]
         d_lo = math.sqrt(max(min(svals), 0.0))
         d_hi = math.sqrt(max(max(svals), 0.0))

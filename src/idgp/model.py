@@ -204,13 +204,14 @@ class CompiledInstance:
     `d_prev[i]` is d_{i-1,i}, `theta[i]` the bond angle at atom i, and
     `axial[i]`/`radial[i]` are -d_prev[i] cos(theta[i])/d_prev[i] sin(theta[i])
     (1-based; nan where undefined). `law_a[i]`/`law_b[i]` (i >= 4; nan below)
-    are the torsion-distance law d_{i-3,i}^2 = law_a[i] + law_b[i] cos(tau_i)
-    of atoms i-3..i that realize their exact edges. Entry i - 4 of `tors_lo`/`tors_hi`/
+    are `torsion_law` of atoms i-3..i, d_{i-3,i}^2 = law_a[i] + law_b[i] cos(tau_i)
+    once they realize their exact edges. Entry i - 4 of `tors_lo`/`tors_hi`/
     `tors_sym` holds atom i's torsion domain (i >= 4) as
     `geometry.sample_torsions` takes it (nan bounds where undefined); it is
-    the solver's only copy of the domains. `rmsd_sel` holds the 0-based atoms
-    an RMSD compares: all of them for n <= 200, otherwise the CA-named ones
-    (empty if there are none). Every field is an int or a read-only array.
+    the solver's only copy of the domains, and its torsion arrays share the
+    layout. `rmsd_sel` holds the 0-based atoms an RMSD compares: all of them
+    for n <= 200, otherwise the CA-named ones (empty if there are none).
+    Every field is an int or a read-only array.
     """
 
     n: int
@@ -239,11 +240,10 @@ class CompiledInstance:
     @classmethod
     def of(cls, inst: Instance) -> "CompiledInstance":
         edges = [inst.edges[k] for k in sorted(inst.edges)]
-        m = len(edges)
-        ii = np.fromiter((e.i for e in edges), int, m) - 1
-        jj = np.fromiter((e.j for e in edges), int, m) - 1
-        lower = np.fromiter((e.lower for e in edges), float, m)
-        upper = np.fromiter((e.upper for e in edges), float, m)
+        ii = np.array([e.i for e in edges], dtype=int) - 1
+        jj = np.array([e.j for e in edges], dtype=int) - 1
+        lower = np.array([e.lower for e in edges], dtype=float)
+        upper = np.array([e.upper for e in edges], dtype=float)
         w = np.where(jj - ii <= 3, 2.0, 1.0)  # discretization edges doubled
         by_end = np.lexsort((ii, jj))
         back_ptr = np.concatenate(([0], np.cumsum(np.bincount(jj, minlength=inst.n))))
@@ -252,11 +252,8 @@ class CompiledInstance:
         axial = [-d * math.cos(t) for d, t in zip(d_prev, theta)]
         radial = [d * math.sin(t) for d, t in zip(d_prev, theta)]
         d, t, axial, radial = map(np.array, (d_prev, theta, axial, radial))
-        # atoms i-3 and i about the axis x_{i-2} -> x_{i-1}: gap h along it, radii p, q
-        h = d[3:-1] - d[2:-2] * np.cos(t[3:-1]) + axial[4:]
-        p, q = d[2:-2] * np.sin(t[3:-1]), radial[4:]
         law_a, law_b = np.full(inst.n + 1, math.nan), np.full(inst.n + 1, math.nan)
-        law_a[4:], law_b[4:] = h * h + p * p + q * q, -2.0 * p * q
+        law_a[4:], law_b[4:] = torsion_law(d[2:-2], d[3:-1], t[3:-1], d[4:], t[4:])
         rows = inst.n * np.arange(3)[:, None]
         doms = [inst.torsion_domains.get(i) for i in range(4, inst.n + 1)]
         if inst.n <= _CA_SUBSET_THRESHOLD:
@@ -276,6 +273,18 @@ class CompiledInstance:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
         return view
+
+
+def torsion_law(d1, d2, theta2, d3, theta3):
+    """Coefficients (a, b) of the torsion-distance law d_{i-3,i}^2 = a + b cos(tau_i)
+    of atoms i-3..i at bond lengths d1 = d_{i-3,i-2}, d2 = d_{i-2,i-1},
+    d3 = d_{i-1,i} and bond angles theta2 at atom i-2 and theta3 at atom i-1
+    (Lavor, Liberti, Maculan & Mucherino, Comput. Optim. Appl. 52, 2012).
+    Takes floats or arrays of one shape."""
+    # atoms i-3 and i about the axis x_{i-2} -> x_{i-1}: gap h along it, radii p, q
+    h = d2 - d1 * np.cos(theta2) - d3 * np.cos(theta3)
+    p, q = d1 * np.sin(theta2), d3 * np.sin(theta3)
+    return h * h + p * p + q * q, -2.0 * p * q
 
 
 def bond_angle_from_distances(d_ab: float, d_bc: float, d_ac: float) -> float:

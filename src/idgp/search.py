@@ -56,8 +56,9 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     `geometry.place_first_three`. `domains` is (lo, hi, symmetric) for atoms
     s..n, arrays laid out like `ci.tors_lo[s - 4:]`, `ci.tors_hi[s - 4:]`
     and `ci.tors_sym[s - 4:]`, which are the default. The torsions of atoms
-    s..n are drawn and turned into local coordinates first, one call each, so
-    the generator ends in the same state however far the construction gets.
+    s..n are drawn, n_tors words each, and turned into local coordinates
+    first, one call each, so the generator ends in the same state however
+    far the construction gets.
 
     A candidate for atom i scores its largest violation of the edge (i-3, i),
     by the torsion-distance law `ci.law_a`/`ci.law_b`, and of the edges
@@ -65,11 +66,11 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     The first lowest score wins. It is placed alone, in floats, if atom i
     has no edge (j, i), j < i-3, or if it is draw 0 and violates no edge;
     otherwise all candidates are placed as one block, which rounds each
-    column as the one alone. Returns (torsion assignment dict of atoms
-    s..n, Conformation), or (the torsions placed so far, None) once a kept
-    atom scores at least `bound` and violates an edge, as
-    `metrics.lde_global` measures it, by at least `bound`: the finished
-    conformation's LDE could not be below it.
+    column as the one alone. Returns (tau, Conformation), tau the torsions of
+    atoms s..n as a float array laid out like `domains`, or (tau of the
+    atoms placed so far, None) once a kept atom scores at least `bound` and
+    violates an edge, as `metrics.lde_global` measures it, by at least
+    `bound`: the finished conformation's LDE could not be below it.
     """
     if prefix is None:
         prefix = np.column_stack(geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
@@ -88,7 +89,7 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     X[:, :start - 1] = prefix
     points = prefix.T.tolist() + [None] * (ci.n - start + 1)  # X as float triples
     ptr = ci.back_ptr.tolist()
-    tau = {}
+    tau = np.empty(len(draws))
     for i, (taus, local, score) in enumerate(zip(draws, table, law), start=start):
         frame = geometry.local_frame(*points[i - 4:i - 1])
         far = slice(ptr[i - 1], ptr[i] - 3)  # the edges (j, i) with j < i - 3
@@ -106,11 +107,11 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
                 best = score.argmin()
                 x = cand[:, best].tolist()
         X[:, i - 1] = points[i - 1] = x
-        tau[i] = taus.item(best)
+        tau[i - start] = taus[best]
         # the score rounds unlike lde_global and leaves out (i-2, i), (i-1, i)
         if score.item(best) >= bound and _back_worst(X, X[:, i - 1:i],
                                                      slice(ptr[i - 1], ptr[i]), ci)[0] >= bound:
-            return tau, None
+            return tau[:i - start + 1], None
     return tau, Conformation(X)
 
 
@@ -121,20 +122,22 @@ def _last_useful_flip(res, lde: float, ci: CompiledInstance) -> int:
     return int(ci.jj[res == lde].min()) + 1
 
 
-def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
+def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
             deadline: float = math.inf):
     """A pass of partial reflections, then, if it kept none, one sweep of
     sign flips. A reflection or flip is kept only if the global LDE strictly
     decreases, so neither raises the LDE. Nothing is tried after `deadline`
-    (a time.monotonic() value).
+    (a time.monotonic() value). `tau` holds the torsions of atoms 4..n, laid
+    out like `ci.tors_lo` (atom k at entry k-4); returns the conformation
+    and its torsions, `tau` itself if nothing was kept.
 
     A reflection at atom i mirrors atoms i..n through the plane of atoms
-    i-3, i-2, i-1 (`geometry.reflect_tail`) and negates tau[k] for k >= i;
-    it draws no random numbers. It changes only the edges (j, k) with
-    j < i-3 and k >= i, so it is tried only for i in the window
+    i-3, i-2, i-1 (`geometry.reflect_tail`) and negates the torsions tau_k,
+    k >= i; it draws no random numbers. It changes only the edges (j, k)
+    with j < i-3 and k >= i, so it is tried only for i in the window
     max(j) + 3 < i <= min(k) over the edges whose violation is the current
-    LDE, and only if every atom k >= i has -tau[k] in its domain
-    (`ci.tors_sym` or `ci.tors_lo <= -tau[k] <= ci.tors_hi`). Each scan of
+    LDE, and only if every atom k >= i has -tau_k in its domain
+    (`ci.tors_sym` or `ci.tors_lo <= -tau_k <= ci.tors_hi`). Each scan of
     the window keeps the reflection that lowers the LDE most (the smallest
     such i on a tie), and the pass scans the new window, until a scan keeps
     none.
@@ -143,8 +146,8 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
     for atoms i..n only, with atom i's sign forced, and regrows i..n
     greedily. It stops once a placed atom violates some edge by the current
     LDE; a stopped attempt is rejected. Atom i's forced side is the part of
-    its domain on the other side of zero from tau[i], one interval; a flip is
-    tried only if that part holds -tau[i] != 0. No flip is tried past J, the
+    its domain on the other side of zero from tau_i, one interval; a flip is
+    tried only if that part holds -tau_i != 0. No flip is tried past J, the
     smallest larger end of the edges whose violation is the current LDE: it
     would keep such an edge as it is, so it could not be kept. J is found
     again after each kept flip."""
@@ -153,7 +156,7 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
     reflected = False
     while current_lde > 0.0:
         at = res == current_lde
-        neg = -np.fromiter((tau[k] for k in range(4, ci.n + 1)), float, ci.n - 3)
+        neg = -tau
         bad = np.flatnonzero(~(ci.tors_sym | (ci.tors_lo <= neg) & (neg <= ci.tors_hi)))
         # past the last atom that may not flip, every later atom may
         first = max(int(ci.ii[at].max()) + 5, int(bad[-1]) + 5 if bad.size else 4)
@@ -170,7 +173,7 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
             break
         current_lde, i, Y, res = best
         X, reflected = Conformation(Y), True
-        tau = {k: -t if k >= i else t for k, t in tau.items()}
+        tau = np.concatenate((tau[:i - 4], -tau[i - 4:]))
     if reflected:
         return X, tau
 
@@ -178,7 +181,7 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
     for i in range(4, ci.n + 1):
         if i > last:
             break
-        t = -tau[i]
+        t = -tau.item(i - 4)
         lo, hi = ci.tors_lo[i - 4], ci.tors_hi[i - 4]
         if ci.tors_sym[i - 4] and t < 0.0:
             lo, hi = -hi, -lo  # the negative half of a sign-symmetric union
@@ -199,7 +202,7 @@ def improve(X, tau: dict, ci: CompiledInstance, n_tors: int, rng,
         lde_trial = metrics.lde_global(X_trial, ci)
         if lde_trial < current_lde:
             X, current_lde = X_trial, lde_trial
-            tau = {**{k: tau[k] for k in range(4, i)}, **placed}
+            tau = np.concatenate((tau[:i - 4], placed))
             last = _last_useful_flip(metrics._residuals(X, ci), current_lde, ci)
     return X, tau
 

@@ -4,12 +4,14 @@ per-edge loops for the array code of `idgp.metrics` and
 of `idgp.metrics` and np.clip for its projection, vector helpers in the
 same operation order and numpy vector ops for the scalar-float
 `idgp.geometry.local_frame`, per-atom trig for the local-coordinate table
-of `idgp.geometry.place_atoms_batch`, one numpy draw
-call per domain for the single-call `idgp.geometry.sample_torsions`, and,
+of `idgp.geometry.place_atoms_batch`, a one-domain draw of one 64-bit word
+per torsion (`rng.uniform` for an interval, raw words read one at a time
+otherwise) for the k-domain block of `idgp.geometry.sample_torsions`, and,
 for `idgp.search.improve`, a reflection pass that tries every atom and tests
 each domain on its own, then a prefix-keeping sign-flip sweep that regrows
 every attempt to the last atom, with its sign restriction on
-`TorsionDomain` objects."""
+`TorsionDomain` objects. Torsions are arrays laid out like
+`CompiledInstance.tors_lo`, atom k at entry k - 4, as the solver holds them."""
 
 import math
 
@@ -172,19 +174,17 @@ def gradient(z, ci) -> np.ndarray:
 
 
 def sample_torsions(dom, rng, size) -> np.ndarray:
-    """Draw `size` torsions uniformly over one domain with numpy's own
-    integers/uniform calls."""
-    if dom.kind is DomainKind.SINGLE:
-        if dom.hi == dom.lo:
-            return np.full(size, dom.lo)
+    """Draw `size` torsions uniformly over one domain, one 64-bit word w each:
+    an interval by `rng.uniform`; otherwise lo + (hi - lo) * u with
+    u = (w >> 11) * 2**-53 in Python floats, negated on a symmetric domain
+    when w is odd, which picks each side with p = 1/2."""
+    if dom.kind is DomainKind.SINGLE and dom.lo != dom.hi:
         return rng.uniform(dom.lo, dom.hi, size)
-    if dom.lo == 0.0 and dom.hi == 0.0:
-        return np.zeros(size)
-    # symmetric union: the two sides have equal length, pick each with p=1/2
-    signs = 2.0 * rng.integers(0, 2, size) - 1.0
-    if dom.hi == dom.lo:
-        return signs * dom.lo
-    return signs * rng.uniform(dom.lo, dom.hi, size)
+    out = []
+    for w in rng.bit_generator.random_raw(size).tolist():
+        t = dom.lo + (dom.hi - dom.lo) * ((w >> 11) * 2.0**-53)
+        out.append(-t if dom.kind is DomainKind.SYMMETRIC and w % 2 else t)
+    return np.array(out)
 
 
 def torsion_domains(ci) -> dict:
@@ -230,7 +230,7 @@ def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
     X = np.empty((3, ci.n))
     X[:, :start - 1] = prefix
     ptr, d_prev, theta = ci.back_ptr.tolist(), ci.d_prev.tolist(), ci.theta.tolist()
-    tau = {}
+    tau = []
     for i in range(start, ci.n + 1):
         taus = sample_torsions(domains[i], rng, n_tors)
         cand = place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2], d_prev[i], theta[i],
@@ -247,8 +247,8 @@ def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
             score = np.maximum(score, np.maximum((lower - r) / lower, (r - upper) / upper))
         best = int(np.flatnonzero(score == score.min())[0])
         X[:, i - 1] = cand[:, best]
-        tau[i] = float(taus[best])
-    return tau, Conformation(X)
+        tau.append(taus[best])
+    return np.array(tau), Conformation(X)
 
 
 # The reflection pass as a plain scan: every i in 4..n, in order, is tried
@@ -271,7 +271,7 @@ def reflection_pass(X, tau, ci):
         for i in range(4, ci.n + 1):
             if not all(j < i - 3 and k >= i for j, k in at):
                 continue
-            if not all(domains[k].contains(-tau[k]) for k in range(i, ci.n + 1)):
+            if not all(domains[k].contains(-tau[k - 4]) for k in range(i, ci.n + 1)):
                 continue
             Y = geometry.reflect_tail(X.coords, i)
             lde_y = metrics.lde_global(Y, ci)
@@ -281,7 +281,7 @@ def reflection_pass(X, tau, ci):
             return X, tau, kept
         i, Y = best
         X, kept = Conformation(Y), True
-        tau = {k: -t if k >= i else t for k, t in tau.items()}
+        tau = np.where(np.arange(4, ci.n + 1) >= i, -tau, tau)
 
 
 def improve(X, tau, ci, n_tors, rng):
@@ -291,7 +291,7 @@ def improve(X, tau, ci, n_tors, rng):
     current_lde = metrics.lde_global(X, ci)
     domains = torsion_domains(ci)
     for i in range(4, ci.n + 1):
-        t_i = tau[i]
+        t_i = tau[i - 4]
         dom = domains[i]
         if t_i == 0.0 or not dom.contains(-t_i):
             continue
@@ -304,5 +304,5 @@ def improve(X, tau, ci, n_tors, rng):
         lde_trial = metrics.lde_global(X_trial, ci)
         if lde_trial < current_lde:
             X, current_lde = X_trial, lde_trial
-            tau = {**{k: tau[k] for k in range(4, i)}, **placed}
+            tau = np.concatenate((tau[:i - 4], placed))
     return X, tau

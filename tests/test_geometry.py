@@ -10,6 +10,7 @@ from idgp.model import (
     DomainKind,
     InfeasibleDiscretizationError,
     TorsionDomain,
+    torsion_law,
 )
 from tests import oracles
 from tests.conftest import build_chain
@@ -236,11 +237,11 @@ class TestTorsionDomainFromDistance:
             inst.edge(1, 2).lower, inst.edge(2, 3).lower, inst.bond_angles[3])
 
     def test_distance_squared_affine_in_cos(self, toy):
-        # d(tau)^2 = a + b cos(tau) exactly characterizes the placement
+        # d(tau)^2 = a + b cos(tau) of torsion_law characterizes the placement
         inst, _ = toy
         triple = self._triple(inst)
-        a, b = geometry.cos_affine_coefficients(
-            *triple, inst.edge(3, 4).lower, inst.bond_angles[4])
+        a, b = torsion_law(inst.edge(1, 2).lower, inst.edge(2, 3).lower, inst.bond_angles[3],
+                           inst.edge(3, 4).lower, inst.bond_angles[4])
         for tau in np.linspace(-3.1, 3.1, 25):
             d = distance_at(inst, float(tau), triple)
             assert d * d == pytest.approx(a + b * math.cos(tau), abs=1e-10)
@@ -322,3 +323,10 @@ class TestSampleTorsions:
         taus = sample_one(dom, rng, 200)
         assert set(np.unique(taus)) <= {-0.9, 0.9}
         assert len(np.unique(taus)) == 2
+
+    def test_symmetric_signs_are_balanced(self):
+        # bit 0 of each word picks the side: the count of negative draws is
+        # Binomial(n, 1/2), here within four standard deviations of n / 2
+        n = 4000
+        taus = sample_one(TorsionDomain.symmetric(0.2, 2.5), np.random.default_rng(7), n)
+        assert abs(np.count_nonzero(taus < 0) - n / 2) <= 4 * math.sqrt(n / 4)

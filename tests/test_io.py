@@ -283,6 +283,33 @@ class TestGenerateInstance:
             assert dom.contains(tau, tol=1e-12)
             assert dom.hi - dom.lo <= 2 * half + 1e-12
 
+    @pytest.mark.parametrize("width_deg", [50.0, 150.0, 300.0])
+    def test_torsion_window_spans_three_apart_bounds(self, generated, width_deg):
+        # atom i placed after the reference atoms i-3..i-1 at torsions across
+        # its window, its ends and any cos extreme inside it, lands inside the
+        # (i-3, i) bounds and reaches each bound not clamped to
+        # MIN_LOWER_BOUND or the reference distance
+        from idgp import geometry
+        atoms, coords, _ = generated
+        inst = io.generate_instance(atoms, coords, angle_width_deg=width_deg)
+        half = math.radians(width_deg) / 2.0
+        for i in range(4, inst.n + 1):
+            predecessors = [coords[:, k] for k in range(i - 4, i - 1)]
+            tau_star = geometry.dihedral(*predecessors, coords[:, i - 1])
+            window = [tau_star + t for t in np.linspace(-half, half, 101)]
+            window += [t for t in (0.0, math.pi, -math.pi)
+                       if tau_star - half <= t <= tau_star + half]
+            dists = [float(np.linalg.norm(
+                geometry.place_atom(*predecessors, inst.edge(i - 1, i).lower,
+                                    inst.bond_angles[i], t) - predecessors[0]))
+                for t in window]
+            e, ref = inst.edge(i - 3, i), pair_distance(coords, i - 3, i)
+            assert e.lower - 1e-9 <= min(dists) and max(dists) <= e.upper + 1e-9
+            if e.lower not in (io.MIN_LOWER_BOUND, ref):
+                assert min(dists) == pytest.approx(e.lower, abs=1e-9)
+            if e.upper != ref:
+                assert max(dists) == pytest.approx(e.upper, abs=1e-9)
+
     def test_hydrogen_pairs_within_cutoff(self, generated):
         atoms, coords, inst = generated
         h_idx = [a.index for a in atoms if a.name.startswith("H")]

@@ -21,6 +21,7 @@ from idgp.model import (
     Instance,
     SolverParams,
     TorsionDomain,
+    torsion_law,
     validate_instance,
 )
 from tests import oracles
@@ -138,22 +139,23 @@ class TestCompiledView:
     @settings(max_examples=40, deadline=None)
     @given(instances(), st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=5))
     def test_torsion_distance_law(self, inst, taus):
-        # on any predecessor triple with the instance's lengths and angle
+        # the arrays are torsion_law of each atom's lengths and angles, and
+        # the law gives the distance of atom i placed after any predecessor
+        # triple with those lengths and angle
         ci = CompiledInstance.of(inst)
         assert np.isnan(ci.law_a[:4]).all() and np.isnan(ci.law_b[:4]).all()
         assert ci.law_a.shape == ci.law_b.shape == (inst.n + 1,)
         for i in range(4, inst.n + 1):
             d, theta = ci.d_prev[i], ci.theta[i]
+            a, b = torsion_law(ci.d_prev[i - 2], ci.d_prev[i - 1], ci.theta[i - 1], d, theta)
+            assert (ci.law_a[i], ci.law_b[i]) == (a, b)
             triple = geometry.place_first_three(ci.d_prev[i - 2], ci.d_prev[i - 1],
                                                 ci.theta[i - 1])
-            a, b = geometry.cos_affine_coefficients(*triple, d, theta)
             scale = abs(a) + abs(b)
-            assert math.isclose(ci.law_a[i], a, rel_tol=1e-12, abs_tol=1e-12 * scale)
-            assert math.isclose(ci.law_b[i], b, rel_tol=1e-12, abs_tol=1e-12 * scale)
             for tau in taus:
                 x = geometry.place_atom(*triple, d, theta, tau)
                 d2 = float(((x - triple[0]) ** 2).sum())
-                assert math.isclose(ci.law_a[i] + ci.law_b[i] * math.cos(tau), d2,
+                assert math.isclose(a + b * math.cos(tau), d2,
                                     rel_tol=1e-12, abs_tol=1e-12 * scale)
 
     @settings(max_examples=20, deadline=None)
@@ -354,7 +356,7 @@ class TestImprove:
         X_oracle, tau_oracle = oracles.improve(X_oracle, tau_oracle, ci, n_tors,
                                                rng_oracle)
         assert X.coords.tobytes() == X_oracle.coords.tobytes()
-        assert tau == tau_oracle
+        assert tau.tobytes() == tau_oracle.tobytes()
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
     @staticmethod
@@ -409,10 +411,10 @@ class TestImprove:
         steps = []
         for i in range(4, ci.n + 1):
             steps.append((i, X, tau, attempts.get(i)))
-            placed, trial = attempts.get(i, ({}, None))
+            placed, trial = attempts.get(i, (None, None))
             if trial is not None and metrics.lde_global(trial, ci) < metrics.lde_global(X, ci):
-                X, tau = trial, {**{k: tau[k] for k in range(4, i)}, **placed}
-        assert X is X_out and tau == tau_out
+                X, tau = trial, np.concatenate((tau[:i - 4], placed))
+        assert X is X_out and tau.tobytes() == tau_out.tobytes()
         return steps
 
     @settings(max_examples=40, deadline=None)
@@ -436,9 +438,9 @@ class TestImprove:
         domains = oracles.torsion_domains(ci)
         for i, X, tau, attempt in self.sweep_steps(ci, n_tors, seed):
             dom = domains[i]
-            if attempt is not None or tau[i] == 0.0 or not dom.contains(-tau[i]):
+            if attempt is not None or tau[i - 4] == 0.0 or not dom.contains(-tau[i - 4]):
                 continue
-            trial = oracles.sign_restricted_domain(dom, -tau[i])
+            trial = oracles.sign_restricted_domain(dom, -tau[i - 4])
             lo, hi, sym = (ci.tors_lo[i - 4:].copy(), ci.tors_hi[i - 4:].copy(),
                            ci.tors_sym[i - 4:].copy())
             lo[0], hi[0], sym[0] = trial.lo, trial.hi, False
@@ -461,15 +463,16 @@ class TestImprove:
         tau_b, conf_b = search.greedy_construction(ci, n_tors, rng_bounded, bound=bound)
         assert rng.bit_generator.state == rng_bounded.bit_generator.state
         if conf_b is None:
-            assert list(tau_b.items()) == list(tau.items())[:len(tau_b)]
+            assert tau_b.tobytes() == tau[:len(tau_b)].tobytes()
             assert lde >= bound
         else:
-            assert tau_b == tau
+            assert tau_b.tobytes() == tau.tobytes()
             assert conf_b.coords.tobytes() == conf.coords.tobytes()
         # an unbounded construction is the one that samples inside its loop
         tau_o, conf_o = oracles.greedy_construction(
             ci, n_tors, np.random.default_rng(seed))
-        assert tau == tau_o and conf.coords.tobytes() == conf_o.coords.tobytes()
+        assert tau.tobytes() == tau_o.tobytes()
+        assert conf.coords.tobytes() == conf_o.coords.tobytes()
 
 
     @settings(max_examples=30, deadline=None)
@@ -505,7 +508,7 @@ class TestImprove:
             e = ci.back_ptr[i] - 3
             lower, upper = ci.back_lower[e], ci.back_upper[e]
             score = np.maximum(0.0, np.maximum((lower - r) / lower, (r - upper) / upper))
-            assert tau[i] == row[np.flatnonzero(score == score.min())[0]]
+            assert tau[i - 4] == row[np.flatnonzero(score == score.min())[0]]
         assert conf is not None and metrics.lde_global(conf, ci) < 1e-9
 
 
@@ -525,11 +528,11 @@ class TestReflectionPass:
         for r, (X_in, i, Y) in enumerate(reflections):
             kept = Y is X_out.coords or any(Y is Z for Z, _, _ in reflections[r + 1:])
             if kept:
-                taus[id(Y)] = {k: -t if k >= i else t for k, t in taus[id(X_in)].items()}
+                taus[id(Y)] = np.concatenate((taus[id(X_in)][:i - 4], -taus[id(X_in)][i - 4:]))
             steps.append((X_in, taus[id(X_in)], i, Y, kept))
         assert reflected == any(step[4] for step in steps)
         if reflected:
-            assert taus[id(X_out.coords)] == tau_out
+            assert taus[id(X_out.coords)].tobytes() == tau_out.tobytes()
         return steps
 
     @settings(max_examples=40, deadline=None)
@@ -550,7 +553,7 @@ class TestReflectionPass:
                 continue
             for k in range(i, ci.n + 1):
                 measured = geometry.dihedral(*(Y[:, a] for a in range(k - 4, k)))
-                assert abs(math.remainder(measured + tau[k], 2.0 * math.pi)) <= 1e-9
+                assert abs(math.remainder(measured + tau[k - 4], 2.0 * math.pi)) <= 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
@@ -560,7 +563,7 @@ class TestReflectionPass:
         ci = CompiledInstance.of(inst)
         domains = oracles.torsion_domains(ci)
         for _, tau, i, _, _ in self.pass_steps(ci, n_tors, seed):
-            assert all(domains[k].contains(-tau[k]) for k in range(i, ci.n + 1))
+            assert all(domains[k].contains(-tau[k - 4]) for k in range(i, ci.n + 1))
 
     @settings(max_examples=40, deadline=None)
     @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
@@ -592,28 +595,60 @@ class TestReflectionPass:
             assert kept == [r == lowest for r in range(len(ldes))]
 
 
+def sample_block(doms, rng, size):
+    """`geometry.sample_torsions` over the rows `doms`."""
+    return geometry.sample_torsions([d.lo for d in doms], [d.hi for d in doms],
+                                    [d.kind is DomainKind.SYMMETRIC for d in doms], rng, size)
+
+
 class TestSampleTorsions:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(sampler_domains(), max_size=8), st.integers(1, 9),
-           st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 3]))
-    @example([TorsionDomain.symmetric(0.5, 1.0)] * 3, 3, 0, 1)
-    @example([TorsionDomain.symmetric(0.5, 0.5), TorsionDomain.single(-1.0, 1.0)],
-             2, 0, 0)
-    def test_matches_per_domain_calls(self, doms, size, seed, odd_before):
-        # an odd integers(0, 2, k) call first leaves a half word buffered
-        rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        if odd_before:
-            rng.integers(0, 2, odd_before)
-            rng_oracle.integers(0, 2, odd_before)
-        taus = geometry.sample_torsions(
-            [d.lo for d in doms], [d.hi for d in doms],
-            [d.kind is DomainKind.SYMMETRIC for d in doms], rng, size)
-        expect = [oracles.sample_torsions(d, rng_oracle, size) for d in doms]
+           st.integers(0, 2**32 - 1))
+    @example([TorsionDomain.symmetric(0.5, 1.0)] * 3, 3, 0)
+    @example([TorsionDomain.symmetric(0.5, 0.5), TorsionDomain.single(-1.0, 1.0)], 2, 0)
+    def test_block_matches_row_calls(self, doms, size, seed):
+        # one block call, one-row calls in row order and the one-domain
+        # oracle give the same torsions and leave the same generator state
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        taus = sample_block(doms, rngs[0], size)
+        rows = [sample_block([d], rngs[1], size)[0] for d in doms]
+        expect = [oracles.sample_torsions(d, rngs[2], size) for d in doms]
         assert taus.shape == (len(doms), size)
-        assert [row.tobytes() for row in taus] == [row.tobytes() for row in expect]
-        assert rng.bit_generator.state == rng_oracle.bit_generator.state
-        assert rng.integers(0, 2, 5).tolist() == rng_oracle.integers(0, 2, 5).tolist()
-        assert rng.random(3).tobytes() == rng_oracle.random(3).tobytes()
+        assert [row.tobytes() for row in taus] == [row.tobytes() for row in rows] \
+            == [row.tobytes() for row in expect]
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state \
+            == rngs[2].bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(sampler_domains(), max_size=8), st.integers(1, 9),
+           st.integers(0, 2**32 - 1))
+    def test_one_word_per_torsion(self, doms, size, seed):
+        # every row takes `size` words, point rows too: the generator ends
+        # where advancing a copy by k * size words leaves it
+        rng, skipped = np.random.default_rng(seed), np.random.default_rng(seed)
+        sample_block(doms, rng, size)
+        skipped.bit_generator.advance(len(doms) * size)
+        assert rng.bit_generator.state == skipped.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(sampler_domains(), min_size=1, max_size=8), st.integers(1, 9),
+           st.integers(0, 2**32 - 1))
+    def test_draws_stay_in_their_domains(self, doms, size, seed):
+        taus = sample_block(doms, np.random.default_rng(seed), size)
+        for dom, row in zip(doms, taus.tolist()):
+            assert all(dom.contains(t) for t in row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi), st.integers(1, 9),
+           st.integers(0, 2**32 - 1))
+    def test_single_interval_is_rng_uniform(self, a, b, size, seed):
+        lo, hi = min(a, b), max(a, b)
+        assume(lo != hi)
+        rng, rng_uniform = np.random.default_rng(seed), np.random.default_rng(seed)
+        taus = geometry.sample_torsions([lo], [hi], [False], rng, size)
+        assert taus[0].tobytes() == rng_uniform.uniform(lo, hi, size).tobytes()
+        assert rng.bit_generator.state == rng_uniform.bit_generator.state
 
     def test_other_bit_generator_raises(self):
         rng = np.random.Generator(np.random.MT19937(0))
