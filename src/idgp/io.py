@@ -1,23 +1,26 @@
 """Instance/reference file formats, instance generation, profile data.
 
-Both formats are line oriented, '#' starts a comment. Instance records:
+Both formats are UTF-8 (another byte is a ParseError at its line, raised before any
+rule below) and line oriented (LF, CR LF or CR ends a line); '#' starts a comment.
+Instance records:
 
     E i j dL dU name_i res_i name_j res_j     distance edge (Angstrom)
     T i tauL_deg tauU_deg sign                torsion annotation (degrees)
 
 E needs integer i, j and residues with 1 <= i < j, finite 0 < dL <= dU, dL == dU
 when j - i <= 2, and a pair no earlier E gave; an atom's first E names it. T needs
-4 <= i <= n (the largest E index), an atom no earlier T gave, -180 <= tauL <= tauU
-<= 180 and a sign: '+' is [tauL, tauU]; '-' mirrors it to [-tauU, -tauL]; '+-' (or
-a Unicode plus-minus) is the sign-symmetric union of both and needs tauL >= 0.
-Each rule, and any other record type, is a ParseError at its line; no E record is
-one at line 0. The whole instance then needs an edge (j, i) for each atom i >= 2
-and each max(1, i-3) <= j < i (ValidationError), checked before anything is
-derived from the edges; then a triangle for each bond angle at atom i, a ParseError
-at the line of E (i-2, i), and three-apart bounds (i-3, i) some torsion reaches, one
-at the line of that E. `build_instance` applies the same E rules, and the T rule
-4 <= i <= n, to in-memory records as a ValidationError (derivation errors there
-carry no line), and `generate_instance` ends in it.
+an atom no earlier T gave, -180 <= tauL <= tauU <= 180 and a sign: '+' is [tauL,
+tauU]; '-' mirrors it to [-tauU, -tauL]; '+-' (or a Unicode plus-minus) is the
+sign-symmetric union of both and needs tauL >= 0. The first line that breaks one
+of these rules, or has another record type, is a ParseError. Then, in this order:
+no E record is one at line 0; a T atom outside 4..n (n the largest E index) one at
+its line; atoms of 1..n that no E names are a ValidationError, a violation per run;
+so is a missing edge (j, i) for an atom i >= 2 and max(1, i-3) <= j < i; a bond
+angle at atom i without a triangle is a ParseError at the line of E (i-2, i), and
+bounds (i-3, i) no torsion reaches one at the line of that E. `build_instance`
+applies the same E rules, and the T rule 4 <= i <= n, to in-memory records as a
+ValidationError (derivation errors there carry no line), and `generate_instance`
+ends in it.
 
 Reference/conformation files carry one atom per line, `index name residue
 x y z`: integers, index = atoms on earlier lines + 1, finite x, y, z. Each
@@ -25,6 +28,8 @@ rule is a ParseError at its line; a file without atoms is one at line 0.
 """
 
 import math
+import re
+from itertools import pairwise
 
 import numpy as np
 
@@ -42,12 +47,13 @@ from .model import (
     TorsionDomain,
     as_coords,
     bond_angle_from_distances,
-    edge_problem,
+    edge_problems,
     structure_problems,
     torsion_law,
 )
 
 MIN_LOWER_BOUND = 0.1  # floor for generated interval lower bounds (Angstrom)
+_COMMENT = re.compile("#.*")  # '.' stops at a line end
 
 
 class ParseError(IdgpError):
@@ -68,114 +74,132 @@ class ProfileError(IdgpError):
 
 
 def build_instance(atoms, edges, torsion_overrides=None) -> Instance:
-    """Check each edge record, given with either end first, against
-    `edge_problem` (ValidationError) and assemble an Instance from them; a
-    repeated pair raises DuplicateEdgeError, and a torsion override for an
-    atom outside 4..n a ValidationError. `_complete` then checks the whole
-    instance and derives the rest."""
-    edge_map = {}
-    for e in edges:
-        i, j = (e.i, e.j) if e.i < e.j else (e.j, e.i)
-        e = EdgeConstraint(i, j, e.lower, e.upper)
-        problem = edge_problem(e)
-        if problem:
-            raise ValidationError([problem])
-        if (i, j) in edge_map:
-            raise DuplicateEdgeError(f"duplicate edge record for pair ({i},{j})")
-        edge_map[(i, j)] = e
-    atoms = list(atoms)
-    overrides = torsion_overrides or {}
-    outside = [f"torsion override for atom {i} outside 4..{len(atoms)}"
-               for i in overrides if not 4 <= i <= len(atoms)]
-    if outside:
-        raise ValidationError(outside)
-    return _complete(Instance(atoms=atoms, edges=edge_map), overrides)
-
-
-def _complete(inst: Instance, overrides: dict, path=None, edge_lines=None) -> Instance:
-    """Raise ValidationError unless the whole-instance rules hold
-    (`structure_problems`; the caller has checked each edge record), then
-    derive bond angles and, where `overrides` gives none, torsion domains
-    from the edges. Given the `path` and `edge_lines` (pair -> line) of a
-    file, a derivation error is a ParseError at the line of edge (i-2, i)
-    for a bond angle and of edge (i-3, i) for a torsion domain."""
-    violations = structure_problems(inst)
+    """An Instance of edge records given with either end first: the first that
+    breaks an E rule is a ValidationError, or repeats a pair a DuplicateEdgeError;
+    then overrides for atoms outside 4..n and `structure_problems` are."""
+    records = [EdgeConstraint(*sorted((e.i, e.j)), e.lower, e.upper) for e in edges]
+    edge_map, bad = _edge_map(records)
+    if bad and bad[1]:
+        raise ValidationError([bad[1]])
+    if bad:
+        i, j, _, _ = records[bad[0]]
+        raise DuplicateEdgeError(f"duplicate edge record for pair ({i},{j})")
+    inst, overrides = Instance(list(atoms), edge_map), torsion_overrides or {}
+    violations = [f"torsion override for atom {i} outside 4..{inst.n}"
+                  for i in overrides if not 4 <= i <= inst.n] or structure_problems(inst)
     if violations:
         raise ValidationError(violations)
-    edges = inst.edges
+    return _derive(inst, overrides)
+
+
+def _edge_map(records):
+    """The records as a dict pair -> record, and the first that breaks an E rule
+    or repeats a pair, as (row, message; None for a repeat), or None."""
+    problems = edge_problems(records)
+    edges = dict(zip([e[:2] for e in records], records))
+    if len(edges) < len(records):
+        seen = set()
+        k = next(k for k, e in enumerate(records) if e[:2] in seen or seen.add(e[:2]))
+        if not problems or k < problems[0][0]:
+            problems = [(k, None)]
+    return edges, (problems[0] if problems else None)
+
+
+def _derive(inst: Instance, overrides: dict, path=None, lines=None) -> Instance:
+    """Derive the bond angles of `inst` (every required edge there) and the torsion
+    domains `overrides` lacks. Given a file's `path` and its edges' `lines`, an error
+    is a ParseError at the line of (i-2, i) for a bond angle, (i-3, i) for a domain."""
+    n, edges = inst.n, inst.edges
+    one, pair = [edges[(i - 1, i)].lower for i in range(2, n + 1)], None
     try:
-        for i in range(3, inst.n + 1):
-            pair = (i - 2, i)
-            inst.bond_angles[i] = bond_angle_from_distances(
-                edges[(i - 2, i - 1)].lower, edges[(i - 1, i)].lower, edges[pair].lower)
-        for i in range(4, inst.n + 1):
+        inst.bond_angles.update(zip(range(3, n + 1), bond_angle_from_distances(
+            one[:-1], one[1:], [edges[(i - 2, i)].lower for i in range(3, n + 1)])))
+        for i in range(4, n + 1):
             pair = (i - 3, i)
             inst.torsion_domains[i] = (overrides[i] if i in overrides
                                        else geometry.torsion_domain_from_distance(inst, i))
     except IdgpError as exc:
-        if edge_lines is None:
+        if lines is None:
             raise
-        raise ParseError(path, edge_lines[pair], str(exc)) from exc
+        pair = pair or (exc.index + 1, exc.index + 3)  # the bond angle at exc.index + 3
+        raise ParseError(path, lines[list(edges).index(pair)], str(exc)) from exc
     return inst
 
 
-def _parse_domain(lo_deg, hi_deg, sign) -> TorsionDomain:
-    lo, hi = math.radians(lo_deg), math.radians(hi_deg)
-    if sign == "+":
-        return TorsionDomain.single(lo, hi)
-    if sign == "-":
-        return TorsionDomain.single(-hi, -lo)
-    if sign in ("+-", "±"):
-        return TorsionDomain.symmetric(lo, hi)
-    raise ValueError(f"unknown sign '{sign}'")
+def _tokens(path):
+    """(line number, tokens) of each line of a UTF-8 file, '#' starting a comment; lines
+    end at LF, CR LF or CR, as in text mode. A byte not UTF-8 is an error at its line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # read() decodes the whole file at once
+        head = exc.object[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError(path, head.count(b"\n") + 1, f"not UTF-8 ({exc.reason})") from exc
+    return enumerate(map(str.split, _COMMENT.sub("", text).split("\n")), start=1)
 
 
 def parse_instance(path) -> Instance:
-    """Parse and fully validate an instance file (rules: module docstring)."""
-    atoms, edges, edge_lines, overrides = {}, {}, {}, {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+    """Parse and fully validate an instance file (rules and their order: module docstring).
+    One loop tokenizes and converts each line; each E rule then runs once over them all."""
+    records, lines, names, residues, overrides, t_lines, failure = [], [], [], [], {}, {}, None
+    try:
+        for line_no, tok in _tokens(path):
+            if not tok:
                 continue
-            tok = line.split()
-            try:
-                if tok[0] == "E":
-                    if len(tok) != 9:
-                        raise ValueError("expected: E i j dL dU name_i res_i name_j res_j")
-                    e = EdgeConstraint(int(tok[1]), int(tok[2]), float(tok[3]), float(tok[4]))
-                    problem = edge_problem(e)
-                    if problem:
-                        raise ValueError(problem)
-                    key = e.i, e.j
-                    if key in edges:
-                        raise ValueError(f"duplicate edge ({e.i},{e.j})")
-                    edges[key] = e
-                    edge_lines[key] = line_no
-                    atoms.setdefault(e.i, (tok[5], int(tok[6])))  # name, residue
-                    atoms.setdefault(e.j, (tok[7], int(tok[8])))
-                elif tok[0] == "T":
-                    if len(tok) != 5:
-                        raise ValueError("expected: T i tauL_deg tauU_deg sign")
-                    i = int(tok[1])
-                    if i in overrides:
-                        raise ValueError(f"duplicate torsion record for atom {i}")
-                    overrides[i] = (line_no, _parse_domain(float(tok[2]),
-                                                           float(tok[3]), tok[4]))
-                else:
-                    raise ValueError(f"unknown record type '{tok[0]}'")
-            except (ValueError, IndexError, InvalidBoundsError) as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-
+            if tok[0] == "E":
+                if len(tok) != 9:
+                    raise ValueError("expected: E i j dL dU name_i res_i name_j res_j")
+                records.append(EdgeConstraint(int(tok[1]), int(tok[2]), float(tok[3]),
+                                              float(tok[4])))
+                lines.append(line_no)
+                # flat lists: a tuple per record would outlive the loop as GC work
+                names += tok[5], tok[7]
+                residues += int(tok[6]), int(tok[8])
+            elif tok[0] == "T":
+                if len(tok) != 5:
+                    raise ValueError("expected: T i tauL_deg tauU_deg sign")
+                i, sign = int(tok[1]), tok[4]
+                if i in overrides:
+                    raise ValueError(f"duplicate torsion record for atom {i}")
+                lo, hi = math.radians(float(tok[2])), math.radians(float(tok[3]))
+                if sign not in ("+", "-", "+-", "±"):
+                    raise ValueError(f"unknown sign '{sign}'")
+                t_lines[i] = line_no
+                overrides[i] = (TorsionDomain.single(lo, hi) if sign == "+" else
+                                TorsionDomain.single(-hi, -lo) if sign == "-" else
+                                TorsionDomain.symmetric(lo, hi))
+            else:
+                raise ValueError(f"unknown record type '{tok[0]}'")
+    except (ValueError, InvalidBoundsError) as exc:
+        failure = exc
+    # the records end at a failed line, which has one only if its residues
+    # failed: a broken E rule or repeated pair up to there comes first
+    edges, bad = _edge_map(records)
+    if bad:
+        problem = bad[1] or "duplicate edge ({},{})".format(*records[bad[0]])
+        raise ParseError(path, lines[bad[0]], problem) from ValueError(problem)
+    if failure:
+        raise ParseError(path, line_no, str(failure)) from failure
     if not edges:
         raise ParseError(path, 0, "no edge records")
-    n = max(atoms)
-    for i, (line_no, _) in overrides.items():
+    ii, jj, _, _ = zip(*records)
+    n = max(jj)
+    for i, line_no in t_lines.items():
         if not 4 <= i <= n:
             raise ParseError(path, line_no, f"torsion record for atom {i} outside 4..{n}")
-    atom_list = [AtomRecord(k, *atoms.get(k, ("X", 0))) for k in range(1, n + 1)]
-    return _complete(Instance(atom_list, edges), {i: dom for i, (_, dom) in overrides.items()},
-                     path, edge_lines)
+    ends = [0] * len(names)
+    ends[::2], ends[1::2] = ii, jj
+    named = dict(zip(ends[::-1], zip(names[::-1], residues[::-1])))  # first E names an atom
+    if len(named) < n:
+        gaps = [(a + 1, b - 1) for a, b in pairwise([0, *sorted(named), n + 1]) if b > a + 1]
+        raise ValidationError([f"atom {a} appears in no E record" if a == b else
+                               f"atoms {a}..{b} appear in no E record" for a, b in gaps])
+    inst = Instance([AtomRecord(k, *named[k]) for k in range(1, n + 1)], edges)
+    # the pairs are distinct, 1 <= i < j <= n: all max(3n - 6, n - 1) required
+    # edges are there exactly when as many pairs have j - i <= 3
+    if np.count_nonzero(np.subtract(jj, ii) <= 3) != max(3 * n - 6, n - 1):
+        raise ValidationError(structure_problems(inst))
+    return _derive(inst, overrides, path, lines)
 
 
 def _fmt(x: float) -> str:
@@ -205,24 +229,21 @@ def write_instance(inst: Instance, path) -> None:
 def parse_reference(path):
     """Read `index name residue x y z` lines; returns (atoms, 3 x n coords)."""
     atoms, xyz = [], []
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            if len(tok) != 6:
-                raise ParseError(path, line_no, "expected: index name residue x y z")
-            try:
-                index = int(tok[0])
-                if index != len(atoms) + 1:
-                    raise ValueError(f"atom index {index} follows {len(atoms)} atoms")
-                atoms.append(AtomRecord(index, tok[1], int(tok[2])))
-                xyz.append([float(tok[3]), float(tok[4]), float(tok[5])])
-                if not all(map(math.isfinite, xyz[-1])):
-                    raise ValueError(f"atom {index}: non-finite coordinate")
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
+    for line_no, tok in _tokens(path):
+        if not tok:
+            continue
+        if len(tok) != 6:
+            raise ParseError(path, line_no, "expected: index name residue x y z")
+        try:
+            index = int(tok[0])
+            if index != len(atoms) + 1:
+                raise ValueError(f"atom index {index} follows {len(atoms)} atoms")
+            atoms.append(AtomRecord(index, tok[1], int(tok[2])))
+            xyz.append([float(tok[3]), float(tok[4]), float(tok[5])])
+            if not all(map(math.isfinite, xyz[-1])):
+                raise ValueError(f"atom {index}: non-finite coordinate")
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
     if not atoms:
         raise ParseError(path, 0, "empty reference file")
     return atoms, np.array(xyz).T

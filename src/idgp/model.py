@@ -7,6 +7,7 @@ All distances are in Angstrom.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +43,7 @@ class SelectionError(IdgpError):
     pass
 
 
-@dataclass(frozen=True)
-class AtomRecord:
+class AtomRecord(NamedTuple):
     """One atom in the sequential ordering (1-based index)."""
 
     index: int
@@ -51,8 +51,7 @@ class AtomRecord:
     residue: int
 
 
-@dataclass(frozen=True)
-class EdgeConstraint:
+class EdgeConstraint(NamedTuple):
     """Distance bounds for an unordered atom pair, stored with i < j."""
 
     i: int
@@ -240,10 +239,9 @@ class CompiledInstance:
     @classmethod
     def of(cls, inst: Instance) -> "CompiledInstance":
         edges = [inst.edges[k] for k in sorted(inst.edges)]
-        ii = np.array([e.i for e in edges], dtype=int) - 1
-        jj = np.array([e.j for e in edges], dtype=int) - 1
-        lower = np.array([e.lower for e in edges], dtype=float)
-        upper = np.array([e.upper for e in edges], dtype=float)
+        ii, jj, lower, upper = zip(*edges) if edges else ((),) * 4
+        ii, jj = np.array(ii, dtype=int) - 1, np.array(jj, dtype=int) - 1
+        lower, upper = np.array(lower, dtype=float), np.array(upper, dtype=float)
         w = np.where(jj - ii <= 3, 2.0, 1.0)  # discretization edges doubled
         by_end = np.lexsort((ii, jj))
         back_ptr = np.concatenate(([0], np.cumsum(np.bincount(jj, minlength=inst.n))))
@@ -287,31 +285,45 @@ def torsion_law(d1, d2, theta2, d3, theta3):
     return h * h + p * p + q * q, -2.0 * p * q
 
 
-def bond_angle_from_distances(d_ab: float, d_bc: float, d_ac: float) -> float:
-    """Angle at vertex b of the triangle with the given side lengths."""
-    if d_ab <= 0 or d_bc <= 0 or d_ac <= 0:
-        raise DegenerateGeometryError("nonpositive side length")
-    c = (d_ab * d_ab + d_bc * d_bc - d_ac * d_ac) / (2.0 * d_ab * d_bc)
-    if abs(c) > 1.0 + _COS_DEGENERACY_TOL:
-        raise DegenerateGeometryError(f"no triangle with sides {d_ab}, {d_bc}, {d_ac}")
-    c = min(1.0, max(-1.0, c))
-    if abs(c) == 1.0:
-        raise DegenerateGeometryError("collinear triple")
-    return math.acos(c)
+def bond_angle_from_distances(d_ab, d_bc, d_ac):
+    """Angle at vertex b of the triangle with the given side lengths. Takes floats,
+    or sequences of one length for a list of angles; the first triangle without an
+    angle raises, with its position in them as the error's `index`."""
+    a, b, c = (np.ravel(np.asarray(d, dtype=float)) for d in (d_ab, d_bc, d_ac))
+    with np.errstate(all="ignore"):  # sides too small to square give NaN or inf
+        cos = (a * a + b * b - c * c) / (2.0 * a * b)
+    for k in np.flatnonzero(~((a > 0) & (b > 0) & (c > 0) & (np.abs(cos) < 1.0)))[:1].tolist():
+        sides = a[k].item(), b[k].item(), c[k].item()
+        if any(d <= 0 for d in sides):
+            exc = DegenerateGeometryError("nonpositive side length")
+        elif abs(cos[k]) > 1.0 + _COS_DEGENERACY_TOL:
+            exc = DegenerateGeometryError("no triangle with sides {}, {}, {}".format(*sides))
+        else:  # within the tolerance of +-1, or NaN
+            exc = DegenerateGeometryError("collinear triple")
+        exc.index = k
+        raise exc
+    angles = list(map(math.acos, cos.tolist()))
+    return angles if np.ndim(d_ab) else angles[0]
 
 
-def edge_problem(e: EdgeConstraint):
-    """The rule one edge record breaks, or None: 1 <= i < j, finite bounds with
-    0 < lower <= upper, and exact when j - i <= 2, as the discretization needs."""
-    if not 1 <= e.i < e.j:
-        return f"edge ({e.i},{e.j}): indices must satisfy 1 <= i < j"
-    if not (math.isfinite(e.lower) and math.isfinite(e.upper)):
-        return f"edge ({e.i},{e.j}): bounds {e.lower}, {e.upper} not finite"
-    if not 0 < e.lower <= e.upper:
-        return f"edge ({e.i},{e.j}): bounds {e.lower}, {e.upper} must satisfy 0 < lower <= upper"
-    if e.j - e.i <= 2 and not e.exact:
-        return f"edge ({e.i},{e.j}): distance across at most two bonds must be exact"
-    return None
+def edge_problems(records) -> list:
+    """(k, message) for each edge record k, in order, that breaks a rule: 1 <= i < j,
+    finite bounds with 0 < lower <= upper, and exact when j - i <= 2, as the
+    discretization needs. Each rule is one mask; a message names k's first rule."""
+    ii, jj, lower, upper = zip(*records) if records else ((),) * 4
+    try:
+        i, j = np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64)
+    except OverflowError:  # beyond int64: compare as Python ints
+        i, j = np.array(ii, dtype=object), np.array(jj, dtype=object)
+    lo, up = np.array(lower, dtype=float), np.array(upper, dtype=float)
+    rules = (((i < 1) | (i >= j), "indices must satisfy 1 <= i < j"),
+             (~(np.isfinite(lo) & np.isfinite(up)), "bounds {}, {} not finite"),
+             (~((0 < lo) & (lo <= up)), "bounds {}, {} must satisfy 0 < lower <= upper"),
+             ((j - i <= 2) & (lo != up), "distance across at most two bonds must be exact"))
+    broken = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in rules]))
+    return [(k, f"edge ({ii[k]},{jj[k]}): "
+             + next(text for mask, text in rules if mask[k]).format(lower[k], upper[k]))
+            for k in broken.tolist()]
 
 
 def structure_problems(inst: Instance) -> list:
@@ -334,7 +346,7 @@ def structure_problems(inst: Instance) -> list:
 def validate_instance(inst: Instance) -> list:
     """Return every violated instance invariant; empty list means valid."""
     out = structure_problems(inst)
-    out += filter(None, map(edge_problem, inst.edges.values()))
+    out += [message for _, message in edge_problems(list(inst.edges.values()))]
     for i in range(4, inst.n + 1):
         if i not in inst.torsion_domains:
             out.append(f"missing torsion domain for atom {i}")

@@ -11,7 +11,12 @@ for `idgp.search.improve`, a reflection pass that tries every atom and tests
 each domain on its own, then a prefix-keeping sign-flip sweep that regrows
 every attempt to the last atom, with its sign restriction on
 `TorsionDomain` objects. Torsions are arrays laid out like
-`CompiledInstance.tors_lo`, atom k at entry k - 4, as the solver holds them."""
+`CompiledInstance.tors_lo`, atom k at entry k - 4, as the solver holds them.
+For `idgp.io.parse_instance`, which converts each line in one pass and then
+checks the E records as columns, it holds the parser that checks each record
+on its own line, with its scalar edge rule and whole-instance rules, and the
+one-triangle law of cosines for `idgp.model.bond_angle_from_distances`, which
+takes all of an instance's triangles at once."""
 
 import math
 
@@ -19,13 +24,20 @@ import numpy as np
 
 from idgp import geometry, metrics
 from idgp.geometry import _COLLINEAR_TOL
+from idgp.io import ParseError, ValidationError
 from idgp.metrics import _SMOOTHNESS_TOL
 from idgp.model import (
+    AtomRecord,
     Conformation,
     DegenerateGeometryError,
     DomainKind,
+    EdgeConstraint,
+    IdgpError,
+    Instance,
+    InvalidBoundsError,
     NonsmoothPointError,
     TorsionDomain,
+    _COS_DEGENERACY_TOL,
 )
 
 
@@ -306,3 +318,132 @@ def improve(X, tau, ci, n_tors, rng):
             X, current_lde = X_trial, lde_trial
             tau = np.concatenate((tau[:i - 4], placed))
     return X, tau
+
+
+# The instance-file parser as it checked each record on its own line: an
+# error is raised at the first line that breaks a record rule; then come the
+# torsion range, the whole-instance rules and the derivations. It names an
+# atom no E record gives ("X", 0). It reads the file as UTF-8, as the parser
+# under test does; files that are not UTF-8 are outside its range.
+
+def _parse_domain(lo_deg, hi_deg, sign) -> TorsionDomain:
+    lo, hi = math.radians(lo_deg), math.radians(hi_deg)
+    if sign == "+":
+        return TorsionDomain.single(lo, hi)
+    if sign == "-":
+        return TorsionDomain.single(-hi, -lo)
+    if sign in ("+-", "±"):
+        return TorsionDomain.symmetric(lo, hi)
+    raise ValueError(f"unknown sign '{sign}'")
+
+
+def bond_angle_from_distances(d_ab: float, d_bc: float, d_ac: float) -> float:
+    """Angle at vertex b of the triangle with the given side lengths."""
+    if d_ab <= 0 or d_bc <= 0 or d_ac <= 0:
+        raise DegenerateGeometryError("nonpositive side length")
+    c = (d_ab * d_ab + d_bc * d_bc - d_ac * d_ac) / (2.0 * d_ab * d_bc)
+    if abs(c) > 1.0 + _COS_DEGENERACY_TOL:
+        raise DegenerateGeometryError(f"no triangle with sides {d_ab}, {d_bc}, {d_ac}")
+    c = min(1.0, max(-1.0, c))
+    if abs(c) == 1.0:
+        raise DegenerateGeometryError("collinear triple")
+    return math.acos(c)
+
+
+def edge_problem(e: EdgeConstraint):
+    """The rule one edge record breaks, or None: 1 <= i < j, finite bounds with
+    0 < lower <= upper, and exact when j - i <= 2, as the discretization needs."""
+    if not 1 <= e.i < e.j:
+        return f"edge ({e.i},{e.j}): indices must satisfy 1 <= i < j"
+    if not (math.isfinite(e.lower) and math.isfinite(e.upper)):
+        return f"edge ({e.i},{e.j}): bounds {e.lower}, {e.upper} not finite"
+    if not 0 < e.lower <= e.upper:
+        return f"edge ({e.i},{e.j}): bounds {e.lower}, {e.upper} must satisfy 0 < lower <= upper"
+    if e.j - e.i <= 2 and not e.exact:
+        return f"edge ({e.i},{e.j}): distance across at most two bonds must be exact"
+    return None
+
+
+def structure_problems(inst: Instance) -> list:
+    """Every violated whole-instance rule: atoms numbered 1..n in order, each
+    edge keyed by its own pair (i, j) with j <= n, and an edge (j, i) for
+    every atom i >= 2 and every max(1, i - 3) <= j < i."""
+    n = inst.n
+    out = [f"atom index {atom.index} at position {k}: indices must be contiguous 1..n"
+           for k, atom in enumerate(inst.atoms, start=1) if atom.index != k]
+    for key, e in inst.edges.items():
+        if key != (e.i, e.j):
+            out.append(f"edge {key}: key does not match record pair ({e.i},{e.j})")
+        elif e.j > n:
+            out.append(f"edge ({e.i},{e.j}): atom {e.j} beyond n = {n}")
+    out += [f"missing required edge ({j},{i})" for i in range(2, n + 1)
+            for j in range(max(1, i - 3), i) if (j, i) not in inst.edges]
+    return out
+
+
+def _complete(inst: Instance, overrides: dict, path=None, edge_lines=None) -> Instance:
+    violations = structure_problems(inst)
+    if violations:
+        raise ValidationError(violations)
+    edges = inst.edges
+    try:
+        for i in range(3, inst.n + 1):
+            pair = (i - 2, i)
+            inst.bond_angles[i] = bond_angle_from_distances(
+                edges[(i - 2, i - 1)].lower, edges[(i - 1, i)].lower, edges[pair].lower)
+        for i in range(4, inst.n + 1):
+            pair = (i - 3, i)
+            inst.torsion_domains[i] = (overrides[i] if i in overrides
+                                       else geometry.torsion_domain_from_distance(inst, i))
+    except IdgpError as exc:
+        if edge_lines is None:
+            raise
+        raise ParseError(path, edge_lines[pair], str(exc)) from exc
+    return inst
+
+
+def parse_instance(path) -> Instance:
+    atoms, edges, edge_lines, overrides = {}, {}, {}, {}
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tok = line.split()
+            try:
+                if tok[0] == "E":
+                    if len(tok) != 9:
+                        raise ValueError("expected: E i j dL dU name_i res_i name_j res_j")
+                    e = EdgeConstraint(int(tok[1]), int(tok[2]), float(tok[3]), float(tok[4]))
+                    problem = edge_problem(e)
+                    if problem:
+                        raise ValueError(problem)
+                    key = e.i, e.j
+                    if key in edges:
+                        raise ValueError(f"duplicate edge ({e.i},{e.j})")
+                    edges[key] = e
+                    edge_lines[key] = line_no
+                    atoms.setdefault(e.i, (tok[5], int(tok[6])))  # name, residue
+                    atoms.setdefault(e.j, (tok[7], int(tok[8])))
+                elif tok[0] == "T":
+                    if len(tok) != 5:
+                        raise ValueError("expected: T i tauL_deg tauU_deg sign")
+                    i = int(tok[1])
+                    if i in overrides:
+                        raise ValueError(f"duplicate torsion record for atom {i}")
+                    overrides[i] = (line_no, _parse_domain(float(tok[2]),
+                                                           float(tok[3]), tok[4]))
+                else:
+                    raise ValueError(f"unknown record type '{tok[0]}'")
+            except (ValueError, IndexError, InvalidBoundsError) as exc:
+                raise ParseError(path, line_no, str(exc)) from exc
+
+    if not edges:
+        raise ParseError(path, 0, "no edge records")
+    n = max(atoms)
+    for i, (line_no, _) in overrides.items():
+        if not 4 <= i <= n:
+            raise ParseError(path, line_no, f"torsion record for atom {i} outside 4..{n}")
+    atom_list = [AtomRecord(k, *atoms.get(k, ("X", 0))) for k in range(1, n + 1)]
+    return _complete(Instance(atom_list, edges), {i: dom for i, (_, dom) in overrides.items()},
+                     path, edge_lines)

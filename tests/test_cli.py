@@ -81,6 +81,16 @@ class TestSolve:
         assert run(["solve", "--instance", str(tmp_path / "nope.inst")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [b"E 1 2 1.5 1.5 N 1 CA 1\nE 2 3 \xff\n",
+                                      b"E 1 2 1.5 1.5 N 1 CA 1\nE 2 2000000 5 6 CA 1 N 9\n"])
+    def test_unreadable_instance_exits_1(self, tmp_path, capsys, text):
+        # a byte that is not UTF-8, or an index far beyond the atoms named
+        path = tmp_path / "bad.inst"
+        path.write_bytes(text)
+        assert run(["solve", "--instance", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) <= 2
+
     def test_solver_error_exits_1(self, toy_file, monkeypatch, capsys):
         def fail(inst, params):
             raise SelectionError("no CA-named atoms for large-instance RMSD subset")
@@ -126,14 +136,16 @@ class TestBench:
         io.write_instance(inst, d / "a.inst")
         io.write_instance(inst, d / "b.inst")
         (d / "broken.inst").write_text("E 1 2 bad\n")
+        (d / "latin1.inst").write_bytes("E 1 2 1.5 1.5 N 1 CA 1 # \u00b1\n".encode("latin-1"))
         out = tmp_path / "results.tsv"
         assert run(["bench", "--instances", str(d), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0].split("\t")[:2] == ["instance", "n"]
         rows = {l.split("\t")[0]: l.split("\t") for l in lines[1:]}
         assert rows["a.inst"][-2] == "Solved"
-        assert rows["broken.inst"][-2] == "Error"
-        assert "broken.inst" in capsys.readouterr().err
+        assert rows["broken.inst"][-2] == rows["latin1.inst"][-2] == "Error"
+        err = capsys.readouterr().err
+        assert "broken.inst" in err and "latin1.inst:1: not UTF-8" in err
 
     def test_invalid_solver_flag_exits_1_without_rows(self, toy, tmp_path, capsys):
         inst, _ = toy

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,39 @@ from idgp.model import (
     TorsionDomain,
 )
 from tests.oracles import pair_distance
+
+# a minimal valid instance file: a four-atom chain, its (1,4) edge on line 7
+CHAIN = """\
+# minimal four-atom chain
+E 1 2 1.5 1.5 N 1 CA 1
+E 2 3 1.5 1.5 CA 1 C 1
+E 3 4 1.5 1.5 C 1 N 2
+E 1 3 2.5 2.5 N 1 C 1
+E 2 4 2.5 2.5 CA 1 N 2
+E 1 4 2.8 3.2 N 1 N 2
+"""
+# records that each break one rule of the instance format; every one is an
+# error at its own line (the instance-file properties draw from them too)
+MALFORMED_LINES = [
+    "E 2 1 1.5 1.5 N 1 CA 1",          # i >= j
+    "E 1 2 2.0 1.0 N 1 CA 1",          # dL > dU
+    "E 1 2 1.5 N 1 CA 1",              # wrong arity
+    "Q 1 2 1.5 1.5 N 1 CA 1",          # unknown record
+    "T 4 10 20 *",                     # unknown sign
+    "E 1 2 abc 1.5 N 1 CA 1",          # bad float
+    "E 0 4 3.0 3.5 X 1 N 2",           # atom index below 1
+    "E 3 5 1.4 1.6 C 1 CA 2",          # two apart, not exact
+]
+BAD_TORSION_LINES = [
+    "T 3 10 20 +",                     # atom below 4: no torsion
+    "T 99 10 20 +",                    # atom beyond n
+    "T 4 30 20 +",                     # lo > hi
+    "T 4 -10 20 +-",                   # symmetric union needs lo >= 0
+    "T 4 nan nan +",                   # NaN bounds pass the lo > hi test
+    "T 4 10 inf +-",                   # infinite upper bound
+    "T 4 -300 300 +",                  # beyond -180..180
+    "T 4 10 400 +-",                   # beyond 180
+]
 
 
 class TestInstanceRoundTrip:
@@ -50,15 +84,7 @@ class TestParseInstance:
         p.write_text(text)
         return p
 
-    VALID = """\
-# minimal four-atom chain
-E 1 2 1.5 1.5 N 1 CA 1
-E 2 3 1.5 1.5 CA 1 C 1
-E 3 4 1.5 1.5 C 1 N 2
-E 1 3 2.5 2.5 N 1 C 1
-E 2 4 2.5 2.5 CA 1 N 2
-E 1 4 2.8 3.2 N 1 N 2
-"""
+    VALID = CHAIN
 
     def test_valid_minimal(self, tmp_path):
         inst = io.parse_instance(self._write(tmp_path, self.VALID))
@@ -99,16 +125,7 @@ E 1 4 2.8 3.2 N 1 N 2
             io.parse_instance(self._write(tmp_path, text))
         assert ":8:" in str(err.value)
 
-    @pytest.mark.parametrize("line", [
-        "E 2 1 1.5 1.5 N 1 CA 1",          # i >= j
-        "E 1 2 2.0 1.0 N 1 CA 1",          # dL > dU
-        "E 1 2 1.5 N 1 CA 1",              # wrong arity
-        "Q 1 2 1.5 1.5 N 1 CA 1",          # unknown record
-        "T 4 10 20 *",                     # unknown sign
-        "E 1 2 abc 1.5 N 1 CA 1",          # bad float
-        "E 0 4 3.0 3.5 X 1 N 2",           # atom index below 1
-        "E 3 5 1.4 1.6 C 1 CA 2",          # two apart, not exact
-    ])
+    @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_malformed_lines_raise_with_location(self, tmp_path, line):
         path = self._write(tmp_path, self.VALID + line + "\n")
         with pytest.raises(io.ParseError) as err:
@@ -128,16 +145,7 @@ E 1 4 2.8 3.2 N 1 N 2
             io.parse_instance(path)
         assert where in str(err.value) and message in str(err.value)
 
-    @pytest.mark.parametrize("line", [
-        "T 3 10 20 +",                     # atom below 4: no torsion
-        "T 99 10 20 +",                    # atom beyond n
-        "T 4 30 20 +",                     # lo > hi
-        "T 4 -10 20 +-",                   # symmetric union needs lo >= 0
-        "T 4 nan nan +",                   # NaN bounds pass the lo > hi test
-        "T 4 10 inf +-",                   # infinite upper bound
-        "T 4 -300 300 +",                  # beyond -180..180
-        "T 4 10 400 +-",                   # beyond 180
-    ])
+    @pytest.mark.parametrize("line", BAD_TORSION_LINES)
     def test_bad_torsion_records_raise_with_location(self, tmp_path, line):
         path = self._write(tmp_path, self.VALID + line + "\n")
         with pytest.raises(io.ParseError) as err:
@@ -173,12 +181,58 @@ E 1 4 2.8 3.2 N 1 N 2
         i, j = pair.split()
         assert err.value.violations == [f"missing required edge ({i},{j})"]
 
+    def test_unnamed_atoms_are_one_violation_per_run(self, tmp_path):
+        # n is the largest E index; the atoms below it that no E record
+        # names are reported as runs, before any work per atom
+        text = ("E 1 2 1.5 1.5 N 1 CA 1\nE 2 3 1.5 1.5 CA 1 C 1\n"
+                "E 1 3 2.5 2.5 N 1 C 1\nE 3 200000 5 6 C 1 N 2\n")
+        path = self._write(tmp_path, text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(io.ValidationError) as err:
+                io.parse_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.violations == ["atoms 4..199999 appear in no E record"]
+        assert peak < 5e6
+
+    def test_gaps_name_single_atoms_and_runs(self, tmp_path):
+        text = "".join(l + "\n" for l in self.VALID.splitlines()
+                       if l and not l.startswith("E 1 ")) + "E 3 7 2.0 3.0 C 1 Q 3\n"
+        with pytest.raises(io.ValidationError) as err:
+            io.parse_instance(self._write(tmp_path, text))
+        assert err.value.violations == ["atom 1 appears in no E record",
+                                        "atoms 5..6 appear in no E record"]
+
+    @pytest.mark.parametrize("parse", [io.parse_instance, io.parse_reference])
+    def test_non_utf8_byte_is_an_error_at_its_line(self, tmp_path, parse):
+        path = tmp_path / "case.txt"
+        path.write_bytes(b"# header\r\n1 N \xff 0 0 0\n")
+        with pytest.raises(io.ParseError) as err:
+            parse(path)
+        assert ":2: not UTF-8" in str(err.value)
+
+    @pytest.mark.parametrize("parse", [io.parse_instance, io.parse_reference])
+    def test_non_utf8_byte_is_reported_before_any_rule(self, tmp_path, parse):
+        # the whole file is decoded first: a bad byte on a later line wins
+        # over a malformed line before it
+        path = tmp_path / "case.txt"
+        path.write_bytes(b"# header\nE 1 2\n# note\n1 N \xff 0 0 0\n")
+        with pytest.raises(io.ParseError) as err:
+            parse(path)
+        assert ":4: not UTF-8" in str(err.value)
+
     @pytest.mark.parametrize("old, new, where, message", [
         pytest.param("E 1 4 2.8 3.2", "E 1 4 9 9.5", ":7:",
                      "edge (1,4) bounds [9.0,9.5] outside the reachable distance range",
                      id="unreachable (1,4)"),
         pytest.param("E 1 3 2.5 2.5", "E 1 3 3.5 3.5", ":5:",
-                     "no triangle with sides 1.5, 1.5, 3.5", id="no triangle (1,3)")])
+                     "no triangle with sides 1.5, 1.5, 3.5", id="no triangle (1,3)"),
+        # 2 * dL(1,2) * dL(2,3) underflows to 0; the cosine is -inf
+        pytest.param("1 2 1.5 1.5 N 1 CA 1\nE 2 3 1.5 1.5", "1 2 1e-200 1e-200 N 1 CA 1\n"
+                     "E 2 3 1e-200 1e-200", ":5:", "no triangle with sides 1e-200, 1e-200, 2.5",
+                     id="underflow (1,3)")])
     def test_derivation_errors_raise_with_location(self, tmp_path, old, new, where,
                                                    message):
         # each record is valid on its own; deriving atom i's torsion domain

@@ -18,6 +18,7 @@ from idgp.model import (
     validate_instance,
 )
 from idgp.metrics import StressProblem
+from tests import oracles
 from tests.conftest import one_edge_instance
 
 
@@ -101,6 +102,13 @@ class TestBondAngle:
         with pytest.raises(DegenerateGeometryError):
             bond_angle_from_distances(1.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("c, message", [
+        (2.0 + 2.5e-13, "collinear triple"),  # |cos| - 1 within the tolerance
+        (2.0 + 1e-11, "no triangle with sides 1.0, 1.0, 2.00000000001")])
+    def test_degeneracy_tolerance(self, c, message):
+        with pytest.raises(DegenerateGeometryError, match=f"^{message}$"):
+            bond_angle_from_distances(1.0, 1.0, c)
+
     def test_nonpositive_side_raises(self):
         with pytest.raises(DegenerateGeometryError):
             bond_angle_from_distances(0.0, 1.0, 1.0)
@@ -109,6 +117,34 @@ class TestBondAngle:
     def test_round_trip_with_law_of_cosines(self, a, b, ang):
         c = math.sqrt(a * a + b * b - 2 * a * b * math.cos(ang))
         assert bond_angle_from_distances(a, b, c) == pytest.approx(ang, abs=1e-9)
+
+    @given(st.lists(st.tuples(*[st.sampled_from([0.0, -1.0, 1e-200, 1e300, math.nan, 1.0,
+                                                  2.0, 3.0]) | st.floats(0.5, 3.0)] * 3),
+                    max_size=6))
+    def test_sequences_match_one_triangle_at_a_time(self, triples):
+        """A call on sequences gives each triangle's angle bit for bit as the
+        one-triangle oracle does, or raises its error at the first triangle
+        it rejects, with that position as `index`."""
+        expect = []
+        for k, sides in enumerate(triples):
+            try:
+                expect.append(oracles.bond_angle_from_distances(*sides).hex())
+            except (DegenerateGeometryError, ZeroDivisionError) as exc:
+                expect = k, exc
+                break
+        columns = [list(side) for side in zip(*triples)] or [[], [], []]
+        try:
+            got = [theta.hex() for theta in bond_angle_from_distances(*columns)]
+        except DegenerateGeometryError as exc:
+            got = exc.index, exc
+        if isinstance(expect, tuple) and isinstance(expect[1], ZeroDivisionError):
+            # the oracle divides by a product that underflows to 0; the
+            # array form rejects that triangle instead
+            assert got[0] == expect[0]
+        elif isinstance(expect, tuple):
+            assert (got[0], str(got[1])) == (expect[0], str(expect[1]))
+        else:
+            assert got == expect
 
 
 class TestConformation:

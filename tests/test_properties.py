@@ -1,11 +1,13 @@
 """Properties of the compiled array view, the stress model, the solver's
 pool, the improvement sweep's sign restriction, early stop, kept prefix and
 skipped flips, the reflection pass, the batched torsion sampler, the
-placement table, and the instance file format, checked on random valid
-instances and domains."""
+placement table, and the instance file format and its parser, checked on
+random valid instances and domains and on files broken from them."""
 
 import inspect
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,6 +27,7 @@ from idgp.model import (
     validate_instance,
 )
 from tests import oracles
+from tests.test_io import BAD_TORSION_LINES, CHAIN, MALFORMED_LINES
 
 
 # tight H-H widths and no torsion annotations: a sweep there keeps flips at
@@ -761,3 +764,110 @@ class TestInstanceFileRoundTrip:
         except IdgpError:  # a rule of the whole instance
             line = None
         assert line == (2 + keys.index(key) if reported else None)
+
+
+# whitespace the tokenizer splits at but a line split at '\n' keeps inside the
+# line (str.splitlines would break at all but '\r' and '\t')
+LINE_NOISE = ["\r", "\x0c", "\x85", "\u2028", "\t"]
+
+
+@st.composite
+def instance_texts(draw):
+    """The text of a written instance, and of variants of it: one or two lines
+    replaced by a malformed record, a bad T record or a copy of another
+    line; an E record given other bounds, which may break a bond angle or a
+    torsion domain, or another name for an atom; a line, or every E line,
+    left out; comments and blank lines inserted; and spaces, or the line
+    ends, turned into CRs, form feeds, NELs, line separators or tabs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.inst"
+        io.write_instance(draw(instances()), path)
+        lines = path.read_text().split("\n")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = draw(st.sampled_from(MALFORMED_LINES + BAD_TORSION_LINES + lines))
+    if draw(st.integers(0, 3)) == 3:
+        k = draw(st.sampled_from([k for k, line in enumerate(lines) if line[:1] == "E"]))
+        tok = lines[k].split(" ")
+        tok[3:5] = draw(st.sampled_from([("3.5", "3.5"), ("9", "9.5"), ("0.5", "40"),
+                                         ("2", "1"), ("1e300", "1e300"), ("0", "0")]))
+        lines[k] = " ".join(tok)
+    if draw(st.integers(0, 3)) == 3:
+        k = draw(st.sampled_from([k for k, line in enumerate(lines) if line[:1] == "E"]))
+        tok = lines[k].split(" ")
+        tok[draw(st.sampled_from([5, 7]))] = "Z"
+        lines[k] = " ".join(tok)
+    drop = draw(st.integers(0, 9))
+    if drop == 9:
+        lines = [line for line in lines if line[:1] != "E"]
+    elif drop == 8:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines)))
+        lines.insert(k, draw(st.sampled_from(["", "   ", "# note", "\t# E 1 2"])))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] += draw(st.sampled_from([" # trailing note", "#", " \r"]))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        spaces = [p for p, c in enumerate(lines[k]) if c == " "]
+        if spaces:
+            p = draw(st.sampled_from(spaces))
+            lines[k] = lines[k][:p] + draw(st.sampled_from(LINE_NOISE)) + lines[k][p + 1:]
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+def parse_outcome(parse, path):
+    """What `parse` makes of a file: its Instance with every float as hex
+    and every dict in order, or the type and text of its error."""
+    try:
+        inst = parse(path)
+    except IdgpError as exc:
+        return type(exc), str(exc)
+    return (inst.atoms,
+            [(key, e.i, e.j, e.lower.hex(), e.upper.hex()) for key, e in inst.edges.items()],
+            [(i, theta.hex()) for i, theta in inst.bond_angles.items()],
+            [(i, d.kind, d.lo.hex(), d.hi.hex()) for i, d in inst.torsion_domains.items()])
+
+
+class TestParseOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(instance_texts())
+    # a rule broken on a line whose residue is no integer
+    @example(CHAIN + "E 2 1 1.5 1.5 N x CA 1\n")
+    # a residue that is no integer, then a broken rule
+    @example(CHAIN.replace("N 1 C 1", "N x C 1") + "E 2 1 1.5 1.5 N 1 CA 1\n")
+    # a T record out of range, then a broken E rule
+    @example(CHAIN + "T 99 10 20 +\nE 2 1 1.5 1.5 N 1 CA 1\n")
+    # a repeated pair, then a broken rule; both on one line; a broken rule,
+    # then a repeated T
+    @example(CHAIN + "E 1 2 1.5 1.5 N 1 CA 1\nE 2 1 1 1 A 1 B 1\n")
+    @example(CHAIN + "E 1 2 2.0 1.0 N 1 CA 1\n")
+    @example(CHAIN + "E 2 1 1 1 A 1 B 1\nT 4 1 2 +\nT 4 1 2 +\n")
+    # no torsion reaches the (1,4) bounds; at atom 3 no triangle, a collinear
+    # one, and a cosine that overflows to NaN
+    @example(CHAIN.replace("2.8 3.2", "9 9.5"))
+    @example(CHAIN.replace("E 1 3 2.5 2.5", "E 1 3 3.5 3.5"))
+    @example(CHAIN.replace("E 1 3 2.5 2.5", "E 1 3 3.0 3.0"))
+    @example(CHAIN.replace("1 2 1.5 1.5", "1 2 1e300 1e300")
+             .replace("2 3 1.5 1.5", "2 3 1e300 1e300"))
+    # an inexact edge two apart
+    @example(CHAIN.replace("2.5 2.5 N 1 C 1", "2.4 2.6 N 1 C 1"))
+    # atom 2 named again, otherwise, by a later record; two atoms
+    @example(CHAIN.replace("E 2 4 2.5 2.5 CA 1", "E 2 4 2.5 2.5 XX 7"))
+    @example("E 1 2 1.5 1.5 N 1 CA 1\n")
+    # indices beyond int64
+    @example(CHAIN + "E -99999999999999999999999 2 1.5 1.5 N 1 CA 1\n")
+    def test_matches_the_line_by_line_parser(self, tmp_path_factory, text):
+        """parse_instance gives the oracle's Instance bit for bit, or its
+        error type and text, errors in the oracle's order; a file whose E
+        records leave an atom in 1..n unnamed has a new error and is left out."""
+        path = tmp_path_factory.mktemp("oracle") / "case.inst"
+        path.write_bytes(text.encode("utf-8"))
+        expect = parse_outcome(oracles.parse_instance, path)
+        if expect[0] is io.ValidationError:  # every E record was read
+            lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            toks = [line.split("#", 1)[0].split() for line in lines]
+            named = {int(t) for tok in toks if tok[:1] == ["E"] for t in tok[1:3]}
+            assume(named == set(range(1, max(named) + 1)))
+        assert parse_outcome(io.parse_instance, path) == expect
