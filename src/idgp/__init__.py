@@ -8,7 +8,6 @@ from .model import (
     Instance,
     SolverParams,
     TorsionDomain,
-    validate_instance,
 )
 from .search import MultistartReport, multistart_solve
 
@@ -21,5 +20,4 @@ __all__ = [
     "SolverParams",
     "TorsionDomain",
     "multistart_solve",
-    "validate_instance",
 ]

@@ -10,12 +10,7 @@ import math
 
 import numpy as np
 
-from .model import (
-    DegenerateGeometryError,
-    InfeasibleDiscretizationError,
-    TorsionDomain,
-    torsion_law,
-)
+from .model import DegenerateGeometryError, InfeasibleDiscretizationError
 
 _COLLINEAR_TOL = 1e-12
 _COS_CLAMP_TOL = 1e-9
@@ -136,35 +131,35 @@ def dihedral(a, b, c, d) -> float:
     return math.atan2(-y if y != 0.0 else 0.0, x)
 
 
-def torsion_domain_from_distance(inst, i: int) -> TorsionDomain:
-    """Invert the d_{i-3,i} interval into a sign-symmetric torsion domain."""
-    e = inst.edge(i - 3, i)
-    a, b = torsion_law(inst.edge(i - 3, i - 2).lower, inst.edge(i - 2, i - 1).lower,
-                       inst.bond_angles[i - 1], inst.edge(i - 1, i).lower,
-                       inst.bond_angles[i])
-    s_lo, s_up = e.lower * e.lower, e.upper * e.upper
-
-    if abs(b) <= _COLLINEAR_TOL:
-        # distance independent of tau; either everything or nothing is feasible
-        if s_lo - _COS_CLAMP_TOL <= a <= s_up + _COS_CLAMP_TOL:
-            return TorsionDomain.symmetric(0.0, math.pi)
-        raise InfeasibleDiscretizationError(
-            f"edge ({e.i},{e.j}) unreachable by any torsion")
-
-    c1 = (s_lo - a) / b
-    c2 = (s_up - a) / b
-    c_lo, c_hi = min(c1, c2), max(c1, c2)
-    if c_hi < -1.0 - _COS_CLAMP_TOL or c_lo > 1.0 + _COS_CLAMP_TOL:
-        raise InfeasibleDiscretizationError(
+def invert_torsion_law(a, b, edges):
+    """Torsion bounds (lo, hi), as two lists, of the sign-symmetric domains whose
+    distances d, d^2 = a[k] + b[k] cos(tau), lie in the bounds of record k of
+    `edges`, for arrays a, b of the law (`model.chain_torsion_law`). A flat law
+    (|b| <= 1e-12) admits every torsion or none. The first record no torsion
+    reaches raises, with its position in `edges` as the error's `index`."""
+    _, _, lower, upper = zip(*edges)
+    lower, upper = np.array(lower, dtype=float), np.array(upper, dtype=float)
+    flat = np.abs(b) <= _COLLINEAR_TOL
+    with np.errstate(all="ignore"):  # bounds too large to square, or a flat b
+        s_lo, s_up = lower * lower, upper * upper
+        c1, c2 = (s_lo - a) / b, (s_up - a) / b
+        # Python's min and max: a NaN c1 is kept, a NaN c2 passed over
+        c_lo, c_hi = np.where(c2 < c1, c2, c1), np.where(c2 > c1, c2, c1)
+        lost = (c_hi < -1.0 - _COS_CLAMP_TOL) | (c_lo > 1.0 + _COS_CLAMP_TOL)
+        lost_flat = ~((s_lo - _COS_CLAMP_TOL <= a) & (a <= s_up + _COS_CLAMP_TOL))
+    for k in np.flatnonzero(np.where(flat, lost_flat, lost))[:1].tolist():
+        e = edges[k]
+        exc = InfeasibleDiscretizationError(
+            f"edge ({e.i},{e.j}) unreachable by any torsion" if flat[k] else
             f"edge ({e.i},{e.j}) bounds [{e.lower},{e.upper}] outside the "
             f"reachable distance range")
-    c_lo = min(1.0, max(-1.0, c_lo))
-    c_hi = min(1.0, max(-1.0, c_hi))
-
-    if e.exact:
-        t = math.acos(min(1.0, max(-1.0, (s_lo - a) / b)))
-        return TorsionDomain.symmetric(t, t)
-    return TorsionDomain.symmetric(math.acos(c_hi), math.acos(c_lo))
+        exc.index = k
+        raise exc
+    c = np.where(flat, [[1.0], [-1.0]], (c_hi, c_lo))  # a flat law: [0, pi]
+    c = np.where(c > -1.0, c, -1.0)  # max(-1.0, c), a NaN to -1.0
+    c = np.where(c < 1.0, c, 1.0)  # min(1.0, c)
+    lo, hi = (list(map(math.acos, row)) for row in c.tolist())
+    return lo, hi
 
 
 def sample_torsions(lo, hi, symmetric, rng, size: int) -> np.ndarray:

@@ -42,11 +42,13 @@ from .model import (
     DuplicateEdgeError,
     EdgeConstraint,
     IdgpError,
+    InfeasibleDiscretizationError,
     Instance,
     InvalidBoundsError,
     TorsionDomain,
     as_coords,
     bond_angle_from_distances,
+    chain_torsion_law,
     edge_problems,
     structure_problems,
     torsion_law,
@@ -106,23 +108,30 @@ def _edge_map(records):
 
 
 def _derive(inst: Instance, overrides: dict, path=None, lines=None) -> Instance:
-    """Derive the bond angles of `inst` (every required edge there) and the torsion
-    domains `overrides` lacks. Given a file's `path` and its edges' `lines`, an error
-    is a ParseError at the line of (i-2, i) for a bond angle, (i-3, i) for a domain."""
-    n, edges = inst.n, inst.edges
-    one, pair = [edges[(i - 1, i)].lower for i in range(2, n + 1)], None
+    """Derive the bond angles of `inst` (every required edge there) and, in one array
+    pass, the torsion domains `overrides` lacks. Given a file's `path` and its edges'
+    `lines`, an error is a ParseError at the line of (i-2, i) for a bond angle, (i-3, i)
+    for a domain."""
+    n, edges, domains = inst.n, inst.edges, dict(overrides)
+    one = [edges[(i - 1, i)].lower for i in range(2, n + 1)]
+    derived = [edges[(i - 3, i)] for i in range(4, n + 1) if i not in overrides]
     try:
-        inst.bond_angles.update(zip(range(3, n + 1), bond_angle_from_distances(
-            one[:-1], one[1:], [edges[(i - 2, i)].lower for i in range(3, n + 1)])))
-        for i in range(4, n + 1):
-            pair = (i - 3, i)
-            inst.torsion_domains[i] = (overrides[i] if i in overrides
-                                       else geometry.torsion_domain_from_distance(inst, i))
-    except IdgpError as exc:
+        angles = bond_angle_from_distances(
+            one[:-1], one[1:], [edges[(i - 2, i)].lower for i in range(3, n + 1)])
+        inst.bond_angles.update(zip(range(3, n + 1), angles))
+        if derived:  # an instance with a T line for every atom does no array work
+            a, b = chain_torsion_law(np.array([math.nan] * 2 + one),
+                                     np.array([math.nan] * 3 + angles))
+            rows = [e.j - 4 for e in derived]
+            lo, hi = geometry.invert_torsion_law(a[rows], b[rows], derived)
+            domains.update(zip([e.j for e in derived], map(TorsionDomain.symmetric, lo, hi)))
+    except (DegenerateGeometryError, InfeasibleDiscretizationError) as exc:
         if lines is None:
             raise
-        pair = pair or (exc.index + 1, exc.index + 3)  # the bond angle at exc.index + 3
+        pair = (derived[exc.index][:2] if isinstance(exc, InfeasibleDiscretizationError)
+                else (exc.index + 1, exc.index + 3))  # the bond angle at exc.index + 3
         raise ParseError(path, lines[list(edges).index(pair)], str(exc)) from exc
+    inst.torsion_domains.update({i: domains[i] for i in range(4, n + 1)})
     return inst
 
 

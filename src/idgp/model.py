@@ -59,14 +59,6 @@ class EdgeConstraint(NamedTuple):
     lower: float
     upper: float
 
-    @property
-    def is_discretization(self) -> bool:  # one to three apart in the DMDGP order
-        return self.j - self.i in (1, 2, 3)
-
-    @property
-    def exact(self) -> bool:
-        return self.lower == self.upper
-
 
 class DomainKind(Enum):
     SINGLE = "single"
@@ -184,11 +176,6 @@ class Instance:
     def n(self) -> int:
         return len(self.atoms)
 
-    def edge(self, i: int, j: int):
-        if i > j:
-            i, j = j, i
-        return self.edges.get((i, j))
-
 
 @dataclass(frozen=True, eq=False)
 class CompiledInstance:
@@ -245,13 +232,13 @@ class CompiledInstance:
         w = np.where(jj - ii <= 3, 2.0, 1.0)  # discretization edges doubled
         by_end = np.lexsort((ii, jj))
         back_ptr = np.concatenate(([0], np.cumsum(np.bincount(jj, minlength=inst.n))))
-        d_prev = [math.nan] * 2 + [inst.edge(i - 1, i).lower for i in range(2, inst.n + 1)]
+        d_prev = [math.nan] * 2 + [inst.edges[(i - 1, i)].lower for i in range(2, inst.n + 1)]
         theta = [inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)]
         axial = [-d * math.cos(t) for d, t in zip(d_prev, theta)]
         radial = [d * math.sin(t) for d, t in zip(d_prev, theta)]
         d, t, axial, radial = map(np.array, (d_prev, theta, axial, radial))
         law_a, law_b = np.full(inst.n + 1, math.nan), np.full(inst.n + 1, math.nan)
-        law_a[4:], law_b[4:] = torsion_law(d[2:-2], d[3:-1], t[3:-1], d[4:], t[4:])
+        law_a[4:], law_b[4:] = chain_torsion_law(d, t)
         rows = inst.n * np.arange(3)[:, None]
         doms = [inst.torsion_domains.get(i) for i in range(4, inst.n + 1)]
         if inst.n <= _CA_SUBSET_THRESHOLD:
@@ -283,6 +270,13 @@ def torsion_law(d1, d2, theta2, d3, theta3):
     h = d2 - d1 * np.cos(theta2) - d3 * np.cos(theta3)
     p, q = d1 * np.sin(theta2), d3 * np.sin(theta3)
     return h * h + p * p + q * q, -2.0 * p * q
+
+
+def chain_torsion_law(d_prev, theta):
+    """`torsion_law` of atoms i-3..i for each atom i >= 4 of a chain of n atoms, from
+    arrays of length n + 1 indexed by atom, d_prev[i] = d_{i-1,i} and theta[i] =
+    `Instance.bond_angles[i]`. Entry i - 4 of a and b is atom i's."""
+    return torsion_law(d_prev[2:-2], d_prev[3:-1], theta[3:-1], d_prev[4:], theta[4:])
 
 
 def bond_angle_from_distances(d_ab, d_bc, d_ac):
@@ -340,20 +334,4 @@ def structure_problems(inst: Instance) -> list:
             out.append(f"edge ({e.i},{e.j}): atom {e.j} beyond n = {n}")
     out += [f"missing required edge ({j},{i})" for i in range(2, n + 1)
             for j in range(max(1, i - 3), i) if (j, i) not in inst.edges]
-    return out
-
-
-def validate_instance(inst: Instance) -> list:
-    """Return every violated instance invariant; empty list means valid."""
-    out = structure_problems(inst)
-    out += [message for _, message in edge_problems(list(inst.edges.values()))]
-    for i in range(4, inst.n + 1):
-        if i not in inst.torsion_domains:
-            out.append(f"missing torsion domain for atom {i}")
-    for i in range(3, inst.n + 1):
-        theta = inst.bond_angles.get(i)
-        if theta is None:
-            out.append(f"missing bond angle for atom {i}")
-        elif not (0.0 < theta < math.pi):
-            out.append(f"bond angle at atom {i} outside (0, pi)")
     return out

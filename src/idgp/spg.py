@@ -46,7 +46,6 @@ class SpgResult:
     f_final: float
     iterations: int
     status: SpgStatus
-    f_history: list
 
 
 def initial_spectral_step(z0, g0, project) -> float:
@@ -84,20 +83,20 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
     z = np.asarray(z0, dtype=float).copy()
     fz = f(z)
     if not math.isfinite(fz):
-        return SpgResult(z, fz, 0, SpgStatus.NUMERICAL_FAILURE, [fz])
+        return SpgResult(z, fz, 0, SpgStatus.NUMERICAL_FAILURE)
 
     best_z, best_f = z, fz
     history = deque([fz], maxlen=_MEMORY)
     if fz <= success_f:
-        return SpgResult(best_z, best_f, 0, SpgStatus.SUCCESS_TOLERANCE, list(history))
+        return SpgResult(best_z, best_f, 0, SpgStatus.SUCCESS_TOLERANCE)
 
     gz = grad(z)
     if gz is None:
-        return SpgResult(best_z, best_f, 0, SpgStatus.NUMERICAL_FAILURE, list(history))
+        return SpgResult(best_z, best_f, 0, SpgStatus.NUMERICAL_FAILURE)
     try:
         lam = initial_spectral_step(z, gz, project)
     except StationaryStartError:
-        return SpgResult(best_z, best_f, 0, SpgStatus.STALLED, list(history))
+        return SpgResult(best_z, best_f, 0, SpgStatus.STALLED)
 
     status = SpgStatus.MAX_ITER
     stall_count = 0
@@ -120,8 +119,7 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
             trial = z + alpha * direction
             f_trial = f(trial)
             if not math.isfinite(f_trial):
-                return SpgResult(best_z, best_f, k, SpgStatus.NUMERICAL_FAILURE,
-                                 list(history))
+                return SpgResult(best_z, best_f, k, SpgStatus.NUMERICAL_FAILURE)
             if f_trial <= fmax + _GAMMA * alpha * gd:
                 z_new, f_new = trial, f_trial
                 break
@@ -141,8 +139,7 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
 
         g_new = grad(z_new)
         if g_new is None:
-            return SpgResult(best_z, best_f, k, SpgStatus.NUMERICAL_FAILURE,
-                             list(history))
+            return SpgResult(best_z, best_f, k, SpgStatus.NUMERICAL_FAILURE)
         s = z_new - z
         y = g_new - gz
         sy = float(np.dot(s, y))
@@ -165,9 +162,9 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
             status = SpgStatus.SUCCESS_TOLERANCE
             break
         if done is not None and done(z):
-            return SpgResult(z, fz, k, SpgStatus.SOLVE_CRITERION, list(history))
+            return SpgResult(z, fz, k, SpgStatus.SOLVE_CRITERION)
         if stall_count >= stall_window:
             status = SpgStatus.STALLED
             break
 
-    return SpgResult(best_z, best_f, k, status, list(history))
+    return SpgResult(best_z, best_f, k, status)

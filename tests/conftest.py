@@ -87,6 +87,6 @@ def unsatisfiable(hard):
     lengths from atom 1 to 5 added up, so no conformation satisfies every
     edge: each candidate keeps a nonzero residual."""
     inst, coords = hard
-    reach = sum(inst.edge(i - 1, i).upper for i in range(2, 6))
+    reach = sum(inst.edges[(i - 1, i)].upper for i in range(2, 6))
     edges = [*inst.edges.values(), EdgeConstraint(1, 5, reach + 0.5, reach + 1.0)]
     return io.build_instance(inst.atoms, edges), coords

@@ -14,16 +14,18 @@ every attempt to the last atom, with its sign restriction on
 `CompiledInstance.tors_lo`, atom k at entry k - 4, as the solver holds them.
 For `idgp.io.parse_instance`, which converts each line in one pass and then
 checks the E records as columns, it holds the parser that checks each record
-on its own line, with its scalar edge rule and whole-instance rules, and the
+on its own line, with its scalar edge rule and whole-instance rules, the
 one-triangle law of cosines for `idgp.model.bond_angle_from_distances`, which
-takes all of an instance's triangles at once."""
+takes all of an instance's triangles at once, and the per-atom inversion of
+the torsion-distance law for `idgp.geometry.invert_torsion_law`, which takes
+every derived atom at once."""
 
 import math
 
 import numpy as np
 
 from idgp import geometry, metrics
-from idgp.geometry import _COLLINEAR_TOL
+from idgp.geometry import _COLLINEAR_TOL, _COS_CLAMP_TOL
 from idgp.io import ParseError, ValidationError
 from idgp.metrics import _SMOOTHNESS_TOL
 from idgp.model import (
@@ -33,11 +35,13 @@ from idgp.model import (
     DomainKind,
     EdgeConstraint,
     IdgpError,
+    InfeasibleDiscretizationError,
     Instance,
     InvalidBoundsError,
     NonsmoothPointError,
     TorsionDomain,
     _COS_DEGENERACY_TOL,
+    torsion_law,
 )
 
 
@@ -359,7 +363,7 @@ def edge_problem(e: EdgeConstraint):
         return f"edge ({e.i},{e.j}): bounds {e.lower}, {e.upper} not finite"
     if not 0 < e.lower <= e.upper:
         return f"edge ({e.i},{e.j}): bounds {e.lower}, {e.upper} must satisfy 0 < lower <= upper"
-    if e.j - e.i <= 2 and not e.exact:
+    if e.j - e.i <= 2 and e.lower != e.upper:
         return f"edge ({e.i},{e.j}): distance across at most two bonds must be exact"
     return None
 
@@ -381,6 +385,34 @@ def structure_problems(inst: Instance) -> list:
     return out
 
 
+def torsion_domain_from_distance(a, b, e: EdgeConstraint) -> TorsionDomain:
+    """Invert the d_{i-3,i} interval of edge e into a sign-symmetric torsion
+    domain of the law d^2 = a + b cos(tau)."""
+    s_lo, s_up = e.lower * e.lower, e.upper * e.upper
+
+    if abs(b) <= _COLLINEAR_TOL:
+        # distance independent of tau; either everything or nothing is feasible
+        if s_lo - _COS_CLAMP_TOL <= a <= s_up + _COS_CLAMP_TOL:
+            return TorsionDomain.symmetric(0.0, math.pi)
+        raise InfeasibleDiscretizationError(
+            f"edge ({e.i},{e.j}) unreachable by any torsion")
+
+    c1 = (s_lo - a) / b
+    c2 = (s_up - a) / b
+    c_lo, c_hi = min(c1, c2), max(c1, c2)
+    if c_hi < -1.0 - _COS_CLAMP_TOL or c_lo > 1.0 + _COS_CLAMP_TOL:
+        raise InfeasibleDiscretizationError(
+            f"edge ({e.i},{e.j}) bounds [{e.lower},{e.upper}] outside the "
+            f"reachable distance range")
+    c_lo = min(1.0, max(-1.0, c_lo))
+    c_hi = min(1.0, max(-1.0, c_hi))
+
+    if e.lower == e.upper:
+        t = math.acos(min(1.0, max(-1.0, (s_lo - a) / b)))
+        return TorsionDomain.symmetric(t, t)
+    return TorsionDomain.symmetric(math.acos(c_hi), math.acos(c_lo))
+
+
 def _complete(inst: Instance, overrides: dict, path=None, edge_lines=None) -> Instance:
     violations = structure_problems(inst)
     if violations:
@@ -393,8 +425,13 @@ def _complete(inst: Instance, overrides: dict, path=None, edge_lines=None) -> In
                 edges[(i - 2, i - 1)].lower, edges[(i - 1, i)].lower, edges[pair].lower)
         for i in range(4, inst.n + 1):
             pair = (i - 3, i)
-            inst.torsion_domains[i] = (overrides[i] if i in overrides
-                                       else geometry.torsion_domain_from_distance(inst, i))
+            if i in overrides:
+                inst.torsion_domains[i] = overrides[i]
+                continue
+            a, b = torsion_law(edges[(i - 3, i - 2)].lower, edges[(i - 2, i - 1)].lower,
+                               inst.bond_angles[i - 1], edges[(i - 1, i)].lower,
+                               inst.bond_angles[i])
+            inst.torsion_domains[i] = torsion_domain_from_distance(a, b, edges[pair])
     except IdgpError as exc:
         if edge_lines is None:
             raise

@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from idgp import geometry
 from idgp.model import (
+    CompiledInstance,
     DegenerateGeometryError,
     DomainKind,
+    EdgeConstraint,
     InfeasibleDiscretizationError,
     TorsionDomain,
     torsion_law,
@@ -224,9 +226,25 @@ class TestDihedral:
             assert circular_error(got, tau) < 1e-10
 
 
+@st.composite
+def law_entries(draw):
+    """(a, b, lower, upper): a torsion-distance law d^2 = a + b cos(tau), often
+    flat or near it (|b| about 1e-12), and (i-3, i) bounds at two points of
+    cos(tau) in [-1.2, 1.2], often equal, or bounds whose squares overflow."""
+    b = draw(st.one_of(st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 1.0000000000000002e-12,
+                                        -1e-300, math.nan, math.inf]),
+                       st.floats(-2e-12, 2e-12), st.floats(-30.0, 30.0)))
+    a = draw(st.floats(0.0, 60.0) if draw(st.integers(0, 9)) else
+             st.sampled_from([math.nan, math.inf]))
+    s1, s2 = sorted(a + b * draw(st.floats(-1.2, 1.2)) for _ in range(2))
+    lower = math.sqrt(max(s1, 1e-6))
+    upper = draw(st.sampled_from([lower, lower, math.sqrt(max(s2, 1e-6)), 1e200]))
+    return (a, b, 1e200, 1e200) if draw(st.integers(0, 19)) == 0 else (a, b, lower, upper)
+
+
 def distance_at(inst, tau, triple):
     """||x_4 - x_1|| for atom 4 of `inst` placed at torsion tau after `triple`."""
-    x4 = geometry.place_atom(*triple, inst.edge(3, 4).lower, inst.bond_angles[4], tau)
+    x4 = geometry.place_atom(*triple, inst.edges[(3, 4)].lower, inst.bond_angles[4], tau)
     return float(np.linalg.norm(x4 - triple[0]))
 
 
@@ -234,14 +252,14 @@ class TestTorsionDomainFromDistance:
     @staticmethod
     def _triple(inst):
         return geometry.place_first_three(
-            inst.edge(1, 2).lower, inst.edge(2, 3).lower, inst.bond_angles[3])
+            inst.edges[(1, 2)].lower, inst.edges[(2, 3)].lower, inst.bond_angles[3])
 
     def test_distance_squared_affine_in_cos(self, toy):
         # d(tau)^2 = a + b cos(tau) of torsion_law characterizes the placement
         inst, _ = toy
         triple = self._triple(inst)
-        a, b = torsion_law(inst.edge(1, 2).lower, inst.edge(2, 3).lower, inst.bond_angles[3],
-                           inst.edge(3, 4).lower, inst.bond_angles[4])
+        a, b = torsion_law(inst.edges[(1, 2)].lower, inst.edges[(2, 3)].lower,
+                           inst.bond_angles[3], inst.edges[(3, 4)].lower, inst.bond_angles[4])
         for tau in np.linspace(-3.1, 3.1, 25):
             d = distance_at(inst, float(tau), triple)
             assert d * d == pytest.approx(a + b * math.cos(tau), abs=1e-10)
@@ -260,7 +278,7 @@ class TestTorsionDomainFromDistance:
         inst, _ = toy
         triple = self._triple(inst)
         dom = inst.torsion_domains[4]
-        e = inst.edge(1, 4)
+        e = inst.edges[(1, 4)]
         assert dom.kind is DomainKind.SYMMETRIC
         for tau in np.linspace(-math.pi, math.pi, 201):
             d = distance_at(inst, float(tau), triple)
@@ -278,15 +296,36 @@ class TestTorsionDomainFromDistance:
             assert dom.lo == dom.hi
 
     def test_unreachable_bounds_raise(self, toy):
-        from idgp.model import EdgeConstraint, Instance
         inst, _ = toy
-        edges = dict(inst.edges)
-        edges[(1, 4)] = EdgeConstraint(1, 4, 50.0, 60.0)
-        bad = Instance(atoms=inst.atoms, edges=edges,
-                       torsion_domains=dict(inst.torsion_domains),
-                       bond_angles=dict(inst.bond_angles))
-        with pytest.raises(InfeasibleDiscretizationError):
-            geometry.torsion_domain_from_distance(bad, 4)
+        ci = CompiledInstance.of(inst)
+        edges = [inst.edges[(1, 4)], EdgeConstraint(2, 5, 50.0, 60.0)]
+        with pytest.raises(InfeasibleDiscretizationError, match=r"edge \(2,5\) bounds") as exc:
+            geometry.invert_torsion_law(ci.law_a[4:6], ci.law_b[4:6], edges)
+        assert exc.value.index == 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(law_entries(), min_size=1, max_size=6))
+    def test_array_inversion_matches_per_atom_oracle(self, entries):
+        # the same float bits entry by entry, or the same first unreached
+        # entry and message
+        a, b, lower, upper = (list(column) for column in zip(*entries))
+        edges = [EdgeConstraint(k + 1, k + 4, lo, up)
+                 for k, (lo, up) in enumerate(zip(lower, upper))]
+        expect = []
+        for a_k, b_k, e in zip(a, b, edges):
+            try:
+                dom = oracles.torsion_domain_from_distance(a_k, b_k, e)
+            except InfeasibleDiscretizationError as exc:
+                expect = (str(exc), len(expect))
+                break
+            assert dom.kind is DomainKind.SYMMETRIC
+            expect.append((dom.lo.hex(), dom.hi.hex()))
+        try:
+            lo, hi = geometry.invert_torsion_law(np.array(a), np.array(b), edges)
+            got = [(lo_k.hex(), hi_k.hex()) for lo_k, hi_k in zip(lo, hi)]
+        except InfeasibleDiscretizationError as exc:
+            got = (str(exc), exc.index)
+        assert got == expect
 
 
 def sample_one(dom, rng, size):

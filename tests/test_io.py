@@ -27,6 +27,9 @@ E 1 3 2.5 2.5 N 1 C 1
 E 2 4 2.5 2.5 CA 1 N 2
 E 1 4 2.8 3.2 N 1 N 2
 """
+# CHAIN with its bond angles within 2e-8 of pi: the torsion-distance law of
+# atom 4 is flat, d_{1,4} about 4.5 at every torsion
+FLAT_CHAIN = CHAIN.replace("2.5 2.5", "2.9999999999999996 2.9999999999999996")
 # records that each break one rule of the instance format; every one is an
 # error at its own line (the instance-file properties draw from them too)
 MALFORMED_LINES = [
@@ -227,6 +230,8 @@ class TestParseInstance:
         pytest.param("E 1 4 2.8 3.2", "E 1 4 9 9.5", ":7:",
                      "edge (1,4) bounds [9.0,9.5] outside the reachable distance range",
                      id="unreachable (1,4)"),
+        pytest.param(CHAIN, FLAT_CHAIN, ":7:", "edge (1,4) unreachable by any torsion",
+                     id="flat law (1,4)"),
         pytest.param("E 1 3 2.5 2.5", "E 1 3 3.5 3.5", ":5:",
                      "no triangle with sides 1.5, 1.5, 3.5", id="no triangle (1,3)"),
         # 2 * dL(1,2) * dL(2,3) underflows to 0; the cosine is -inf
@@ -314,13 +319,13 @@ class TestGenerateInstance:
         _, coords, inst = generated
         for (i, j), e in inst.edges.items():
             if j - i <= 2:
-                assert e.exact
+                assert e.lower == e.upper
                 assert e.lower == pair_distance(coords, i, j)
 
     def test_three_apart_edges_bracket_reference(self, generated):
         _, coords, inst = generated
         for i in range(4, inst.n + 1):
-            e = inst.edge(i - 3, i)
+            e = inst.edges[(i - 3, i)]
             ref = pair_distance(coords, i - 3, i)
             assert e.lower <= ref <= e.upper
             assert e.upper > e.lower  # nonzero angle width widens the edge
@@ -354,10 +359,10 @@ class TestGenerateInstance:
             window += [t for t in (0.0, math.pi, -math.pi)
                        if tau_star - half <= t <= tau_star + half]
             dists = [float(np.linalg.norm(
-                geometry.place_atom(*predecessors, inst.edge(i - 1, i).lower,
+                geometry.place_atom(*predecessors, inst.edges[(i - 1, i)].lower,
                                     inst.bond_angles[i], t) - predecessors[0]))
                 for t in window]
-            e, ref = inst.edge(i - 3, i), pair_distance(coords, i - 3, i)
+            e, ref = inst.edges[(i - 3, i)], pair_distance(coords, i - 3, i)
             assert e.lower - 1e-9 <= min(dists) and max(dists) <= e.upper + 1e-9
             if e.lower not in (io.MIN_LOWER_BOUND, ref):
                 assert min(dists) == pytest.approx(e.lower, abs=1e-9)
@@ -374,7 +379,7 @@ class TestGenerateInstance:
                 if (p, q) in short:
                     continue
                 d = pair_distance(coords, p, q)
-                e = inst.edge(p, q)
+                e = inst.edges.get((p, q))
                 if d > 5.0:
                     assert e is None
                     continue
@@ -392,7 +397,7 @@ class TestGenerateInstance:
     def test_zero_width_gives_exact_instance(self):
         atoms, coords = io.synthetic_backbone(2, seed=2, include_hydrogens=False)
         inst = io.generate_instance(atoms, coords, angle_width_deg=0.0)
-        assert all(e.exact for e in inst.edges.values())
+        assert all(e.lower == e.upper for e in inst.edges.values())
         for dom in inst.torsion_domains.values():
             assert dom.lo == dom.hi
 
@@ -402,8 +407,7 @@ class TestGenerateInstance:
         atoms, coords = io.synthetic_backbone(2, seed=2)
         inst = io.generate_instance(atoms, coords, hh_width_adjacent=20.0,
                                     hh_width_other=20.0)
-        hh = [e for (i, j), e in inst.edges.items()
-              if j - i > 3 and not e.is_discretization]
+        hh = [e for (i, j), e in inst.edges.items() if j - i > 3]
         assert hh and all(e.lower >= 0.1 or e.lower == pytest.approx(
             pair_distance(coords, e.i, e.j)) for e in hh)
 

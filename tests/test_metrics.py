@@ -97,9 +97,8 @@ class TestEdgeWeights:
         ci = CompiledInstance.of(inst)
         keys = sorted(inst.edges)
         assert ci.w.sum() == pytest.approx(1.0)
-        disc = next(k for k, key in enumerate(keys) if inst.edges[key].is_discretization)
-        other = next(k for k, key in enumerate(keys)
-                     if not inst.edges[key].is_discretization)
+        disc = next(k for k, (i, j) in enumerate(keys) if j - i <= 3)
+        other = next(k for k, (i, j) in enumerate(keys) if j - i > 3)
         assert ci.w[disc] == pytest.approx(2.0 * ci.w[other])
         assert dict(zip(keys, ci.w)) == pytest.approx(oracles.edge_weights(inst))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from idgp.io import ValidationError, build_instance
 from idgp.model import (
     AtomRecord,
     CompiledInstance,
@@ -15,17 +16,12 @@ from idgp.model import (
     SolverParams,
     TorsionDomain,
     bond_angle_from_distances,
-    validate_instance,
+    edge_problems,
+    structure_problems,
 )
 from idgp.metrics import StressProblem
 from tests import oracles
 from tests.conftest import one_edge_instance
-
-
-class TestEdgeConstraint:
-    def test_exact_flag(self):
-        assert EdgeConstraint(1, 2, 1.5, 1.5).exact
-        assert not EdgeConstraint(1, 2, 1.4, 1.6).exact
 
 
 class TestTorsionDomain:
@@ -184,9 +180,17 @@ class TestSolverParams:
 
 
 class TestValidateInstance:
+    """The instance rules `build_instance` applies: `edge_problems` to the edge
+    records and `structure_problems` to the whole instance."""
+
+    @staticmethod
+    def problems(inst):
+        return structure_problems(inst) + [
+            message for _, message in edge_problems(list(inst.edges.values()))]
+
     def test_valid_toy(self, toy):
         inst, _ = toy
-        assert validate_instance(inst) == []
+        assert self.problems(inst) == []
 
     def _minimal(self):
         atoms = [AtomRecord(k, "X", 1) for k in range(1, 5)]
@@ -198,38 +202,38 @@ class TestValidateInstance:
             (2, 4): EdgeConstraint(2, 4, 2.5, 2.5),
             (1, 4): EdgeConstraint(1, 4, 3.0, 3.5),
         }
-        angles = {3: 1.9, 4: 1.9}
-        doms = {4: TorsionDomain.symmetric(0.5, 1.0)}
-        return Instance(atoms=atoms, edges=edges, torsion_domains=doms,
-                        bond_angles=angles)
+        return Instance(atoms=atoms, edges=edges)
 
     def test_minimal_valid(self):
-        assert validate_instance(self._minimal()) == []
+        inst = self._minimal()
+        assert self.problems(inst) == []
+        built = build_instance(inst.atoms, inst.edges.values())
+        assert built.edges == inst.edges and list(built.torsion_domains) == [4]
 
     def test_missing_edge_reported(self):
         inst = self._minimal()
         del inst.edges[(1, 4)]
-        assert any("(1,4)" in v for v in validate_instance(inst))
+        assert any("(1,4)" in v for v in self.problems(inst))
+        with pytest.raises(ValidationError, match=r"\(1,4\)"):
+            build_instance(inst.atoms, inst.edges.values())
 
     def test_interval_adjacent_edge_reported(self):
         inst = self._minimal()
         inst.edges[(1, 2)] = EdgeConstraint(1, 2, 1.4, 1.6)
-        assert any("exact" in v for v in validate_instance(inst))
+        assert any("exact" in v for v in self.problems(inst))
+        with pytest.raises(ValidationError, match="exact"):
+            build_instance(inst.atoms, inst.edges.values())
 
     def test_bad_bounds_reported(self):
         inst = self._minimal()
         inst.edges[(1, 4)] = EdgeConstraint(1, 4, 3.5, 3.0)
-        assert any("bounds" in v for v in validate_instance(inst))
-
-    def test_missing_angle_and_domain_reported(self):
-        inst = self._minimal()
-        inst.bond_angles.pop(4)
-        inst.torsion_domains.pop(4)
-        msgs = validate_instance(inst)
-        assert any("bond angle" in v for v in msgs)
-        assert any("torsion domain" in v for v in msgs)
+        assert any("bounds" in v for v in self.problems(inst))
+        with pytest.raises(ValidationError, match="bounds"):
+            build_instance(inst.atoms, inst.edges.values())
 
     def test_noncontiguous_atoms_reported(self):
         inst = self._minimal()
         inst.atoms[1] = AtomRecord(9, "X", 1)
-        assert any("contiguous" in v for v in validate_instance(inst))
+        assert any("contiguous" in v for v in self.problems(inst))
+        with pytest.raises(ValidationError, match="contiguous"):
+            build_instance(inst.atoms, inst.edges.values())

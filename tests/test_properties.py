@@ -23,11 +23,11 @@ from idgp.model import (
     Instance,
     SolverParams,
     TorsionDomain,
+    edge_problems,
     torsion_law,
-    validate_instance,
 )
 from tests import oracles
-from tests.test_io import BAD_TORSION_LINES, CHAIN, MALFORMED_LINES
+from tests.test_io import BAD_TORSION_LINES, CHAIN, FLAT_CHAIN, MALFORMED_LINES
 
 
 # tight H-H widths and no torsion annotations: a sweep there keeps flips at
@@ -125,12 +125,12 @@ class TestCompiledView:
             rows = slice(ci.back_ptr[i - 1], ci.back_ptr[i])
             back = sorted(j for (j, k) in inst.edges if k == i)
             assert list(ci.back_col[rows] + 1) == back
-            assert list(ci.back_lower[rows]) == [inst.edge(j, i).lower for j in back]
-            assert list(ci.back_upper[rows]) == [inst.edge(j, i).upper for j in back]
+            assert list(ci.back_lower[rows]) == [inst.edges[(j, i)].lower for j in back]
+            assert list(ci.back_upper[rows]) == [inst.edges[(j, i)].upper for j in back]
             if i >= 2:
-                assert ci.d_prev[i] == inst.edge(i - 1, i).lower
+                assert ci.d_prev[i] == inst.edges[(i - 1, i)].lower
             if i >= 3:
-                d, theta = inst.edge(i - 1, i).lower, inst.bond_angles[i]
+                d, theta = inst.edges[(i - 1, i)].lower, inst.bond_angles[i]
                 assert ci.theta[i] == theta
                 assert ci.axial[i] == -d * math.cos(theta)
                 assert ci.radial[i] == d * math.sin(theta)
@@ -735,18 +735,19 @@ class TestInstanceFileRoundTrip:
     @given(instances(), st.data())
     def test_file_and_memory_apply_one_edge_rule(self, tmp_path_factory, inst, data):
         """With one edge's bounds replaced, parse_instance raises a record's
-        ParseError at that edge's line exactly when validate_instance, given
-        the same instance in memory, reports that edge; a derivation it
-        breaks is a ParseError at the line of an edge spanning it."""
+        ParseError at that edge's line exactly when edge_problems, given the
+        same record in memory, reports it; a derivation it breaks is a
+        ParseError at the line of an edge spanning it."""
         keys = sorted(inst.edges)
         i, j = key = data.draw(st.sampled_from(keys))
         bound = st.one_of(st.sampled_from([0.0, -1.5, math.nan, math.inf, -math.inf]),
                           st.floats(0.5, 6.0))
         lower = data.draw(bound)
         upper = data.draw(st.one_of(st.just(lower), bound))  # equal, swapped or apart
-        changed = Instance(inst.atoms, {**inst.edges, key: EdgeConstraint(i, j, lower, upper)},
+        record = EdgeConstraint(i, j, lower, upper)
+        changed = Instance(inst.atoms, {**inst.edges, key: record},
                            inst.torsion_domains, inst.bond_angles)
-        reported = any(v.startswith(f"edge ({i},{j}):") for v in validate_instance(changed))
+        reported = bool(edge_problems([record]))
         path = tmp_path_factory.mktemp("one_rule") / "case.inst"
         io.write_instance(changed, path)  # a header line, then the edges in key order
         try:
@@ -851,6 +852,15 @@ class TestParseOracle:
     @example(CHAIN.replace("E 1 3 2.5 2.5", "E 1 3 3.0 3.0"))
     @example(CHAIN.replace("1 2 1.5 1.5", "1 2 1e300 1e300")
              .replace("2 3 1.5 1.5", "2 3 1e300 1e300"))
+    # bond angles within 2e-8 of pi give a flat law (|b| <= 1e-12), whose
+    # (1,4) bounds admit every torsion or none
+    @example(FLAT_CHAIN.replace("2.8 3.2", "4.4 4.6"))
+    @example(FLAT_CHAIN)
+    # (1,4) bounds whose squares overflow
+    @example(CHAIN.replace("2.8 3.2", "1e200 1e200"))
+    @example(CHAIN.replace("2.8 3.2", "3.0 1e200"))
+    # (1,4) bounds no torsion reaches, for an atom with a T line: not inverted
+    @example(CHAIN.replace("2.8 3.2", "9 9.5") + "T 4 10 20 +\n")
     # an inexact edge two apart
     @example(CHAIN.replace("2.5 2.5 N 1 C 1", "2.4 2.6 N 1 C 1"))
     # atom 2 named again, otherwise, by a later record; two atoms

@@ -7,6 +7,7 @@ import pytest
 from idgp import metrics
 from idgp.model import AtomRecord, CompiledInstance, EdgeConstraint, Instance
 from idgp.spg import (
+    _MEMORY,
     SpgStatus,
     StationaryStartError,
     initial_spectral_step,
@@ -112,9 +113,11 @@ class TestEdgeCases:
         # nonmonotone search may accept increases; the result is the best seen
         f = lambda z: float(np.sin(5 * z[0]) + 0.1 * z[0] ** 2) + 1.5
         g = lambda z: np.array([5 * math.cos(5 * z[0]) + 0.2 * z[0]])
-        res = spg_minimize(f, g, box_projection(-2.0, 2.0), np.array([0.3]),
+        g_recording, accepted = _recording(g)
+        res = spg_minimize(f, g_recording, box_projection(-2.0, 2.0), np.array([0.3]),
                            max_iter=500)
-        assert res.f_final <= min(res.f_history) + 1e-15
+        assert len(accepted) > _MEMORY + 1
+        assert res.f_final == min(map(f, accepted))
 
     def test_max_iter_status(self):
         diag = np.array([1.0, 1e6])
@@ -185,6 +188,18 @@ def _wavy():
     return f, g, box_projection(-2.0, 2.0), np.array([0.3])
 
 
+def _recording(g):
+    """g, and the list of the points it was called at: SPG evaluates g at z0
+    and then once at each accepted iterate."""
+    accepted = []
+
+    def g_recording(z):
+        accepted.append(z.copy())
+        return g(z)
+
+    return g_recording, accepted
+
+
 def _at_wall(z):
     return z[0] <= -1.9
 
@@ -209,21 +224,17 @@ _STOPS = {
 class TestDone:
     def test_done_ends_run_with_solve_criterion(self):
         f, g, project, z0 = _wavy()
-        res = spg_minimize(f, g, project, z0, max_iter=500, done=_at_wall)
+        g_recording, accepted = _recording(g)
+        res = spg_minimize(f, g_recording, project, z0, max_iter=500, done=_at_wall)
         assert res.status is SpgStatus.SOLVE_CRITERION
         # the iterate that met `done`, though an earlier one had lower f
         assert _at_wall(res.z_final)
-        assert res.f_final == f(res.z_final) > min(res.f_history)
+        assert res.f_final == f(res.z_final) > min(map(f, accepted))
 
     def test_stops_at_first_accepted_iterate_meeting_done(self):
         # SPG evaluates g at z0 and then once at each accepted iterate
         f, g, project, z0 = _wavy()
-        accepted = []
-
-        def g_recording(z):
-            accepted.append(z.copy())
-            return g(z)
-
+        g_recording, accepted = _recording(g)
         spg_minimize(f, g_recording, project, z0, max_iter=500)
         first = next(k for k, z in enumerate(accepted) if k > 0 and _at_wall(z))
         res = spg_minimize(f, g, project, z0, max_iter=500, done=_at_wall)
@@ -233,8 +244,11 @@ class TestDone:
     @pytest.mark.parametrize("name", sorted(_STOPS))
     def test_done_never_true_changes_nothing(self, name):
         f, g, project, z0, kwargs = _STOPS[name]
-        base = spg_minimize(f, g, project, z0, **kwargs)
-        res = spg_minimize(f, g, project, z0, **kwargs, done=lambda z: False)
-        assert (res.status, res.iterations, res.f_final, res.f_history) == \
-               (base.status, base.iterations, base.f_final, base.f_history)
+        g_base, base_accepted = _recording(g)
+        g_res, res_accepted = _recording(g)
+        base = spg_minimize(f, g_base, project, z0, **kwargs)
+        res = spg_minimize(f, g_res, project, z0, **kwargs, done=lambda z: False)
+        assert (res.status, res.iterations, res.f_final) == \
+               (base.status, base.iterations, base.f_final)
         np.testing.assert_array_equal(res.z_final, base.z_final)
+        np.testing.assert_array_equal(res_accepted, base_accepted)
