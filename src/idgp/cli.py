@@ -33,7 +33,7 @@ def _run_report(name, inst, rep) -> dict:
 def _emit(text: str, path) -> None:
     """Write text to path, or to stdout when no path is given."""
     if path:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -106,7 +106,7 @@ def cmd_bench(args) -> int:
 
 def _read_results_table(path) -> dict:
     out = {}
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise io.ProfileError(f"{path}: empty results table")
     header = lines[0].split("\t")

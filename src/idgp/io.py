@@ -51,7 +51,6 @@ from .model import (
     chain_torsion_law,
     edge_problems,
     structure_problems,
-    torsion_law,
 )
 
 MIN_LOWER_BOUND = 0.1  # floor for generated interval lower bounds (Angstrom)
@@ -217,7 +216,7 @@ def _fmt(x: float) -> str:
 
 def write_instance(inst: Instance, path) -> None:
     atoms = inst.atoms
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# idgp instance, {inst.n} atoms, {len(inst.edges)} edges\n")
         for (i, j) in sorted(inst.edges):
             e = inst.edges[(i, j)]
@@ -260,7 +259,7 @@ def parse_reference(path):
 
 def write_reference(atoms, coords, path) -> None:
     coords = np.asarray(coords, dtype=float)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for a in atoms:
             x, y, z = coords[:, a.index - 1]
             fh.write(f"{a.index} {a.name} {a.residue} {x:.6f} {y:.6f} {z:.6f}\n")
@@ -275,20 +274,10 @@ def write_conformation(X, inst: Instance, path) -> None:
     ci = CompiledInstance.of(inst)
     problem = metrics.StressProblem(ci)
     stress = problem.objective(problem.pack(coords, problem.init_d(coords)))
-    with open(path, "a") as fh:
+    with open(path, "a", encoding="utf-8") as fh:
         fh.write(f"# LDE {metrics.lde_global(coords, ci):.5e}\n")
         fh.write(f"# MDE {metrics.mde_global(coords, ci):.5e}\n")
         fh.write(f"# stress {stress:.5e}\n")
-
-
-def _angle_at(coords, a, b, c) -> float:
-    v1 = coords[:, a] - coords[:, b]
-    v2 = coords[:, c] - coords[:, b]
-    cn = np.linalg.norm(np.cross(v1, v2))
-    if cn <= 1e-12:
-        raise DegenerateGeometryError(f"collinear triple ({a + 1},{b + 1},{c + 1})")
-    cosang = float(np.dot(v1, v2) / (np.linalg.norm(v1) * np.linalg.norm(v2)))
-    return math.acos(min(1.0, max(-1.0, cosang)))
 
 
 def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
@@ -299,7 +288,9 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
 
     Exact edges for one- and two-apart pairs; the three-apart distance is
     widened to the range realized by torsions within +-angle_width/2 of the
-    reference torsion; hydrogen pairs within hh_cutoff get interval edges of
+    reference torsion, by the torsion law that `CompiledInstance` takes from
+    the exact edges (a triple without a bond angle raises there, as in
+    `build_instance`); hydrogen pairs within hh_cutoff get interval edges of
     total width hh_width_adjacent (adjacent residues) or hh_width_other;
     hh_cutoff=0 drops them. The reference is feasible for the result by
     construction. The widths must be finite and nonnegative, and hh_cutoff
@@ -321,13 +312,15 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
         diff = coords[:, p] - coords[:, q]
         return float(np.sqrt((diff * diff).sum()))
 
-    edges = {}
-    for i in range(2, n + 1):
-        d = dist(i - 2, i - 1)
-        edges[(i - 1, i)] = EdgeConstraint(i - 1, i, d, d)
-    for i in range(3, n + 1):
-        d = dist(i - 3, i - 1)
-        edges[(i - 2, i)] = EdgeConstraint(i - 2, i, d, d)
+    one = [dist(i - 2, i - 1) for i in range(2, n + 1)]  # d_{i-1,i}, i = 2..n
+    two = [dist(i - 3, i - 1) for i in range(3, n + 1)]  # d_{i-2,i}, i = 3..n
+    edges = {(i - 1, i): EdgeConstraint(i - 1, i, d, d) for i, d in enumerate(one, start=2)}
+    edges.update({(i - 2, i): EdgeConstraint(i - 2, i, d, d)
+                  for i, d in enumerate(two, start=3)})
+    # the torsion law the parser and CompiledInstance derive from these edges
+    angles = bond_angle_from_distances(one[:-1], one[1:], two)
+    law_a, law_b = (c.tolist() for c in chain_torsion_law(
+        np.array([math.nan] * 2 + one), np.array([math.nan] * 3 + angles)))
 
     half = math.radians(angle_width_deg) / 2.0
     overrides = {}
@@ -345,9 +338,7 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
             cands.append(1.0)
         if hi_t >= math.pi or lo_t <= -math.pi:
             cands.append(-1.0)
-        a, b = torsion_law(dist(i - 4, i - 3), dist(i - 3, i - 2),
-                           _angle_at(coords, i - 4, i - 3, i - 2), dist(i - 2, i - 1),
-                           _angle_at(coords, i - 3, i - 2, i - 1))
+        a, b = law_a[i - 4], law_b[i - 4]
         svals = [a + b * c for c in cands]
         d_lo = math.sqrt(max(min(svals), 0.0))
         d_hi = math.sqrt(max(max(svals), 0.0))
@@ -432,7 +423,8 @@ def synthetic_backbone(n_residues: int, seed: int = 0,
 def performance_profile(results: dict) -> dict:
     """Dolan-More profile step points.
 
-    `results` maps algorithm label -> {problem: runtime or None (failure)}.
+    `results` maps algorithm label -> {problem: runtime or None (failure)};
+    a runtime that is not positive and finite is a ProfileError.
     Returns label -> sorted list of (t, rho(t)) step points; rho(t) is the
     fraction of problems with performance ratio at most t.
     """
@@ -445,24 +437,17 @@ def performance_profile(results: dict) -> dict:
             raise ProfileError("result sets cover different problem sets")
     if not problems:
         raise ProfileError("empty problem set")
+    for lab in labels:
+        for p, t in results[lab].items():
+            if t is not None and not 0.0 < t < math.inf:  # NaN fails too
+                raise ProfileError(f"{lab}: runtime {t!r} of {p!r} is not positive and finite")
 
-    ratios = {lab: {} for lab in labels}
-    for p in problems:
-        times = {lab: results[lab][p] for lab in labels}
-        finite = [t for t in times.values() if t is not None]
-        best = min(finite) if finite else None
-        for lab in labels:
-            t = times[lab]
-            # failures map to infinity; so does the inf/inf convention
-            ratios[lab][p] = math.inf if (t is None or best is None) else t / best
-
-    npb = len(problems)
+    # a failure (None) has no ratio: it never counts toward rho
+    best = {p: min((results[lab][p] for lab in labels if results[lab][p] is not None),
+                   default=None) for p in problems}
     out = {}
     for lab in labels:
-        rs = sorted(r for r in ratios[lab].values() if math.isfinite(r))
-        points, support = [], sorted(set([1.0] + rs))
-        for t in support:
-            rho = sum(1 for r in rs if r <= t) / npb
-            points.append((t, rho))
-        out[lab] = points
+        ratios = [t / best[p] for p, t in results[lab].items() if t is not None]
+        rs = sorted(filter(math.isfinite, ratios))  # a ratio may overflow to inf
+        out[lab] = [(t, sum(r <= t for r in rs) / len(problems)) for t in sorted({1.0, *rs})]
     return out

@@ -32,17 +32,20 @@ def _back_worst(X, cand, rows: slice, ci: CompiledInstance):
     return np.maximum.reduce(violations, axis=0)
 
 
-def _satisfies(x, points, rows: slice, ci: CompiledInstance) -> bool:
-    """Whether the point x (three floats) violates none of the back edges
-    `rows` to `points`, with the distances of `_back_worst`."""
+def _worst(x, points, rows: slice, ci: CompiledInstance) -> float:
+    """The largest violation, clamped at 0, of the back edges `rows` by the
+    point x (three floats) to `points`, in Python floats; on finite values,
+    `_back_worst`'s bits for that one candidate."""
     x0, x1, x2 = x
+    worst = 0.0
     for j, lower, upper in zip(ci.back_col[rows].tolist(), ci.back_lower[rows].tolist(),
                                ci.back_upper[rows].tolist()):
         q0, q1, q2 = points[j]
         d0, d1, d2 = x0 - q0, x1 - q1, x2 - q2
-        if not lower <= math.sqrt(d0 * d0 + d1 * d1 + d2 * d2) <= upper:
-            return False
-    return True
+        r = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+        if not lower <= r <= upper:
+            worst = max(worst, (lower - r) / lower if r < lower else (r - upper) / upper)
+    return worst
 
 
 def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
@@ -63,9 +66,10 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     A candidate for atom i scores its largest violation of the edge (i-3, i),
     by the torsion-distance law `ci.law_a`/`ci.law_b`, and of the edges
     (j, i), j < i-3, measured; (i-2, i) and (i-1, i) hold by construction.
-    The first lowest score wins. It is placed alone, in floats, if atom i
-    has no edge (j, i), j < i-3, or if it is draw 0 and violates no edge;
-    otherwise all candidates are placed as one block, which rounds each
+    The first lowest score wins. The first lowest law score is placed alone,
+    in floats, and kept if atom i has no edge (j, i), j < i-3, or if it
+    scores 0 and violates no edge: every earlier draw then scores above 0.
+    Otherwise all candidates are placed as one block, which rounds each
     column as the one alone. Returns (tau, Conformation), tau the torsions of
     atoms s..n as a float array laid out like `domains`, or (tau of the
     atoms placed so far, None) once a kept atom scores at least `bound` and
@@ -93,24 +97,19 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     for i, (taus, local, score) in enumerate(zip(draws, table, law), start=start):
         frame = geometry.local_frame(*points[i - 4:i - 1])
         far = slice(ptr[i - 1], ptr[i] - 3)  # the edges (j, i) with j < i - 3
-        if far.start == far.stop:
+        best = 0 if score.item(0) == 0.0 else score.argmin()
+        x = geometry.place_local(frame, points[i - 2], local[:, best].tolist())
+        if far.start < far.stop and (score.item(best) != 0.0
+                                     or _worst(x, points, far, ci) > 0.0):
+            cand = geometry.place_atoms_batch(frame, points[i - 2], local)
+            score = np.maximum(_back_worst(X, cand, far, ci), score)
             best = score.argmin()
-            x = geometry.place_local(frame, points[i - 2], local[:, best].tolist())
-        else:
-            # draw 0 is the first lowest score if it violates no edge
-            best = 0
-            x = (geometry.place_local(frame, points[i - 2], local[:, 0].tolist())
-                 if score.item(0) == 0.0 else None)
-            if x is None or not _satisfies(x, points, far, ci):
-                cand = geometry.place_atoms_batch(frame, points[i - 2], local)
-                score = np.maximum(_back_worst(X, cand, far, ci), score)
-                best = score.argmin()
-                x = cand[:, best].tolist()
+            x = cand[:, best].tolist()
         X[:, i - 1] = points[i - 1] = x
         tau[i - start] = taus[best]
         # the score rounds unlike lde_global and leaves out (i-2, i), (i-1, i)
-        if score.item(best) >= bound and _back_worst(X, X[:, i - 1:i],
-                                                     slice(ptr[i - 1], ptr[i]), ci)[0] >= bound:
+        if score.item(best) >= bound and _worst(x, points, slice(ptr[i - 1], ptr[i]),
+                                                ci) >= bound:
             return tau[:i - start + 1], None
     return tau, Conformation(X)
 
@@ -161,7 +160,7 @@ def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
         # past the last atom that may not flip, every later atom may
         first = max(int(ci.ii[at].max()) + 5, int(bad[-1]) + 5 if bad.size else 4)
         best = None  # (LDE, i, coordinates, residuals) of the lowest LDE so far
-        for i in range(first, int(ci.jj[at].min()) + 2):
+        for i in range(first, _last_useful_flip(res, current_lde, ci) + 1):
             if time.monotonic() > deadline:
                 break
             Y = geometry.reflect_tail(as_coords(X), i)
@@ -252,7 +251,7 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
     deadline = start + params.time_limit
     ci = CompiledInstance.of(inst)
     problem = metrics.StressProblem(ci)
-    streams = np.random.SeedSequence(params.rng_seed).spawn(params.n_trial)
+    root = np.random.SeedSequence(params.rng_seed)  # trial c takes its child c
 
     pool = []
     stall = 0
@@ -267,7 +266,7 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
         if trials and time.monotonic() > deadline:
             break
         trials += 1
-        rng = np.random.default_rng(streams[c])
+        rng = np.random.default_rng(root.spawn(1)[0])
 
         tau, conf = greedy_construction(ci, params.n_tors, rng)
         for _ in range(params.n_impr):

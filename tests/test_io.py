@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from idgp import io, metrics
 from idgp.model import (
     AtomRecord,
     CompiledInstance,
+    DegenerateGeometryError,
     DomainKind,
     DuplicateEdgeError,
     EdgeConstraint,
@@ -79,6 +84,27 @@ class TestInstanceRoundTrip:
             # degrees in the file: allow conversion round-off
             assert b.lo == pytest.approx(dom.lo, abs=1e-12)
             assert b.hi == pytest.approx(dom.hi, abs=1e-12)
+
+
+    def test_non_ascii_names_survive_an_ascii_locale(self, tmp_path):
+        # the writers encode UTF-8, as the readers decode, whatever the locale
+        script = """if True:
+            import sys
+            from idgp import io
+            atoms, coords = io.synthetic_backbone(2, seed=1)
+            atoms[2] = atoms[2]._replace(name="C\\u03b1")
+            inst = io.generate_instance(atoms, coords)
+            io.write_instance(inst, sys.argv[1] + "/case.inst")
+            io.write_conformation(coords, inst, sys.argv[1] + "/conf.txt")
+            assert io.parse_instance(sys.argv[1] + "/case.inst").atoms == atoms
+            assert io.parse_reference(sys.argv[1] + "/conf.txt")[0] == atoms
+            """
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestParseInstance:
@@ -369,6 +395,37 @@ class TestGenerateInstance:
             if e.upper != ref:
                 assert max(dists) == pytest.approx(e.upper, abs=1e-9)
 
+    @pytest.mark.parametrize("width_deg", [20.0, 50.0, 300.0])
+    def test_three_apart_bounds_use_the_solver_law(self, width_deg):
+        # the generator's window extremes, evaluated on the law the solver
+        # compiles from the same exact edges, give each bound bit for bit
+        from idgp import geometry
+        atoms, coords = io.synthetic_backbone(6, seed=3)
+        inst = io.generate_instance(atoms, coords, angle_width_deg=width_deg)
+        ci = CompiledInstance.of(inst)
+        half = math.radians(width_deg) / 2.0
+        for i in range(4, inst.n + 1):
+            tau = geometry.dihedral(*coords[:, i - 4:i].T)
+            cands = [math.cos(tau - half), math.cos(tau + half)]
+            cands += [1.0] * (tau - half <= 0.0 <= tau + half)
+            cands += [-1.0] * (tau + half >= math.pi or tau - half <= -math.pi)
+            sq = [ci.law_a[i].item() + ci.law_b[i].item() * c for c in cands]
+            ref = pair_distance(coords, i - 3, i)
+            e = inst.edges[(i - 3, i)]
+            lower = max(math.sqrt(max(min(sq), 0.0)), io.MIN_LOWER_BOUND)
+            assert e.lower == min(lower, ref)
+            assert e.upper == max(math.sqrt(max(max(sq), 0.0)), ref)
+
+    def test_collinear_reference_raises_as_build_instance(self):
+        atoms, coords = io.synthetic_backbone(2, seed=2)
+        coords[:, 2] = 2.0 * coords[:, 1] - coords[:, 0]  # atoms 1, 2, 3 on a line
+        exact = [EdgeConstraint(i, j, d, d) for i, j in ((1, 2), (2, 3), (1, 3))
+                 for d in [pair_distance(coords, i, j)]]
+        with pytest.raises(DegenerateGeometryError, match="^collinear triple$"):
+            io.build_instance(atoms[:3], exact)
+        with pytest.raises(DegenerateGeometryError, match="^collinear triple$"):
+            io.generate_instance(atoms, coords)
+
     def test_hydrogen_pairs_within_cutoff(self, generated):
         atoms, coords, inst = generated
         h_idx = [a.index for a in atoms if a.name.startswith("H")]
@@ -520,6 +577,12 @@ class TestPerformanceProfile:
             io.performance_profile({})
         with pytest.raises(io.ProfileError):
             io.performance_profile({"A": {}})
+
+    @pytest.mark.parametrize("runtime", [0.0, -1.0, math.nan, math.inf])
+    def test_runtime_not_positive_and_finite_raises(self, runtime):
+        with pytest.raises(io.ProfileError, match="not positive and finite"):
+            io.performance_profile({"A": {"p1": 1.0, "p2": runtime},
+                                    "B": {"p1": 2.0, "p2": 1.0}})
 
     @settings(max_examples=50)
     @given(st.dictionaries(st.sampled_from(["a", "b", "c"]),

@@ -71,6 +71,11 @@ def narrowed_instances(draw):
 # torsions, an atom's draw 0 violates the law by less than 1e-3 and meets its
 # long-range edges, and a later draw scores lower
 NARROWED_CASE = narrowed(io.synthetic_backbone(4, seed=0), 0.0, 60.0)
+# 10-degree (i-3, i) windows and 60-degree annotations: in the construction
+# with rng seed 0 and 8 torsions, one far atom's draw 0 violates the law and
+# its first draw k > 0 that meets the law is kept alone; at another far atom
+# that draw violates a long-range edge and the block of all draws picks one
+NARROWED_10_CASE = narrowed(io.synthetic_backbone(4, seed=0), 10.0, 60.0)
 
 
 @st.composite
@@ -259,7 +264,7 @@ class TestEarlyStop:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6), st.integers(0, 2**32 - 1), st.sampled_from([0, 3]),
            st.sampled_from([20, 60]))
-    @example(101, 0, 0, 60)     # SPG stops at the criterion on iteration 182
+    @example(101, 0, 0, 60)     # SPG stops at the criterion on iteration 55
     def test_solved_by_early_stop_meets_criterion(self, ref_seed, seed, n_impr, n_tors):
         # criterion 5's regime, where SPG usually has work left to do
         atoms, coords = io.synthetic_backbone(4, seed=ref_seed)
@@ -347,6 +352,7 @@ class TestImprove:
     @given(st.one_of(instances(), narrowed_instances()), st.integers(0, 2**32 - 1),
            st.integers(1, 8))
     @example(NARROWED_CASE, 4, 8)
+    @example(NARROWED_10_CASE, 0, 8)
     def test_sweep_matches_prefix_keeping_oracle(self, inst, seed, n_tors):
         # a stopped attempt is one the full regrowth would have rejected, and
         # it consumes the same draws; a flip past the edges at the current

@@ -300,6 +300,26 @@ class TestMultistart:
         assert not np.array_equal(r1.conformation.coords,
                                   r2.conformation.coords)
 
+    def test_trial_c_draws_from_child_c_of_the_seed(self, toy):
+        # each trial spawns its own stream when it starts; trial c's is child
+        # c of SeedSequence(rng_seed), as a spawn of all n_trial up front gives
+        inst, _ = toy
+        first = {}  # the state of each generator at its first construction
+        greedy = search.greedy_construction
+
+        def recording(ci, n_tors, rng, *args, **kwargs):
+            first.setdefault(id(rng), (rng, rng.bit_generator.state))
+            return greedy(ci, n_tors, rng, *args, **kwargs)
+
+        params = SolverParams(rng_seed=7, n_trial=3, n_impr=1, spg_max_iter=20,
+                              eps_mde=1e-20, eps_lde=1e-20, eps_similar=1e-9)
+        with mock.patch.object(search, "greedy_construction", recording):
+            rep = search.multistart_solve(inst, params)
+        assert rep.trials == len(first) == 3
+        for c, (_, state) in enumerate(first.values()):
+            child = np.random.SeedSequence(params.rng_seed).spawn(c + 1)[c]
+            assert state == np.random.default_rng(child).bit_generator.state
+
     def test_unreachable_tolerance_builds_distinct_pool(self, unsatisfiable):
         inst, _ = unsatisfiable
         params = SolverParams(rng_seed=1, n_trial=30, n_conf=8,
