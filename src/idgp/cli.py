@@ -106,7 +106,10 @@ def cmd_bench(args) -> int:
 
 def _read_results_table(path) -> dict:
     out = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise io.ProfileError(f"{path}: not UTF-8 ({exc.reason})") from exc
     if not lines:
         raise io.ProfileError(f"{path}: empty results table")
     header = lines[0].split("\t")

@@ -2,7 +2,9 @@
 
 Minimizes a smooth function over a closed convex set given via its
 projection operator. Used here on the stress objective, whose feasible
-set is free coordinates times a per-edge distance box.
+set is free coordinates times a per-edge distance box. The spectral step
+alternates the two Barzilai-Borwein lengths, the long s's/s'y and the short
+s'y/y'y (the ABB rule of Dai & Fletcher, Numer. Math. 100, 2005).
 """
 
 import math
@@ -35,7 +37,9 @@ _GAMMA = 1e-4                       # sufficient-decrease constant
 _MEMORY = 10                        # nonmonotone reference window
 _LAMBDA_MIN, _LAMBDA_MAX = 1e-30, 1e30
 _SIGMA1, _SIGMA2 = 0.1, 0.9         # interpolated step kept in [s1, s2] * alpha
-# lack-of-progress thresholds sit at the double-precision noise floor
+# lack of progress: a step lowering f by at most 1e-12 * max(1, |f|), so the test
+# is absolute below f = 1 (about 1e-7 relative at the f ~ 1e-5 where stalled
+# refinements end); a step below 1e-16 in every coordinate
 _STALL_REL_DECREASE = 1e-12
 _STEP_ZERO_TOL = 1e-16
 
@@ -61,6 +65,12 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
                  stall_window: int = 100, deadline: float = math.inf,
                  done=None) -> SpgResult:
     """Run SPG from z0 (assumed feasible).
+
+    Each iteration projects z - lam * g(z). After an accepted iterate k with
+    s = z_k - z_{k-1}, y = g_k - g_{k-1} and s'y > 0, the next lam is
+    BB1 = s's/s'y for odd k and BB2 = s'y/y'y for even k (Dai & Fletcher's
+    alternating step), clamped to [1e-30, 1e30]; s'y <= 0, or y'y = 0, gives
+    1e30.
 
     Stops: f <= `success_f` (SUCCESS_TOLERANCE); `stall_window` steps in a
     row without relative progress, a zero step or a failed line search
@@ -143,10 +153,12 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
         s = z_new - z
         y = g_new - gz
         sy = float(np.dot(s, y))
-        if sy <= 0.0:
+        # BB1 after an odd k, BB2 after an even one; y'y can underflow to 0 while s'y > 0
+        num, den = (float(np.dot(s, s)), sy) if k % 2 else (sy, float(np.dot(y, y)))
+        if sy <= 0.0 or den == 0.0:
             lam = _LAMBDA_MAX
         else:
-            lam = min(_LAMBDA_MAX, max(_LAMBDA_MIN, float(np.dot(s, s)) / sy))
+            lam = min(_LAMBDA_MAX, max(_LAMBDA_MIN, num / den))
 
         decrease = fz - f_new
         if decrease <= _STALL_REL_DECREASE * max(1.0, abs(fz)):

@@ -247,6 +247,15 @@ class TestProfile:
         bad.write_text("nope\n")
         assert run(["profile", "--results", str(bad)]) == 1
 
+    def test_table_not_utf8_exits_1(self, tmp_path, capsys):
+        good, bad = tmp_path / "a.tsv", tmp_path / "bad.tsv"
+        self._table(good, [("p1", "Solved", "1.0")])
+        bad.write_bytes(b"instance\tstatus\ttime_s\np\xff\tSolved\t1.0\n")
+        assert run(["profile", "--results", str(bad), str(good)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: not UTF-8 (invalid start byte)\n"
+
     @pytest.mark.parametrize("row", ["p1\tSolved", "p1\tSolved\tfast", "p1\tSolved\tnan",
                                      "p1\tSolved\t0", "p1\tSolved\t-1"])
     def test_bad_row_exits_1(self, row, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from idgp import metrics
 from idgp.model import AtomRecord, CompiledInstance, EdgeConstraint, Instance
 from idgp.spg import (
+    _LAMBDA_MAX,
     _MEMORY,
     SpgStatus,
     StationaryStartError,
@@ -88,6 +89,41 @@ class TestConvexQuadratic:
         res = spg_minimize(f, g, lambda z: z, np.ones(4),
                            max_iter=5000)
         assert res.f_final <= 1e-7
+
+
+class TestSpectralStep:
+    def test_alternates_bb1_after_odd_and_bb2_after_even_iterations(self):
+        # distinct curvatures keep s off the eigenvectors, so s's/s'y > s'y/y'y
+        f, g = _diagonal([1.0, 3.0, 7.0, 20.0])
+        g_recording, accepted = _recording(g)
+        project, args = _recording(lambda z: z)
+        res = spg_minimize(f, g_recording, project, np.ones(4), max_iter=12, success_f=0.0)
+        assert res.iterations == 12
+        zs, gs = np.array(accepted), np.array([g(z) for z in accepted])
+        # args[0] is initial_spectral_step's z0 - g0; iteration k projects args[k]
+        for k in range(2, 13):
+            z, gz = zs[k - 1], gs[k - 1]
+            lam = float((z - args[k]) @ gz / (gz @ gz))
+            s, y = zs[k - 1] - zs[k - 2], gs[k - 1] - gs[k - 2]
+            bb1, bb2 = (s @ s) / (s @ y), (s @ y) / (y @ y)
+            assert bb1 > bb2 * (1 + 1e-6)
+            assert lam == pytest.approx(bb1 if (k - 1) % 2 else bb2, rel=1e-9)
+
+    def test_bb2_with_underflowing_yy_takes_lambda_max(self):
+        # g0 = g1, so s'y = 0 after iteration 1 and iteration 2 steps with lam =
+        # 1e30: s = (1e-10, 1e-132). g2 then gives y = (0, 1e-162): s'y = 1e-294 > 0
+        # but y'y underflows to 0.0 at the BB2 step of iteration 2
+        gs = [np.array([-1e-40, -1e-162])] * 2 + [np.array([-1e-40, 0.0])] * 2
+        calls = iter(range(100))
+        f = lambda z: 10.0 - next(calls)  # every trial point is accepted
+        g = lambda z: gs.pop(0)
+        project, args = _recording(lambda z: z)
+        res = spg_minimize(f, g, project, np.zeros(2), max_iter=3, success_f=0.0)
+        assert res.iterations == 3
+        # identity projection and every full step accepted: z_k = args[k]
+        s, y = args[2] - args[1], np.array([0.0, 1e-162])
+        assert float(s @ y) > 0.0 and float(y @ y) == 0.0
+        assert (args[3] - args[2])[0] / 1e-40 == pytest.approx(_LAMBDA_MAX, rel=1e-9)
 
 
 class TestEdgeCases:
@@ -190,7 +226,8 @@ def _wavy():
 
 def _recording(g):
     """g, and the list of the points it was called at: SPG evaluates g at z0
-    and then once at each accepted iterate."""
+    and then once at each accepted iterate, and projects once before its first
+    iteration and then once in each."""
     accepted = []
 
     def g_recording(z):
