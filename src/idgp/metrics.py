@@ -28,6 +28,13 @@ def _residuals(X, ci: CompiledInstance) -> np.ndarray:
     return _violations(r, ci.lower, ci.upper)
 
 
+def solved(res: np.ndarray, eps_mde: float, eps_lde: float) -> bool:
+    """The solve criterion MDE <= eps_mde or LDE <= eps_lde on the residuals
+    `res`, as `mde_global` and `lde_global` reduce them."""
+    return bool(np.add.reduce(res) / res.size <= eps_mde
+                or np.maximum.reduce(res) <= eps_lde)
+
+
 def lde_global(X, ci: CompiledInstance) -> float:
     return float(np.maximum.reduce(_residuals(X, ci)))
 
@@ -74,11 +81,8 @@ class StressProblem:
         return np.clip(r, self.lower, self.upper)
 
     def solved(self, z: np.ndarray, eps_mde: float, eps_lde: float) -> bool:
-        """The solve criterion MDE <= eps_mde or LDE <= eps_lde on z's
-        coordinate block, equal to mde_global/lde_global of unpack(z)."""
-        res = _violations(self._edges(z)[1], self.lower, self.upper)
-        return bool(np.add.reduce(res) / self.m <= eps_mde
-                    or np.maximum.reduce(res) <= eps_lde)
+        """The solve criterion `solved` on z's coordinate block."""
+        return solved(_violations(self._edges(z)[1], self.lower, self.upper), eps_mde, eps_lde)
 
     def project(self, z: np.ndarray) -> np.ndarray:
         out = z.copy()

@@ -122,13 +122,16 @@ def _last_useful_flip(res, lde: float, ci: CompiledInstance) -> int:
 
 
 def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
-            deadline: float = math.inf):
+            deadline: float = math.inf, eps=(-math.inf, -math.inf)):
     """A pass of partial reflections, then, if it kept none, one sweep of
     sign flips. A reflection or flip is kept only if the global LDE strictly
     decreases, so neither raises the LDE. Nothing is tried after `deadline`
     (a time.monotonic() value). `tau` holds the torsions of atoms 4..n, laid
     out like `ci.tors_lo` (atom k at entry k-4); returns the conformation
-    and its torsions, `tau` itself if nothing was kept.
+    and its torsions, `tau` itself if nothing was kept. It returns as soon
+    as the conformation meets the solve criterion `metrics.solved` with
+    `eps` = (eps_mde, eps_lde): on entry, after a kept reflection or after a
+    kept flip. The default criterion is never met.
 
     A reflection at atom i mirrors atoms i..n through the plane of atoms
     i-3, i-2, i-1 (`geometry.reflect_tail`) and negates the torsions tau_k,
@@ -144,13 +147,16 @@ def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
     A flip at atom i keeps atoms 1..i-1 and their torsions, draws torsions
     for atoms i..n only, with atom i's sign forced, and regrows i..n
     greedily. It stops once a placed atom violates some edge by the current
-    LDE; a stopped attempt is rejected. Atom i's forced side is the part of
-    its domain on the other side of zero from tau_i, one interval; a flip is
-    tried only if that part holds -tau_i != 0. No flip is tried past J, the
-    smallest larger end of the edges whose violation is the current LDE: it
-    would keep such an edge as it is, so it could not be kept. J is found
-    again after each kept flip."""
+    LDE; a stopped attempt is rejected. A flip is tried only at an atom
+    whose domain is sign-symmetric, [-hi, -lo] u [lo, hi], with tau_i != 0,
+    and forces the half that holds -tau_i. A single interval is not flipped:
+    its draws already range over all of it, both signs included where it
+    straddles zero. No flip is tried past J, the smallest larger end of the
+    edges whose violation is the current LDE: it would keep such an edge as
+    it is, so it could not be kept. J is found again after each kept flip."""
     res = metrics._residuals(X, ci)
+    if metrics.solved(res, *eps):
+        return X, tau
     current_lde = float(res.max())
     reflected = False
     while current_lde > 0.0:
@@ -173,6 +179,8 @@ def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
         current_lde, i, Y, res = best
         X, reflected = Conformation(Y), True
         tau = np.concatenate((tau[:i - 4], -tau[i - 4:]))
+        if metrics.solved(res, *eps):
+            return X, tau
     if reflected:
         return X, tau
 
@@ -181,17 +189,15 @@ def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
         if i > last:
             break
         t = -tau.item(i - 4)
-        lo, hi = ci.tors_lo[i - 4], ci.tors_hi[i - 4]
-        if ci.tors_sym[i - 4] and t < 0.0:
-            lo, hi = -hi, -lo  # the negative half of a sign-symmetric union
-        if t == 0.0 or not lo <= t <= hi:
+        if t == 0.0 or not ci.tors_sym[i - 4]:
             continue
         if time.monotonic() > deadline:
             break
         tail = slice(i - 4, None)
         lo_tail, hi_tail, sym_tail = (ci.tors_lo[tail].copy(), ci.tors_hi[tail].copy(),
                                       ci.tors_sym[tail].copy())
-        lo_tail[0], hi_tail[0] = (max(lo, 0.0), hi) if t > 0.0 else (lo, min(hi, 0.0))
+        if t < 0.0:  # the negative half of the union
+            lo_tail[0], hi_tail[0] = -hi_tail[0], -lo_tail[0]
         sym_tail[0] = False
         placed, X_trial = greedy_construction(ci, n_tors, rng, as_coords(X)[:, :i - 1],
                                               (lo_tail, hi_tail, sym_tail),
@@ -202,7 +208,10 @@ def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
         if lde_trial < current_lde:
             X, current_lde = X_trial, lde_trial
             tau = np.concatenate((tau[:i - 4], placed))
-            last = _last_useful_flip(metrics._residuals(X, ci), current_lde, ci)
+            res = metrics._residuals(X, ci)
+            if metrics.solved(res, *eps):
+                return X, tau
+            last = _last_useful_flip(res, current_lde, ci)
     return X, tau
 
 
@@ -270,7 +279,8 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
 
         tau, conf = greedy_construction(ci, params.n_tors, rng)
         for _ in range(params.n_impr):
-            conf, tau = improve(conf, tau, ci, params.n_tors, rng, deadline)
+            conf, tau = improve(conf, tau, ci, params.n_tors, rng, deadline,
+                                (params.eps_mde, params.eps_lde))
         # the constructed candidate is refined only if distinct from the
         # pool, and checked again after: SPG can pull it onto a pooled one
         for refine in (False, True):
@@ -294,7 +304,7 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
         else:  # no break: the refined candidate is distinct from the pool
             pool.append(entry)
             stall = 0
-        if stall >= _STALL_TRIALS or len(pool) > params.n_conf:
+        if stall >= _STALL_TRIALS or len(pool) >= params.n_conf:
             break
 
     # the first trial always runs and pools an unsolved candidate; every

@@ -211,23 +211,21 @@ def torsion_domains(ci) -> dict:
 
 
 def sign_restricted_domain(dom: TorsionDomain, tau: float) -> TorsionDomain:
-    """Portion of the domain on the same side of zero as tau, as one interval.
-
-    Requires tau != 0 with `dom.contains(tau)`, so the portion holds tau.
+    """The half of a sign-symmetric domain on the same side of zero as tau,
+    as one interval. Requires tau != 0 with `dom.contains(tau)`, so the half
+    holds tau.
     """
-    if dom.kind is DomainKind.SYMMETRIC:
-        if tau > 0.0:
-            return TorsionDomain.single(dom.lo, dom.hi)
-        return TorsionDomain.single(-dom.hi, -dom.lo)
+    assert dom.kind is DomainKind.SYMMETRIC
     if tau > 0.0:
-        return TorsionDomain.single(max(dom.lo, 0.0), dom.hi)
-    return TorsionDomain.single(dom.lo, min(dom.hi, 0.0))
+        return TorsionDomain.single(dom.lo, dom.hi)
+    return TorsionDomain.single(-dom.hi, -dom.lo)
 
 
 # The sign-flip sweep as plain prefix-keeping regrowths: the construction
 # samples each atom's torsions inside its placement loop, every attempt is
-# regrown to atom n and scored, and a flip at i is skipped when an edge inside
-# atoms 1..i-1 already has the current LDE. `idgp.search.improve` must keep
+# regrown to atom n and scored, only atoms with a sign-symmetric domain are
+# flipped, and a flip at i is skipped when an edge inside atoms 1..i-1
+# already has the current LDE. `idgp.search.improve` must keep
 # the same flips and leave the generator in the same state.
 
 def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
@@ -309,7 +307,7 @@ def improve(X, tau, ci, n_tors, rng):
     for i in range(4, ci.n + 1):
         t_i = tau[i - 4]
         dom = domains[i]
-        if t_i == 0.0 or not dom.contains(-t_i):
+        if t_i == 0.0 or dom.kind is not DomainKind.SYMMETRIC:
             continue
         if residuals(X.coords, ci)[ci.jj < i - 1].max() == current_lde:
             continue

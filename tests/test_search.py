@@ -114,10 +114,12 @@ class TestImprove:
     def test_flip_symmetric_to_negative_side(self):
         assert flip_at_atom_4(TorsionDomain.symmetric(0.5, 1.0), 0.7) == (-1.0, -0.5, False)
 
-    def test_flip_single_across_zero(self):
+    def test_single_interval_is_never_flipped(self):
+        # -t is in the interval, on the other side of zero from t: the
+        # construction's draws already cover both signs there
         dom = TorsionDomain.single(-0.4, 1.0)
-        assert flip_at_atom_4(dom, -0.2) == (0.0, 1.0, False)
-        assert flip_at_atom_4(dom, 0.2) == (-0.4, 0.0, False)
+        assert flip_at_atom_4(dom, -0.2) is None
+        assert flip_at_atom_4(dom, 0.2) is None
 
     @pytest.mark.parametrize("dom, t", [
         (TorsionDomain.single(-0.4, 1.0), 0.7),    # -0.7 is outside
@@ -176,6 +178,51 @@ class TestImprove:
         X, _ = search.improve(conf, tau, ci, 1, rng)
         assert metrics.lde_global(X, ci) < 1e-8 < metrics.lde_global(conf, ci)
         assert rng.bit_generator.state == state
+
+    @staticmethod
+    def improve_tested(inst, seed, n_tors, eps):
+        """Run `improve` with `eps` on a fresh construction; returns its
+        output, the conformation it started from, the LDE of each residual
+        array it tested against the solve criterion, and the generator."""
+        ci = CompiledInstance.of(inst)
+        rng = np.random.default_rng(seed)
+        tau, conf = search.greedy_construction(ci, n_tors, rng)
+        tested, solved = [], metrics.solved
+
+        def recording(res, *eps):
+            tested.append(float(res.max()))
+            return solved(res, *eps)
+
+        with mock.patch.object(metrics, "solved", recording):
+            X, tau_out = search.improve(conf, tau, ci, n_tors, rng, eps=eps)
+        return X, tau_out, conf, tested, rng
+
+    # at seed 0 with one draw per atom the reflection pass keeps several
+    # reflections; at seed 33 with five it keeps none and the sweep keeps a flip
+    @pytest.mark.parametrize("seed, n_tors", [(0, 1), (33, 5)])
+    def test_stops_at_the_first_residuals_that_meet_the_criterion(self, hard, seed, n_tors):
+        ci = CompiledInstance.of(hard[0])
+        _, _, _, ldes, _ = self.improve_tested(hard[0], seed, n_tors, (-1.0, -1.0))
+        assert len(ldes) >= 2  # on entry, then after each kept move
+        for k, lde in enumerate(ldes):
+            X, _, conf, tested, _ = self.improve_tested(hard[0], seed, n_tors, (-1.0, lde))
+            assert tested == ldes[:k + 1]
+            assert metrics.lde_global(X, ci) == lde
+            assert (X is conf) == (k == 0)
+
+    @pytest.mark.parametrize("seed, n_tors", [(0, 1), (33, 5)])
+    def test_without_eps_sweeps_on(self, hard, seed, n_tors):
+        # as with a criterion no residuals meet, through every kept move
+        ci = CompiledInstance.of(hard[0])
+        X_never, tau_never, _, ldes, rng_never = self.improve_tested(hard[0], seed, n_tors,
+                                                                      (-1.0, -1.0))
+        rng = np.random.default_rng(seed)
+        tau, conf = search.greedy_construction(ci, n_tors, rng)
+        X, tau_out = search.improve(conf, tau, ci, n_tors, rng)
+        assert X.coords.tobytes() == X_never.coords.tobytes()
+        assert tau_out.tobytes() == tau_never.tobytes()
+        assert rng.bit_generator.state == rng_never.bit_generator.state
+        assert metrics.lde_global(X, ci) == ldes[-1] < ldes[0]
 
 
 class TestKabschRmsd:
@@ -333,6 +380,16 @@ class TestMultistart:
         for a in range(len(confs)):
             for b in range(a + 1, len(confs)):
                 assert search.kabsch_rmsd(confs[a], confs[b], ci) > 0.5
+
+    def test_pool_holds_n_conf(self, unsatisfiable):
+        # the trial loop ends once the pool is full
+        inst, _ = unsatisfiable
+        params = SolverParams(rng_seed=1, n_trial=30, n_conf=3,
+                              eps_mde=1e-20, eps_lde=1e-20, eps_similar=0.5,
+                              time_limit=60.0)
+        rep = search.multistart_solve(inst, params)
+        assert rep.pool_size == len(rep.pool) == params.n_conf
+        assert rep.trials < params.n_trial
 
     def test_best_of_pool_reported(self, unsatisfiable):
         inst, _ = unsatisfiable
