@@ -49,10 +49,11 @@ class StressProblem:
     Packs (X, d) into one flat vector z = [X.ravel(), d]; the feasible set
     is free on the coordinate block and a box on the distance block.
 
-    The edge vectors and lengths of the last z seen are kept, keyed on the
-    identity of the array, so `gradient(z)` right after `objective(z)` does
-    not recompute them. Callers must therefore not write into an array
-    after passing it to `objective` or `gradient`; SPG never does.
+    The edge vectors, lengths r and gaps r - d of the last z seen are kept,
+    keyed on the identity of the array, so `gradient(z)` right after
+    `objective(z)` does not recompute them. Callers must therefore not write
+    into an array after passing it to `objective` or `gradient`; SPG never
+    does.
     """
 
     def __init__(self, ci: CompiledInstance):
@@ -71,8 +72,10 @@ class StressProblem:
         return z[:nc].reshape(3, self.n), z[nc:]
 
     def _edges(self, z: np.ndarray):
+        """Edge vectors, lengths r and gaps r - d of z."""
         if z is not self._z:
-            self._z, self._z_edges = z, _edge_lengths(z, self.ci)
+            diff, r = _edge_lengths(z, self.ci)
+            self._z, self._z_edges = z, (diff, r, r - z[3 * self.n:])
         return self._z_edges
 
     def init_d(self, coords: np.ndarray) -> np.ndarray:
@@ -91,16 +94,15 @@ class StressProblem:
         return out
 
     def objective(self, z: np.ndarray) -> float:
-        _, r = self._edges(z)
-        t = r - z[3 * self.n:]
-        return float(0.5 * np.add.reduce(self.w * (t * t)))
+        _, _, gap = self._edges(z)
+        return float(0.5 * np.add.reduce(self.w * (gap * gap)))
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
-        diff, r = self._edges(z)
+        diff, r, gap = self._edges(z)
         if r.size and np.minimum.reduce(r) <= _SMOOTHNESS_TOL:
             raise NonsmoothPointError("coincident endpoints on an edge")
         nc = 3 * self.n
-        t = self.w * (r - z[nc:])
+        t = self.w * gap
         unit = (diff * (t / r)).ravel()
         out = np.empty(nc + self.m)
         np.subtract(np.bincount(self._ii3, weights=unit, minlength=nc),

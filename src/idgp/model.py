@@ -7,12 +7,14 @@ All distances are in Angstrom.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 _COS_DEGENERACY_TOL = 1e-12
 _CA_SUBSET_THRESHOLD = 200     # larger instances superpose CA atoms only
+_NO_DOMAIN = (math.nan, math.nan, False)  # (lo, hi, symmetric) of an atom without one
 
 
 class IdgpError(Exception):
@@ -225,35 +227,39 @@ class CompiledInstance:
 
     @classmethod
     def of(cls, inst: Instance) -> "CompiledInstance":
-        edges = [inst.edges[k] for k in sorted(inst.edges)]
-        ii, jj, lower, upper = zip(*edges) if edges else ((),) * 4
-        ii, jj = np.array(ii, dtype=int) - 1, np.array(jj, dtype=int) - 1
-        lower, upper = np.array(lower, dtype=float), np.array(upper, dtype=float)
+        m = len(inst.edges)
+        rec = np.fromiter(chain.from_iterable(inst.edges.values()), float, 4 * m)
+        rec = rec.reshape(m, 4)
+        ii, jj, lower, upper = rec[np.lexsort((rec[:, 1], rec[:, 0]))].T.copy()
+        ii, jj = ii.astype(int) - 1, jj.astype(int) - 1
         w = np.where(jj - ii <= 3, 2.0, 1.0)  # discretization edges doubled
         by_end = np.lexsort((ii, jj))
         back_ptr = np.concatenate(([0], np.cumsum(np.bincount(jj, minlength=inst.n))))
-        d_prev = [math.nan] * 2 + [inst.edges[(i - 1, i)].lower for i in range(2, inst.n + 1)]
+        back_lower = lower[by_end]
+        # the last back edge of atom i >= 2 is (i - 1, i)
+        d = np.concatenate(([math.nan] * 2, back_lower[back_ptr[2:] - 1]))
+        d_prev = d.tolist()
         theta = [inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)]
+        # math, not np.cos/np.sin, which may round differently by an ulp
         axial = [-d * math.cos(t) for d, t in zip(d_prev, theta)]
         radial = [d * math.sin(t) for d, t in zip(d_prev, theta)]
-        d, t, axial, radial = map(np.array, (d_prev, theta, axial, radial))
+        t, axial, radial = map(np.array, (theta, axial, radial))
         law_a, law_b = np.full(inst.n + 1, math.nan), np.full(inst.n + 1, math.nan)
         law_a[4:], law_b[4:] = chain_torsion_law(d, t)
         rows = inst.n * np.arange(3)[:, None]
-        doms = [inst.torsion_domains.get(i) for i in range(4, inst.n + 1)]
+        doms = map(inst.torsion_domains.get, range(4, inst.n + 1))
+        tors = np.fromiter(chain.from_iterable(
+            (dom.lo, dom.hi, dom.kind is DomainKind.SYMMETRIC) if dom else _NO_DOMAIN
+            for dom in doms), float, 3 * max(inst.n - 3, 0))
+        tors_lo, tors_hi, tors_sym = tors.reshape(-1, 3).T.copy()
         if inst.n <= _CA_SUBSET_THRESHOLD:
             rmsd_sel = np.arange(inst.n)
         else:
             rmsd_sel = np.array([a.index - 1 for a in inst.atoms if a.name == "CA"],
                                 dtype=int)
         view = cls(inst.n, ii, jj, ii + rows, jj + rows, lower, upper, w / w.sum(),
-                   back_ptr, ii[by_end], lower[by_end], upper[by_end], d, t, axial, radial,
-                   law_a, law_b,
-                   np.array([d.lo if d else math.nan for d in doms], dtype=float),
-                   np.array([d.hi if d else math.nan for d in doms], dtype=float),
-                   np.array([d is not None and d.kind is DomainKind.SYMMETRIC
-                             for d in doms], dtype=bool),
-                   rmsd_sel)
+                   back_ptr, ii[by_end], back_lower, upper[by_end], d, t, axial, radial,
+                   law_a, law_b, tors_lo, tors_hi, tors_sym.astype(bool), rmsd_sel)
         for value in vars(view).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False

@@ -21,11 +21,13 @@ from .spg import spg_minimize
 _STALL_TRIALS = 50  # consecutive duplicate candidates that end the search
 
 
-def _back_worst(X, cand, rows: slice, ci: CompiledInstance):
+def _back_worst(points, cand, rows: slice, ci: CompiledInstance):
     """Each of the 3 x k candidates' largest violation of the back edges `rows`
-    to atoms of X, in the operations of `metrics.lde_global` (its edge vector
-    is negated, which squaring undoes exactly)."""
-    d = cand[:, None, :] - X.take(ci.back_col[rows], axis=1)[:, :, None]
+    to atoms of `points` (float triples), in the operations of
+    `metrics.lde_global` (its edge vector is negated, which squaring undoes
+    exactly)."""
+    far = np.array([points[j] for j in ci.back_col[rows].tolist()])
+    d = cand[:, None, :] - far.T[:, :, None]
     d *= d
     r = np.sqrt(d[0] + d[1] + d[2])
     violations = metrics._violations(r, ci.back_lower[rows, None], ci.back_upper[rows, None])
@@ -70,11 +72,13 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     in floats, and kept if atom i has no edge (j, i), j < i-3, or if it
     scores 0 and violates no edge: every earlier draw then scores above 0.
     Otherwise all candidates are placed as one block, which rounds each
-    column as the one alone. Returns (tau, Conformation), tau the torsions of
-    atoms s..n as a float array laid out like `domains`, or (tau of the
-    atoms placed so far, None) once a kept atom scores at least `bound` and
-    violates an edge, as `metrics.lde_global` measures it, by at least
-    `bound`: the finished conformation's LDE could not be below it.
+    column as the one alone. Placed atoms are kept as float triples only.
+    Returns (tau, Conformation), tau the torsions of atoms s..n as a float
+    array laid out like `domains` and the coordinates a C-ordered 3 x n
+    array, or (tau of the atoms placed so far, None) once a kept atom scores
+    at least `bound` and violates an edge, as `metrics.lde_global` measures
+    it, by at least `bound`: the finished conformation's LDE could not be
+    below it.
     """
     if prefix is None:
         prefix = np.column_stack(geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
@@ -89,29 +93,33 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     r3 = np.sqrt(ci.law_a[start:, None] + slope[:, None] * table[:, 2])
     at3 = ci.back_ptr[start:] - 3
     law = metrics._violations(r3, ci.back_lower[at3, None], ci.back_upper[at3, None])
-    X = np.empty((3, ci.n))
-    X[:, :start - 1] = prefix
-    points = prefix.T.tolist() + [None] * (ci.n - start + 1)  # X as float triples
+    # draw 0 of each atom: its local coordinates, law score and torsion
+    local0, law0, tau0 = table[:, :, 0].tolist(), law[:, 0].tolist(), draws[:, 0].tolist()
+    points = prefix.T.tolist()  # the atoms placed so far, as float triples
     ptr = ci.back_ptr.tolist()
-    tau = np.empty(len(draws))
-    for i, (taus, local, score) in enumerate(zip(draws, table, law), start=start):
+    tau = []
+    for k, (taus, local, score) in enumerate(zip(draws, table, law)):
+        i = start + k
         frame = geometry.local_frame(*points[i - 4:i - 1])
         far = slice(ptr[i - 1], ptr[i] - 3)  # the edges (j, i) with j < i - 3
-        best = 0 if score.item(0) == 0.0 else score.argmin()
-        x = geometry.place_local(frame, points[i - 2], local[:, best].tolist())
-        if far.start < far.stop and (score.item(best) != 0.0
-                                     or _worst(x, points, far, ci) > 0.0):
-            cand = geometry.place_atoms_batch(frame, points[i - 2], local)
-            score = np.maximum(_back_worst(X, cand, far, ci), score)
+        if law0[k] == 0.0:
+            worst, t, lone = 0.0, tau0[k], local0[k]
+        else:
             best = score.argmin()
-            x = cand[:, best].tolist()
-        X[:, i - 1] = points[i - 1] = x
-        tau[i - start] = taus[best]
+            worst, t, lone = score.item(best), taus.item(best), local[:, best].tolist()
+        x = geometry.place_local(frame, points[i - 2], lone)
+        if far.start < far.stop and (worst != 0.0 or _worst(x, points, far, ci) > 0.0):
+            cand = geometry.place_atoms_batch(frame, points[i - 2], local)
+            score = np.maximum(_back_worst(points, cand, far, ci), score)
+            best = score.argmin()
+            worst, t, x = score.item(best), taus.item(best), cand[:, best].tolist()
+        points.append(x)
+        tau.append(t)
         # the score rounds unlike lde_global and leaves out (i-2, i), (i-1, i)
-        if score.item(best) >= bound and _worst(x, points, slice(ptr[i - 1], ptr[i]),
-                                                ci) >= bound:
-            return tau[:i - start + 1], None
-    return tau, Conformation(X)
+        if worst >= bound and _worst(x, points, slice(ptr[i - 1], ptr[i]), ci) >= bound:
+            return np.array(tau, dtype=float), None
+    # copied to C order: the stress kernels index the row-major flattening
+    return np.array(tau, dtype=float), Conformation(np.array(points).T.copy())
 
 
 def _last_useful_flip(res, lde: float, ci: CompiledInstance) -> int:
@@ -122,16 +130,24 @@ def _last_useful_flip(res, lde: float, ci: CompiledInstance) -> int:
 
 
 def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
-            deadline: float = math.inf, eps=(-math.inf, -math.inf)):
-    """A pass of partial reflections, then, if it kept none, one sweep of
-    sign flips. A reflection or flip is kept only if the global LDE strictly
-    decreases, so neither raises the LDE. Nothing is tried after `deadline`
-    (a time.monotonic() value). `tau` holds the torsions of atoms 4..n, laid
-    out like `ci.tors_lo` (atom k at entry k-4); returns the conformation
-    and its torsions, `tau` itself if nothing was kept. It returns as soon
-    as the conformation meets the solve criterion `metrics.solved` with
-    `eps` = (eps_mde, eps_lde): on entry, after a kept reflection or after a
-    kept flip. The default criterion is never met.
+            deadline: float = math.inf, eps=(-math.inf, -math.inf), rounds: int = 1):
+    """`rounds` rounds of improvement, each a pass of partial reflections,
+    then, if it kept none, one sweep of sign flips. A reflection or flip is
+    kept only if the global LDE strictly decreases, so neither raises the
+    LDE. Nothing is tried after `deadline` (a time.monotonic() value). `tau`
+    holds the torsions of atoms 4..n, laid out like `ci.tors_lo` (atom k at
+    entry k-4); returns the conformation and its torsions, `tau` itself if
+    nothing was kept. It returns as soon as the conformation meets the solve
+    criterion `metrics.solved` with `eps` = (eps_mde, eps_lde): on entry,
+    after a kept reflection or after a kept flip. The default criterion is
+    never met.
+
+    A round scans for reflections again only if the previous round's sweep
+    kept a flip. Otherwise the pass would start where the last one ended: at
+    a conformation its last scan left unchanged, at LDE 0, or past the
+    deadline, and a scan draws no random numbers. So one call with
+    `rounds=k` returns what k chained calls with `rounds=1` return, and
+    leaves the generator in the same state.
 
     A reflection at atom i mirrors atoms i..n through the plane of atoms
     i-3, i-2, i-1 (`geometry.reflect_tail`) and negates the torsions tau_k,
@@ -158,60 +174,64 @@ def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
     if metrics.solved(res, *eps):
         return X, tau
     current_lde = float(res.max())
-    reflected = False
-    while current_lde > 0.0:
-        at = res == current_lde
-        neg = -tau
-        bad = np.flatnonzero(~(ci.tors_sym | (ci.tors_lo <= neg) & (neg <= ci.tors_hi)))
-        # past the last atom that may not flip, every later atom may
-        first = max(int(ci.ii[at].max()) + 5, int(bad[-1]) + 5 if bad.size else 4)
-        best = None  # (LDE, i, coordinates, residuals) of the lowest LDE so far
-        for i in range(first, _last_useful_flip(res, current_lde, ci) + 1):
-            if time.monotonic() > deadline:
+    flippable = (np.flatnonzero(ci.tors_sym) + 4).tolist()
+    rescan = True  # no reflection scan has seen this conformation yet
+    for _ in range(rounds):
+        reflected = False
+        while rescan and current_lde > 0.0:
+            at = res == current_lde
+            neg = -tau
+            bad = np.flatnonzero(~(ci.tors_sym | (ci.tors_lo <= neg) & (neg <= ci.tors_hi)))
+            # past the last atom that may not flip, every later atom may
+            first = max(int(ci.ii[at].max()) + 5, int(bad[-1]) + 5 if bad.size else 4)
+            best = None  # (LDE, i, coordinates, residuals) of the lowest LDE so far
+            for i in range(first, _last_useful_flip(res, current_lde, ci) + 1):
+                if time.monotonic() > deadline:
+                    break
+                Y = geometry.reflect_tail(as_coords(X), i)
+                res_y = metrics._residuals(Y, ci)
+                lde_y = float(res_y.max())
+                if lde_y < (current_lde if best is None else best[0]):
+                    best = lde_y, i, Y, res_y
+            if best is None:
                 break
-            Y = geometry.reflect_tail(as_coords(X), i)
-            res_y = metrics._residuals(Y, ci)
-            lde_y = float(res_y.max())
-            if lde_y < (current_lde if best is None else best[0]):
-                best = lde_y, i, Y, res_y
-        if best is None:
-            break
-        current_lde, i, Y, res = best
-        X, reflected = Conformation(Y), True
-        tau = np.concatenate((tau[:i - 4], -tau[i - 4:]))
-        if metrics.solved(res, *eps):
-            return X, tau
-    if reflected:
-        return X, tau
-
-    last = _last_useful_flip(res, current_lde, ci)
-    for i in range(4, ci.n + 1):
-        if i > last:
-            break
-        t = -tau.item(i - 4)
-        if t == 0.0 or not ci.tors_sym[i - 4]:
-            continue
-        if time.monotonic() > deadline:
-            break
-        tail = slice(i - 4, None)
-        lo_tail, hi_tail, sym_tail = (ci.tors_lo[tail].copy(), ci.tors_hi[tail].copy(),
-                                      ci.tors_sym[tail].copy())
-        if t < 0.0:  # the negative half of the union
-            lo_tail[0], hi_tail[0] = -hi_tail[0], -lo_tail[0]
-        sym_tail[0] = False
-        placed, X_trial = greedy_construction(ci, n_tors, rng, as_coords(X)[:, :i - 1],
-                                              (lo_tail, hi_tail, sym_tail),
-                                              bound=current_lde)
-        if X_trial is None:
-            continue
-        lde_trial = metrics.lde_global(X_trial, ci)
-        if lde_trial < current_lde:
-            X, current_lde = X_trial, lde_trial
-            tau = np.concatenate((tau[:i - 4], placed))
-            res = metrics._residuals(X, ci)
+            current_lde, i, Y, res = best
+            X, reflected = Conformation(Y), True
+            tau = np.concatenate((tau[:i - 4], -tau[i - 4:]))
             if metrics.solved(res, *eps):
                 return X, tau
-            last = _last_useful_flip(res, current_lde, ci)
+        rescan = False
+        if reflected:
+            continue
+
+        last = _last_useful_flip(res, current_lde, ci)
+        for i in flippable:
+            if i > last:
+                break
+            t = -tau.item(i - 4)
+            if t == 0.0:
+                continue
+            if time.monotonic() > deadline:
+                break
+            tail = slice(i - 4, None)
+            lo_tail, hi_tail, sym_tail = (ci.tors_lo[tail].copy(), ci.tors_hi[tail].copy(),
+                                          ci.tors_sym[tail].copy())
+            if t < 0.0:  # the negative half of the union
+                lo_tail[0], hi_tail[0] = -hi_tail[0], -lo_tail[0]
+            sym_tail[0] = False
+            placed, X_trial = greedy_construction(ci, n_tors, rng, as_coords(X)[:, :i - 1],
+                                                  (lo_tail, hi_tail, sym_tail),
+                                                  bound=current_lde)
+            if X_trial is None:
+                continue
+            lde_trial = metrics.lde_global(X_trial, ci)
+            if lde_trial < current_lde:
+                X, current_lde, rescan = X_trial, lde_trial, True
+                tau = np.concatenate((tau[:i - 4], placed))
+                res = metrics._residuals(X, ci)
+                if metrics.solved(res, *eps):
+                    return X, tau
+                last = _last_useful_flip(res, current_lde, ci)
     return X, tau
 
 
@@ -278,9 +298,9 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
         rng = np.random.default_rng(root.spawn(1)[0])
 
         tau, conf = greedy_construction(ci, params.n_tors, rng)
-        for _ in range(params.n_impr):
+        if params.n_impr:
             conf, tau = improve(conf, tau, ci, params.n_tors, rng, deadline,
-                                (params.eps_mde, params.eps_lde))
+                                (params.eps_mde, params.eps_lde), params.n_impr)
         # the constructed candidate is refined only if distinct from the
         # pool, and checked again after: SPG can pull it onto a pooled one
         for refine in (False, True):

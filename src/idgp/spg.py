@@ -72,9 +72,9 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
     alternating step), clamped to [1e-30, 1e30]; s'y <= 0, or y'y = 0, gives
     1e30.
 
-    Stops: f <= `success_f` (SUCCESS_TOLERANCE); `stall_window` steps in a
-    row without relative progress, a zero step or a failed line search
-    (STALLED); `max_iter` iterations (MAX_ITER). The first accepted iterate
+    Stops: f <= `success_f` (SUCCESS_TOLERANCE); `stall_window` accepted
+    steps in a row that each lower f by at most 1e-12 * max(1, |f|), a zero
+    step or a failed line search (STALLED); `max_iter` iterations (MAX_ITER). The first accepted iterate
     z with `done(z)` true ends the run as SOLVE_CRITERION and is returned as
     it is: under the nonmonotone line search the lowest-f iterate seen need
     not satisfy `done`. Every other stop returns the lowest-f iterate seen.
@@ -126,7 +126,8 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
         alpha = 1.0
         z_new = None
         while True:
-            trial = z + alpha * direction
+            # 1.0 * x == x, so the full step skips the multiply
+            trial = z + direction if alpha == 1.0 else z + alpha * direction
             f_trial = f(trial)
             if not math.isfinite(f_trial):
                 return SpgResult(best_z, best_f, k, SpgStatus.NUMERICAL_FAILURE)

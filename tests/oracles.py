@@ -1,6 +1,7 @@
 """Reference implementations the optimized code is checked against: scalar
 per-edge loops for the array code of `idgp.metrics` and
-`idgp.model.CompiledInstance`, column gathers for the flat-index edge kernel
+`idgp.model.CompiledInstance`, a record-by-record build for the single
+passes of `CompiledInstance.of`, column gathers for the flat-index edge kernel
 of `idgp.metrics` and np.clip for its projection, vector helpers in the
 same operation order and numpy vector ops for the scalar-float
 `idgp.geometry.local_frame`, per-atom trig for the local-coordinate table
@@ -10,7 +11,7 @@ otherwise) for the k-domain block of `idgp.geometry.sample_torsions`, and,
 for `idgp.search.improve`, a reflection pass that tries every atom and tests
 each domain on its own, then a prefix-keeping sign-flip sweep that regrows
 every attempt to the last atom, with its sign restriction on
-`TorsionDomain` objects. Torsions are arrays laid out like
+`TorsionDomain` objects, and its rounds as chained one-round calls. Torsions are arrays laid out like
 `CompiledInstance.tors_lo`, atom k at entry k - 4, as the solver holds them.
 For `idgp.io.parse_instance`, which converts each line in one pass and then
 checks the E records as columns, it holds the parser that checks each record
@@ -24,12 +25,13 @@ import math
 
 import numpy as np
 
-from idgp import geometry, metrics
+from idgp import geometry, metrics, search
 from idgp.geometry import _COLLINEAR_TOL, _COS_CLAMP_TOL
 from idgp.io import ParseError, ValidationError
 from idgp.metrics import _SMOOTHNESS_TOL
 from idgp.model import (
     AtomRecord,
+    CompiledInstance,
     Conformation,
     DegenerateGeometryError,
     DomainKind,
@@ -40,7 +42,9 @@ from idgp.model import (
     InvalidBoundsError,
     NonsmoothPointError,
     TorsionDomain,
+    _CA_SUBSET_THRESHOLD,
     _COS_DEGENERACY_TOL,
+    chain_torsion_law,
     torsion_law,
 )
 
@@ -140,6 +144,40 @@ def place_atoms_batch(x_im3, x_im2, x_im1, d: float, theta: float, taus):
     np.multiply(s, np.sin(taus), out=local[1])
     np.multiply(s, np.cos(taus), out=local[2])
     return geometry.place_atoms_batch(geometry.local_frame(x_im3, x_im2, x_im1), x_im1, local)
+
+
+def compiled_instance(inst: Instance) -> CompiledInstance:
+    """`CompiledInstance.of` record by record: the edge keys sorted in Python,
+    one conversion per edge field, d_{i-1,i} looked up per atom and one
+    list per torsion-domain field."""
+    edges = [inst.edges[k] for k in sorted(inst.edges)]
+    ii, jj, lower, upper = zip(*edges) if edges else ((),) * 4
+    ii, jj = np.array(ii, dtype=int) - 1, np.array(jj, dtype=int) - 1
+    lower, upper = np.array(lower, dtype=float), np.array(upper, dtype=float)
+    w = np.where(jj - ii <= 3, 2.0, 1.0)
+    by_end = np.lexsort((ii, jj))
+    back_ptr = np.concatenate(([0], np.cumsum(np.bincount(jj, minlength=inst.n))))
+    d_prev = [math.nan] * 2 + [inst.edges[(i - 1, i)].lower for i in range(2, inst.n + 1)]
+    theta = [inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)]
+    axial = [-d * math.cos(t) for d, t in zip(d_prev, theta)]
+    radial = [d * math.sin(t) for d, t in zip(d_prev, theta)]
+    d, t, axial, radial = map(np.array, (d_prev, theta, axial, radial))
+    law_a, law_b = np.full(inst.n + 1, math.nan), np.full(inst.n + 1, math.nan)
+    law_a[4:], law_b[4:] = chain_torsion_law(d, t)
+    rows = inst.n * np.arange(3)[:, None]
+    doms = [inst.torsion_domains.get(i) for i in range(4, inst.n + 1)]
+    if inst.n <= _CA_SUBSET_THRESHOLD:
+        rmsd_sel = np.arange(inst.n)
+    else:
+        rmsd_sel = np.array([a.index - 1 for a in inst.atoms if a.name == "CA"], dtype=int)
+    return CompiledInstance(
+        inst.n, ii, jj, ii + rows, jj + rows, lower, upper, w / w.sum(), back_ptr,
+        ii[by_end], lower[by_end], upper[by_end], d, t, axial, radial, law_a, law_b,
+        np.array([d.lo if d else math.nan for d in doms], dtype=float),
+        np.array([d.hi if d else math.nan for d in doms], dtype=float),
+        np.array([d is not None and d.kind is DomainKind.SYMMETRIC for d in doms],
+                 dtype=bool),
+        rmsd_sel)
 
 
 # Column-gather numpy versions of the stress model and the residuals: each
@@ -319,6 +357,14 @@ def improve(X, tau, ci, n_tors, rng):
         if lde_trial < current_lde:
             X, current_lde = X_trial, lde_trial
             tau = np.concatenate((tau[:i - 4], placed))
+    return X, tau
+
+
+def improve_rounds(X, tau, ci, n_tors, rng, eps, rounds):
+    """`rounds` rounds of improvement as chained one-round calls, each of
+    which scans for reflections again."""
+    for _ in range(rounds):
+        X, tau = search.improve(X, tau, ci, n_tors, rng, eps=eps)
     return X, tau
 
 

@@ -36,6 +36,17 @@ SWEEP_CASE = io.generate_instance(*io.synthetic_backbone(4, seed=0), hh_width_ad
                                   hh_width_other=1.0, include_torsion_annotations=False)
 
 
+# annotated, so every domain is one interval and no round keeps a move
+ANNOTATED_CASE = io.generate_instance(*io.synthetic_backbone(4, seed=0), hh_width_adjacent=0.5,
+                                      hh_width_other=1.0)
+# paper widths without annotations: with rng seed 9 and 5 torsions the first
+# round keeps a reflection and the second a flip that meets the paper's criterion
+PAPER_WIDTH_CASE = io.generate_instance(*io.synthetic_backbone(4, seed=0),
+                                        include_torsion_annotations=False)
+NO_EPS = (-math.inf, -math.inf)
+PAPER_EPS = (SolverParams().eps_mde, SolverParams().eps_lde)
+
+
 @st.composite
 def instances(draw, hh_cutoff=5.0):
     """A generated instance: random backbone, torsion window and H-H widths;
@@ -108,6 +119,12 @@ def sampler_domains(draw):
     return TorsionDomain.symmetric(0.0, 0.0)
 
 
+def same_nan(a):
+    """`a` with every NaN made +nan. A NaN's sign is not a value: once CPython
+    specializes a float multiply, nan * -nan may return either operand."""
+    return np.where(np.isnan(a), math.nan, a) if a.dtype.kind == "f" else a
+
+
 class TestCompiledView:
     @settings(max_examples=40, deadline=None)
     @given(instances(), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
@@ -165,6 +182,29 @@ class TestCompiledView:
                 d2 = float(((x - triple[0]) ** 2).sum())
                 assert math.isclose(a + b * math.cos(tau), d2,
                                     rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.randoms(use_true_random=False))
+    def test_compile_matches_per_record_build(self, inst, random):
+        # generate_instance inserts edges in no (i, j) order, and a shuffled
+        # rebuild in none at all; every field equals the per-record build's
+        records = list(inst.edges.values())
+        random.shuffle(records)
+        overrides = {i: inst.torsion_domains[i] for i in inst.torsion_domains
+                     if random.random() < 0.5}
+        for case in (inst, io.build_instance(inst.atoms, records, overrides)):
+            ci, expected = CompiledInstance.of(case), oracles.compiled_instance(case)
+            for name, value in vars(expected).items():
+                got = getattr(ci, name)
+                if isinstance(value, int):
+                    assert got == value, name
+                    continue
+                assert (got.dtype, got.shape) == (value.dtype, value.shape), name
+                assert same_nan(got).tobytes() == same_nan(value).tobytes(), name
+
+    def test_generated_edges_are_not_in_pair_order(self):
+        # the compile above sees unsorted input
+        assert list(SWEEP_CASE.edges) != sorted(SWEEP_CASE.edges)
 
     @settings(max_examples=20, deadline=None)
     @given(instances())
@@ -370,6 +410,27 @@ class TestImprove:
         assert X.coords.tobytes() == X_oracle.coords.tobytes()
         assert tau.tobytes() == tau_oracle.tobytes()
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 3),
+           st.sampled_from([NO_EPS, PAPER_EPS]))
+    @example(SWEEP_CASE, 14, 5, 3, NO_EPS)  # reflection, flip, then a rescan keeps one
+    @example(SWEEP_CASE, 13, 5, 3, NO_EPS)  # reflection, then a flip in each round
+    @example(ANNOTATED_CASE, 0, 5, 3, NO_EPS)
+    @example(PAPER_WIDTH_CASE, 9, 5, 3, PAPER_EPS)
+    def test_rounds_equal_chained_calls(self, inst, seed, n_tors, rounds, eps):
+        # a round that skips the reflection scan skips one that keeps nothing
+        ci = CompiledInstance.of(inst)
+        rng = np.random.default_rng(seed)
+        tau, X = search.greedy_construction(ci, n_tors, rng)
+        rng_chained = np.random.default_rng()
+        rng_chained.bit_generator.state = rng.bit_generator.state
+        X_chained, tau_chained = oracles.improve_rounds(X, tau, ci, n_tors, rng_chained, eps,
+                                                        rounds)
+        X, tau = search.improve(X, tau, ci, n_tors, rng, eps=eps, rounds=rounds)
+        assert X.coords.tobytes() == X_chained.coords.tobytes()
+        assert tau.tobytes() == tau_chained.tobytes()
+        assert rng.bit_generator.state == rng_chained.bit_generator.state
 
     @staticmethod
     def improve_recorded(X, tau, ci, n_tors, rng):

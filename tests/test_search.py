@@ -67,6 +67,18 @@ class TestGreedyConstruction:
                 r = pair_distance(conf.coords, i, j)
                 assert r == pytest.approx(e.lower, abs=1e-10)
 
+    def test_coordinates_are_c_ordered_3_by_n(self, toy):
+        # the stress kernels index the row-major flattening; a transposed
+        # n x 3 array is F-ordered unless copied
+        inst, _ = toy
+        ci = CompiledInstance.of(inst)
+        rng = np.random.default_rng(4)
+        _, conf = search.greedy_construction(ci, 10, rng)
+        _, regrown = search.greedy_construction(ci, 10, rng, conf.coords[:, :5])
+        for X in (conf.coords, regrown.coords):
+            assert X.shape == (3, inst.n) and X.dtype == np.float64
+            assert X.flags.c_contiguous
+
     def test_deterministic_given_rng_state(self, toy):
         inst, _ = toy
         ci = CompiledInstance.of(inst)
