@@ -119,8 +119,7 @@ def _derive(inst: Instance, overrides: dict, path=None, lines=None) -> Instance:
             one[:-1], one[1:], [edges[(i - 2, i)].lower for i in range(3, n + 1)])
         inst.bond_angles.update(zip(range(3, n + 1), angles))
         if derived:  # an instance with a T line for every atom does no array work
-            a, b = chain_torsion_law(np.array([math.nan] * 2 + one),
-                                     np.array([math.nan] * 3 + angles))
+            a, b = chain_torsion_law(one, angles)
             rows = [e.j - 4 for e in derived]
             lo, hi = geometry.invert_torsion_law(a[rows], b[rows], derived)
             domains.update(zip([e.j for e in derived], map(TorsionDomain.symmetric, lo, hi)))
@@ -319,8 +318,7 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
                   for i, d in enumerate(two, start=3)})
     # the torsion law the parser and CompiledInstance derive from these edges
     angles = bond_angle_from_distances(one[:-1], one[1:], two)
-    law_a, law_b = (c.tolist() for c in chain_torsion_law(
-        np.array([math.nan] * 2 + one), np.array([math.nan] * 3 + angles)))
+    law_a, law_b = (c.tolist() for c in chain_torsion_law(one, angles))
 
     half = math.radians(angle_width_deg) / 2.0
     overrides = {}

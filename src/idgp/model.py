@@ -189,14 +189,14 @@ class CompiledInstance:
     edges doubled, sum 1). Row i of the back-edge CSR,
     `back_ptr[i - 1]:back_ptr[i]`, lists the edges (j, i) with j < i in
     ascending j: 0-based j in `back_col`, bounds in `back_lower`/`back_upper`.
-    `d_prev[i]` is d_{i-1,i}, `theta[i]` the bond angle at atom i, and
-    `axial[i]`/`radial[i]` are -d_prev[i] cos(theta[i])/d_prev[i] sin(theta[i])
-    (1-based; nan where undefined). `law_a[i]`/`law_b[i]` (i >= 4; nan below)
-    are `torsion_law` of atoms i-3..i, d_{i-3,i}^2 = law_a[i] + law_b[i] cos(tau_i)
-    once they realize their exact edges. Entry i - 4 of `tors_lo`/`tors_hi`/
-    `tors_sym` holds atom i's torsion domain (i >= 4) as
-    `geometry.sample_torsions` takes it (nan bounds where undefined); it is
-    the solver's only copy of the domains, and its torsion arrays share the
+    `d_prev[i]` is d_{i-1,i} and `theta[i]` the bond angle at atom i (1-based;
+    nan where undefined). Every per-torsion array holds atom i >= 4 at entry
+    i - 4, length max(n - 3, 0): `axial`/`radial`, -d_prev[i] cos(theta[i])/
+    d_prev[i] sin(theta[i]); `law_a`/`law_b`, `torsion_law` of atoms i-3..i,
+    d_{i-3,i}^2 = law_a + law_b cos(tau_i) once they realize their exact
+    edges; and `tors_lo`/`tors_hi`/`tors_sym`, atom i's torsion domain as
+    `geometry.sample_torsions` takes it (nan bounds where undefined), the
+    solver's only copy of the domains. The solver's torsion arrays share the
     layout. `rmsd_sel` holds the 0-based atoms an RMSD compares: all of them
     for n <= 200, otherwise the CA-named ones (empty if there are none).
     Every field is an int or a read-only array.
@@ -238,14 +238,12 @@ class CompiledInstance:
         back_lower = lower[by_end]
         # the last back edge of atom i >= 2 is (i - 1, i)
         d = np.concatenate(([math.nan] * 2, back_lower[back_ptr[2:] - 1]))
-        d_prev = d.tolist()
-        theta = [inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)]
+        t = np.array([inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)])
+        law_a, law_b = chain_torsion_law(d[2:], t[3:])
         # math, not np.cos/np.sin, which may round differently by an ulp
-        axial = [-d * math.cos(t) for d, t in zip(d_prev, theta)]
-        radial = [d * math.sin(t) for d, t in zip(d_prev, theta)]
-        t, axial, radial = map(np.array, (theta, axial, radial))
-        law_a, law_b = np.full(inst.n + 1, math.nan), np.full(inst.n + 1, math.nan)
-        law_a[4:], law_b[4:] = chain_torsion_law(d, t)
+        pairs = list(zip(d[4:].tolist(), t[4:].tolist()))
+        axial = np.array([-d_i * math.cos(t_i) for d_i, t_i in pairs], dtype=float)
+        radial = np.array([d_i * math.sin(t_i) for d_i, t_i in pairs], dtype=float)
         rows = inst.n * np.arange(3)[:, None]
         doms = map(inst.torsion_domains.get, range(4, inst.n + 1))
         tors = np.fromiter(chain.from_iterable(
@@ -278,11 +276,12 @@ def torsion_law(d1, d2, theta2, d3, theta3):
     return h * h + p * p + q * q, -2.0 * p * q
 
 
-def chain_torsion_law(d_prev, theta):
+def chain_torsion_law(one, angles):
     """`torsion_law` of atoms i-3..i for each atom i >= 4 of a chain of n atoms, from
-    arrays of length n + 1 indexed by atom, d_prev[i] = d_{i-1,i} and theta[i] =
-    `Instance.bond_angles[i]`. Entry i - 4 of a and b is atom i's."""
-    return torsion_law(d_prev[2:-2], d_prev[3:-1], theta[3:-1], d_prev[4:], theta[4:])
+    the bond lengths `one`, d_{i-1,i} for i = 2..n, and the bond angles `angles`,
+    `Instance.bond_angles[i]` for i = 3..n. Entry i - 4 of a and b is atom i's."""
+    one, angles = np.asarray(one, dtype=float), np.asarray(angles, dtype=float)
+    return torsion_law(one[:-2], one[1:-1], angles[:-1], one[2:], angles[1:])
 
 
 def bond_angle_from_distances(d_ab, d_bc, d_ac):

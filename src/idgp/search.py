@@ -51,19 +51,19 @@ def _worst(x, points, rows: slice, ci: CompiledInstance) -> float:
 
 
 def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
-                        domains=None, bound: float = math.inf):
+                        first=None, bound: float = math.inf):
     """Build a conformation atom by atom, keeping the sampled torsion with
     the smallest local inconsistency at each step.
 
     `prefix`, a 3 x (s - 1) array with s >= 4 that realizes its exact edges,
     as every prefix the solver builds does, keeps atoms 1..s-1 as given and
     builds atoms s..n; by default s = 4 and atoms 1-3 are fixed by
-    `geometry.place_first_three`. `domains` is (lo, hi, symmetric) for atoms
-    s..n, arrays laid out like `ci.tors_lo[s - 4:]`, `ci.tors_hi[s - 4:]`
-    and `ci.tors_sym[s - 4:]`, which are the default. The torsions of atoms
-    s..n are drawn, n_tors words each, and turned into local coordinates
-    first, one call each, so the generator ends in the same state however
-    far the construction gets.
+    `geometry.place_first_three`. Atoms s..n draw from their domains in
+    `ci.tors_lo`/`ci.tors_hi`/`ci.tors_sym`, except that `first` = (lo, hi),
+    if given, makes atom s's domain the one interval [lo, hi]. The torsions
+    of atoms s..n are drawn, n_tors words each, and turned into local
+    coordinates first, one call each, so the generator ends in the same
+    state however far the construction gets.
 
     A candidate for atom i scores its largest violation of the edge (i-3, i),
     by the torsion-distance law `ci.law_a`/`ci.law_b`, and of the edges
@@ -74,7 +74,7 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     Otherwise all candidates are placed as one block, which rounds each
     column as the one alone. Placed atoms are kept as float triples only.
     Returns (tau, Conformation), tau the torsions of atoms s..n as a float
-    array laid out like `domains` and the coordinates a C-ordered 3 x n
+    array, atom i at entry i - s, and the coordinates a C-ordered 3 x n
     array, or (tau of the atoms placed so far, None) once a kept atom scores
     at least `bound` and violates an edge, as `metrics.lde_global` measures
     it, by at least `bound`: the finished conformation's LDE could not be
@@ -84,13 +84,17 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
         prefix = np.column_stack(geometry.place_first_three(ci.d_prev[2], ci.d_prev[3],
                                                             ci.theta[3]))
     start = prefix.shape[1] + 1
-    if domains is None:
-        domains = ci.tors_lo[start - 4:], ci.tors_hi[start - 4:], ci.tors_sym[start - 4:]
-    draws = geometry.sample_torsions(*domains, rng, n_tors)
-    table = geometry._local_table(ci.axial[start:], ci.radial[start:], draws)
+    rows = slice(start - 4, None)  # atoms s..n in the per-torsion arrays
+    lo, hi, sym = ci.tors_lo[rows], ci.tors_hi[rows], ci.tors_sym[rows]
+    if first is not None:
+        lo, hi, sym = lo.copy(), hi.copy(), sym.copy()
+        lo[0], hi[0] = first
+        sym[0] = False
+    draws = geometry.sample_torsions(lo, hi, sym, rng, n_tors)
+    table = geometry._local_table(ci.axial[rows], ci.radial[rows], draws)
     # (i-3, i) violations of every candidate; table row 2 is radial cos(tau)
-    slope = ci.law_b[start:] / ci.radial[start:]
-    r3 = np.sqrt(ci.law_a[start:, None] + slope[:, None] * table[:, 2])
+    slope = ci.law_b[rows] / ci.radial[rows]
+    r3 = np.sqrt(ci.law_a[rows, None] + slope[:, None] * table[:, 2])
     at3 = ci.back_ptr[start:] - 3
     law = metrics._violations(r3, ci.back_lower[at3, None], ci.back_upper[at3, None])
     # draw 0 of each atom: its local coordinates, law score and torsion
@@ -165,7 +169,8 @@ def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
     greedily. It stops once a placed atom violates some edge by the current
     LDE; a stopped attempt is rejected. A flip is tried only at an atom
     whose domain is sign-symmetric, [-hi, -lo] u [lo, hi], with tau_i != 0,
-    and forces the half that holds -tau_i. A single interval is not flipped:
+    and hands `greedy_construction` the half that holds -tau_i as `first`,
+    (-hi, -lo) or (lo, hi); the later atoms keep their own domains. A single interval is not flipped:
     its draws already range over all of it, both signs included where it
     straddles zero. No flip is tried past J, the smallest larger end of the
     edges whose violation is the current LDE: it would keep such an edge as
@@ -213,15 +218,10 @@ def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
                 continue
             if time.monotonic() > deadline:
                 break
-            tail = slice(i - 4, None)
-            lo_tail, hi_tail, sym_tail = (ci.tors_lo[tail].copy(), ci.tors_hi[tail].copy(),
-                                          ci.tors_sym[tail].copy())
-            if t < 0.0:  # the negative half of the union
-                lo_tail[0], hi_tail[0] = -hi_tail[0], -lo_tail[0]
-            sym_tail[0] = False
+            lo, hi = ci.tors_lo.item(i - 4), ci.tors_hi.item(i - 4)
+            half = (-hi, -lo) if t < 0.0 else (lo, hi)  # the half of the union holding t
             placed, X_trial = greedy_construction(ci, n_tors, rng, as_coords(X)[:, :i - 1],
-                                                  (lo_tail, hi_tail, sym_tail),
-                                                  bound=current_lde)
+                                                  half, bound=current_lde)
             if X_trial is None:
                 continue
             lde_trial = metrics.lde_global(X_trial, ci)

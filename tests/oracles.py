@@ -159,11 +159,12 @@ def compiled_instance(inst: Instance) -> CompiledInstance:
     back_ptr = np.concatenate(([0], np.cumsum(np.bincount(jj, minlength=inst.n))))
     d_prev = [math.nan] * 2 + [inst.edges[(i - 1, i)].lower for i in range(2, inst.n + 1)]
     theta = [inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)]
-    axial = [-d * math.cos(t) for d, t in zip(d_prev, theta)]
-    radial = [d * math.sin(t) for d, t in zip(d_prev, theta)]
-    d, t, axial, radial = map(np.array, (d_prev, theta, axial, radial))
-    law_a, law_b = np.full(inst.n + 1, math.nan), np.full(inst.n + 1, math.nan)
-    law_a[4:], law_b[4:] = chain_torsion_law(d, t)
+    axial = np.array([-d_prev[i] * math.cos(theta[i]) for i in range(4, inst.n + 1)],
+                     dtype=float)
+    radial = np.array([d_prev[i] * math.sin(theta[i]) for i in range(4, inst.n + 1)],
+                      dtype=float)
+    d, t = np.array(d_prev), np.array(theta)
+    law_a, law_b = chain_torsion_law(d[2:], t[3:])
     rows = inst.n * np.arange(3)[:, None]
     doms = [inst.torsion_domains.get(i) for i in range(4, inst.n + 1)]
     if inst.n <= _CA_SUBSET_THRESHOLD:
@@ -288,7 +289,7 @@ def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
         cand = place_atoms_batch(X[:, i - 4], X[:, i - 3], X[:, i - 2], d_prev[i], theta[i],
                                  taus)
         s = d_prev[i] * math.sin(theta[i])
-        r = np.sqrt(ci.law_a[i] + ci.law_b[i] / s * (s * np.cos(taus)))
+        r = np.sqrt(ci.law_a[i - 4] + ci.law_b[i - 4] / s * (s * np.cos(taus)))
         lower, upper = ci.back_lower[ptr[i] - 3], ci.back_upper[ptr[i] - 3]
         score = np.maximum(0.0, np.maximum((lower - r) / lower, (r - upper) / upper))
         for e in range(ptr[i - 1], ptr[i] - 3):  # the edges (j, i), j < i - 3

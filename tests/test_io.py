@@ -409,7 +409,7 @@ class TestGenerateInstance:
             cands = [math.cos(tau - half), math.cos(tau + half)]
             cands += [1.0] * (tau - half <= 0.0 <= tau + half)
             cands += [-1.0] * (tau + half >= math.pi or tau - half <= -math.pi)
-            sq = [ci.law_a[i].item() + ci.law_b[i].item() * c for c in cands]
+            sq = [ci.law_a[i - 4].item() + ci.law_b[i - 4].item() * c for c in cands]
             ref = pair_distance(coords, i - 3, i)
             e = inst.edges[(i - 3, i)]
             lower = max(math.sqrt(max(min(sq), 0.0)), io.MIN_LOWER_BOUND)

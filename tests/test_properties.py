@@ -6,8 +6,12 @@ random valid instances and domains and on files broken from them."""
 
 import inspect
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from random import Random
 from unittest import mock
 
 import numpy as np
@@ -16,6 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from idgp import geometry, io, metrics, search, spg
 from idgp.model import (
+    AtomRecord,
     CompiledInstance,
     DomainKind,
     EdgeConstraint,
@@ -27,6 +32,7 @@ from idgp.model import (
     torsion_law,
 )
 from tests import oracles
+from tests.conftest import build_chain, exact_edge, one_edge_instance
 from tests.test_io import BAD_TORSION_LINES, CHAIN, FLAT_CHAIN, MALFORMED_LINES
 
 
@@ -119,10 +125,11 @@ def sampler_domains(draw):
     return TorsionDomain.symmetric(0.0, 0.0)
 
 
-def same_nan(a):
-    """`a` with every NaN made +nan. A NaN's sign is not a value: once CPython
-    specializes a float multiply, nan * -nan may return either operand."""
-    return np.where(np.isnan(a), math.nan, a) if a.dtype.kind == "f" else a
+# chains without a torsion: every per-torsion array of the compiled view is empty
+THREE_ATOM_CHAIN = io.build_instance(
+    [AtomRecord(k, "X", 1) for k in (1, 2, 3)],
+    [exact_edge(build_chain([]), i, j) for i, j in ((1, 2), (2, 3), (1, 3))])
+ONE_EDGE = one_edge_instance(1.5, 1.5)
 
 
 class TestCompiledView:
@@ -140,6 +147,8 @@ class TestCompiledView:
 
     @settings(max_examples=40, deadline=None)
     @given(instances())
+    @example(THREE_ATOM_CHAIN)
+    @example(ONE_EDGE)
     def test_back_edge_rows(self, inst):
         ci = CompiledInstance.of(inst)
         assert ci.back_ptr.shape == (inst.n + 1,)
@@ -154,26 +163,26 @@ class TestCompiledView:
             if i >= 3:
                 d, theta = inst.edges[(i - 1, i)].lower, inst.bond_angles[i]
                 assert ci.theta[i] == theta
-                assert ci.axial[i] == -d * math.cos(theta)
-                assert ci.radial[i] == d * math.sin(theta)
-            else:
-                assert math.isnan(ci.axial[i]) and math.isnan(ci.radial[i])
-        assert ci.axial.shape == ci.radial.shape == (inst.n + 1,)
-        assert math.isnan(ci.axial[0]) and math.isnan(ci.radial[0])
+            if i >= 4:
+                assert ci.axial[i - 4] == -d * math.cos(theta)
+                assert ci.radial[i - 4] == d * math.sin(theta)
+        # atom i at entry i - 4, like the torsion domains
+        assert ci.axial.shape == ci.radial.shape == ci.tors_lo.shape == (max(inst.n - 3, 0),)
 
     @settings(max_examples=40, deadline=None)
     @given(instances(), st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=5))
+    @example(THREE_ATOM_CHAIN, [0.0])
+    @example(ONE_EDGE, [0.0])
     def test_torsion_distance_law(self, inst, taus):
         # the arrays are torsion_law of each atom's lengths and angles, and
         # the law gives the distance of atom i placed after any predecessor
         # triple with those lengths and angle
         ci = CompiledInstance.of(inst)
-        assert np.isnan(ci.law_a[:4]).all() and np.isnan(ci.law_b[:4]).all()
-        assert ci.law_a.shape == ci.law_b.shape == (inst.n + 1,)
+        assert ci.law_a.shape == ci.law_b.shape == ci.tors_lo.shape == (max(inst.n - 3, 0),)
         for i in range(4, inst.n + 1):
             d, theta = ci.d_prev[i], ci.theta[i]
             a, b = torsion_law(ci.d_prev[i - 2], ci.d_prev[i - 1], ci.theta[i - 1], d, theta)
-            assert (ci.law_a[i], ci.law_b[i]) == (a, b)
+            assert (ci.law_a[i - 4], ci.law_b[i - 4]) == (a, b)
             triple = geometry.place_first_three(ci.d_prev[i - 2], ci.d_prev[i - 1],
                                                 ci.theta[i - 1])
             scale = abs(a) + abs(b)
@@ -185,6 +194,8 @@ class TestCompiledView:
 
     @settings(max_examples=40, deadline=None)
     @given(instances(), st.randoms(use_true_random=False))
+    @example(THREE_ATOM_CHAIN, Random(0))
+    @example(ONE_EDGE, Random(0))
     def test_compile_matches_per_record_build(self, inst, random):
         # generate_instance inserts edges in no (i, j) order, and a shuffled
         # rebuild in none at all; every field equals the per-record build's
@@ -200,7 +211,32 @@ class TestCompiledView:
                     assert got == value, name
                     continue
                 assert (got.dtype, got.shape) == (value.dtype, value.shape), name
-                assert same_nan(got).tobytes() == same_nan(value).tobytes(), name
+                assert got.tobytes() == value.tobytes(), name
+
+    def test_compile_is_byte_stable(self, tmp_path):
+        # in a fresh interpreter, so that CPython specializes the compile's
+        # float operations between its calls: no field holds a computed NaN,
+        # whose sign could change with the specialization
+        script = """if True:
+            import sys
+            import numpy as np
+            from idgp import io
+            from idgp.model import CompiledInstance
+            generated = io.generate_instance(*io.synthetic_backbone(3, seed=1))
+            io.write_instance(generated, sys.argv[1] + "/case.inst")
+            for inst in (generated, io.parse_instance(sys.argv[1] + "/case.inst")):
+                first = vars(CompiledInstance.of(inst))
+                for _ in range(10):
+                    for name, value in vars(CompiledInstance.of(inst)).items():
+                        if isinstance(value, np.ndarray):
+                            assert value.tobytes() == first[name].tobytes(), name
+            """
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_generated_edges_are_not_in_pair_order(self):
         # the compile above sees unsorted input
@@ -436,7 +472,7 @@ class TestImprove:
     def improve_recorded(X, tau, ci, n_tors, rng):
         """Run `search.improve`; returns its output, the (X, i, result) of
         each `geometry.reflect_tail` call, whether its pass kept a reflection,
-        and the (prefix, domains, result) of each `greedy_construction` call."""
+        and the (prefix, first, result) of each `greedy_construction` call."""
         reflections, attempts = [], []
         reflect, greedy = geometry.reflect_tail, search.greedy_construction
         signature = inspect.signature(greedy)
@@ -447,7 +483,7 @@ class TestImprove:
 
         def recording_greedy(*args, **kwargs):
             call = signature.bind(*args, **kwargs).arguments
-            attempts.append((call["prefix"], call["domains"], greedy(*args, **kwargs)))
+            attempts.append((call["prefix"], call["first"], greedy(*args, **kwargs)))
             return attempts[-1][2]
 
         with mock.patch.object(geometry, "reflect_tail", recording_reflect), \
@@ -475,12 +511,9 @@ class TestImprove:
             X, tau = X_out, tau_out
         assert not reflected
         attempts = {}
-        for prefix, domains, out in calls:
-            # the flipped atom is the one whose domain differs from the instance's
-            start = prefix.shape[1] + 1
-            own = ci.tors_lo[start - 4:], ci.tors_hi[start - 4:], ci.tors_sym[start - 4:]
-            differs = np.logical_or.reduce([a != b for a, b in zip(domains, own)])
-            attempts[start + int(np.flatnonzero(differs)[0])] = out
+        for prefix, _, out in calls:
+            # the flipped atom is the first one the attempt builds
+            attempts[prefix.shape[1] + 1] = out
         steps = []
         for i in range(4, ci.n + 1):
             steps.append((i, X, tau, attempts.get(i)))
@@ -516,13 +549,10 @@ class TestImprove:
                     or dom.kind is not DomainKind.SYMMETRIC):
                 continue
             trial = oracles.sign_restricted_domain(dom, -tau[i - 4])
-            lo, hi, sym = (ci.tors_lo[i - 4:].copy(), ci.tors_hi[i - 4:].copy(),
-                           ci.tors_sym[i - 4:].copy())
-            lo[0], hi[0], sym[0] = trial.lo, trial.hi, False
             rng = np.random.default_rng(regrow_seed)
             for _ in range(3):
-                _, regrown = search.greedy_construction(ci, n_tors, rng,
-                                                        X.coords[:, :i - 1], (lo, hi, sym))
+                _, regrown = search.greedy_construction(ci, n_tors, rng, X.coords[:, :i - 1],
+                                                        (trial.lo, trial.hi))
                 assert metrics.lde_global(regrown, ci) >= metrics.lde_global(X, ci)
 
     @settings(max_examples=40, deadline=None)
@@ -549,6 +579,28 @@ class TestImprove:
         assert tau.tobytes() == tau_o.tobytes()
         assert conf.coords.tobytes() == conf_o.coords.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
+    def test_first_interval_matches_oracle(self, inst, seed, n_tors, data):
+        # `first` replaces atom s's domain by one interval, as a flip hands it
+        # over; the later atoms draw from their own domains
+        ci = CompiledInstance.of(inst)
+        assume(ci.n >= 4)
+        _, X = search.greedy_construction(ci, n_tors, np.random.default_rng(seed))
+        s = data.draw(st.integers(4, ci.n), label="s")
+        lo, hi = sorted(data.draw(st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi))))
+        # the two halves of a sign-symmetric domain, an interval across zero, points
+        first = data.draw(st.sampled_from([(lo, hi), (-hi, -lo), (-lo, hi), (hi, hi),
+                                           (-hi, -hi)]), label="first")
+        rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        tau, conf = search.greedy_construction(ci, n_tors, rng, X.coords[:, :s - 1], first)
+        domains = oracles.torsion_domains(ci)
+        domains[s] = TorsionDomain.single(*first)
+        tau_o, conf_o = oracles.greedy_construction(ci, n_tors, rng_oracle, X.coords[:, :s - 1],
+                                                    domains)
+        assert tau.tobytes() == tau_o.tobytes()
+        assert conf.coords.tobytes() == conf_o.coords.tobytes()
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
     @settings(max_examples=30, deadline=None)
     @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8))
@@ -579,7 +631,7 @@ class TestImprove:
         draws = geometry.sample_torsions(ci.tors_lo, ci.tors_hi, ci.tors_sym, rng_draws,
                                          n_tors)
         for i, row in enumerate(draws, start=4):
-            r = np.sqrt(ci.law_a[i] + ci.law_b[i] * np.cos(row))
+            r = np.sqrt(ci.law_a[i - 4] + ci.law_b[i - 4] * np.cos(row))
             e = ci.back_ptr[i] - 3
             lower, upper = ci.back_lower[e], ci.back_upper[e]
             score = np.maximum(0.0, np.maximum((lower - r) / lower, (r - upper) / upper))

@@ -91,8 +91,8 @@ class TestGreedyConstruction:
 def flip_at_atom_4(dom, t):
     """Run one sweep with atom 4's domain `dom` and torsion `t`, the other
     atoms left far from their edges so a flip at 4 could lower the LDE.
-    Returns the (lo, hi, symmetric) arrays of the flip attempt at atom 4, or
-    None if the sweep made none."""
+    Returns the interval (lo, hi) the flip attempt at atom 4 hands
+    construction as `first`, or None if the sweep made none."""
     atoms, coords = io.synthetic_backbone(2, seed=3, include_hydrogens=False)
     edges = io.generate_instance(atoms, coords, include_torsion_annotations=False).edges
     ci = CompiledInstance.of(io.build_instance(atoms, edges.values(), {4: dom}))
@@ -100,31 +100,25 @@ def flip_at_atom_4(dom, t):
     tau, X = search.greedy_construction(ci, 5, rng)
     tau[0] = t  # atom 4
     X.coords[:, 3:] += 100.0
-    greedy, domains = search.greedy_construction, {}
+    greedy, first = search.greedy_construction, {}
     signature = inspect.signature(greedy)
 
     def recording(*args, **kwargs):
         call = signature.bind(*args, **kwargs).arguments
-        domains.setdefault(call["prefix"].shape[1] + 1, call["domains"])
+        first.setdefault(call["prefix"].shape[1] + 1, call["first"])
         return greedy(*args, **kwargs)
 
     with mock.patch.object(search, "greedy_construction", recording):
         search.improve(X, tau, ci, 5, rng)
-    if 4 not in domains:
-        return None
-    lo, hi, sym = domains[4]
-    # only atom 4's domain is restricted; the later atoms keep their own
-    assert (lo[1:].tobytes(), hi[1:].tobytes(), sym[1:].tobytes()) == \
-        (ci.tors_lo[1:].tobytes(), ci.tors_hi[1:].tobytes(), ci.tors_sym[1:].tobytes())
-    return lo[0], hi[0], sym[0]
+    return first.get(4)
 
 
 class TestImprove:
     def test_flip_symmetric_to_positive_side(self):
-        assert flip_at_atom_4(TorsionDomain.symmetric(0.5, 1.0), -0.7) == (0.5, 1.0, False)
+        assert flip_at_atom_4(TorsionDomain.symmetric(0.5, 1.0), -0.7) == (0.5, 1.0)
 
     def test_flip_symmetric_to_negative_side(self):
-        assert flip_at_atom_4(TorsionDomain.symmetric(0.5, 1.0), 0.7) == (-1.0, -0.5, False)
+        assert flip_at_atom_4(TorsionDomain.symmetric(0.5, 1.0), 0.7) == (-1.0, -0.5)
 
     def test_single_interval_is_never_flipped(self):
         # -t is in the interval, on the other side of zero from t: the
