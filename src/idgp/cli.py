@@ -64,7 +64,7 @@ def cmd_solve(args) -> int:
     inst = io.parse_instance(args.instance)
     rep = multistart_solve(inst, _solver_params(args))
     if args.out:
-        io.write_conformation(rep.conformation, inst, args.out)
+        io.write_conformation(rep.conformation.coords, inst, args.out)
     report = _run_report(Path(args.instance).name, inst, rep)
     _emit("".join(f"{k}: {report[k]}\n" for k in _REPORT_FIELDS), args.report)
     return 0 if rep.status == "Solved" else 2

@@ -93,8 +93,8 @@ def _local_table(axial, radial, taus) -> np.ndarray:
     return local
 
 
-def reflect_tail(X, i: int) -> np.ndarray:
-    """A copy of the 3 x n coordinates X with atoms i..n (1-based, i >= 4)
+def reflect_tail(X: np.ndarray, i: int) -> np.ndarray:
+    """A copy of the float 3 x n coordinates X with atoms i..n (1-based, i >= 4)
     mirrored through the plane of atoms i-3, i-2, i-1.
 
     Atoms 1..i-1 are copied bit for bit. In exact arithmetic the mirror
@@ -102,7 +102,6 @@ def reflect_tail(X, i: int) -> np.ndarray:
     atoms 1..i-1 and within atoms i-3..n; rounding moves the reflected
     atoms by a few ulps.
     """
-    X = np.asarray(X, dtype=float)
     u = np.array(local_frame(*X[:, i - 4:i - 1].T.tolist())[3:6])  # plane normal
     Y = X.copy()
     tail = Y[:, i - 1:]

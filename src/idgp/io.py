@@ -38,7 +38,6 @@ from .model import (
     AtomRecord,
     CompiledInstance,
     DegenerateGeometryError,
-    DomainKind,
     DuplicateEdgeError,
     EdgeConstraint,
     IdgpError,
@@ -46,7 +45,6 @@ from .model import (
     Instance,
     InvalidBoundsError,
     TorsionDomain,
-    as_coords,
     bond_angle_from_distances,
     chain_torsion_law,
     edge_problems,
@@ -224,7 +222,7 @@ def write_instance(inst: Instance, path) -> None:
                      f"{ai.name} {ai.residue} {aj.name} {aj.residue}\n")
         for i in sorted(inst.torsion_domains):
             dom = inst.torsion_domains[i]
-            if dom.kind is DomainKind.SYMMETRIC:
+            if dom.sym:
                 sign, lo, hi = "+-", dom.lo, dom.hi
             elif dom.hi <= 0.0 and dom.lo < 0.0:
                 sign, lo, hi = "-", -dom.hi, -dom.lo
@@ -264,9 +262,9 @@ def write_reference(atoms, coords, path) -> None:
             fh.write(f"{a.index} {a.name} {a.residue} {x:.6f} {y:.6f} {z:.6f}\n")
 
 
-def write_conformation(X, inst: Instance, path) -> None:
-    """Write coordinates plus a comment trailer with LDE, MDE and stress."""
-    coords = as_coords(X)
+def write_conformation(coords: np.ndarray, inst: Instance, path) -> None:
+    """Write the float 3 x n coordinates `coords` plus a comment trailer with
+    LDE, MDE and stress."""
     if coords.size == 0:
         raise IdgpError("refusing to write an empty conformation")
     write_reference(inst.atoms, coords, path)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .model import CompiledInstance, NonsmoothPointError, as_coords
+from .model import CompiledInstance, NonsmoothPointError
 
 _SMOOTHNESS_TOL = 1e-12
 
@@ -22,9 +22,10 @@ def _violations(r: np.ndarray, lower, upper) -> np.ndarray:
     return np.maximum(0.0, v, out=v)
 
 
-def _residuals(X, ci: CompiledInstance) -> np.ndarray:
-    """Normalized interval violation per edge; zero iff the edge is satisfied."""
-    _, r = _edge_lengths(as_coords(X).ravel(), ci)
+def _residuals(X: np.ndarray, ci: CompiledInstance) -> np.ndarray:
+    """Normalized interval violation per edge of the 3 x n coordinates X; zero
+    iff the edge is satisfied."""
+    _, r = _edge_lengths(X.ravel(), ci)
     return _violations(r, ci.lower, ci.upper)
 
 
@@ -35,11 +36,11 @@ def solved(res: np.ndarray, eps_mde: float, eps_lde: float) -> bool:
                 or np.maximum.reduce(res) <= eps_lde)
 
 
-def lde_global(X, ci: CompiledInstance) -> float:
+def lde_global(X: np.ndarray, ci: CompiledInstance) -> float:
     return float(np.maximum.reduce(_residuals(X, ci)))
 
 
-def mde_global(X, ci: CompiledInstance) -> float:
+def mde_global(X: np.ndarray, ci: CompiledInstance) -> float:
     return float(np.add.reduce(_residuals(X, ci)) / ci.ii.size)
 
 
@@ -65,7 +66,7 @@ class StressProblem:
         self._z = self._z_edges = None
 
     def pack(self, coords: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.asarray(coords, dtype=float).ravel(), d])
+        return np.concatenate([coords.ravel(), d])
 
     def unpack(self, z: np.ndarray):
         nc = 3 * self.n
@@ -80,7 +81,7 @@ class StressProblem:
 
     def init_d(self, coords: np.ndarray) -> np.ndarray:
         """Realized distances projected onto their intervals (per-edge optimal d)."""
-        _, r = _edge_lengths(as_coords(coords).ravel(), self.ci)
+        _, r = _edge_lengths(coords.ravel(), self.ci)
         return np.clip(r, self.lower, self.upper)
 
     def solved(self, z: np.ndarray, eps_mde: float, eps_lde: float) -> bool:

@@ -6,7 +6,6 @@ All distances are in Angstrom.
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain
 from typing import NamedTuple
 
@@ -14,7 +13,7 @@ import numpy as np
 
 _COS_DEGENERACY_TOL = 1e-12
 _CA_SUBSET_THRESHOLD = 200     # larger instances superpose CA atoms only
-_NO_DOMAIN = (math.nan, math.nan, False)  # (lo, hi, symmetric) of an atom without one
+_NO_DOMAIN = (math.nan, math.nan, False)  # (lo, hi, sym) of an atom without one
 
 
 class IdgpError(Exception):
@@ -62,52 +61,43 @@ class EdgeConstraint(NamedTuple):
     upper: float
 
 
-class DomainKind(Enum):
-    SINGLE = "single"
-    SYMMETRIC = "symmetric"
-
-
 @dataclass(frozen=True)
 class TorsionDomain:
-    """Admissible torsion angles: one interval, or a sign-symmetric union.
+    """Admissible torsion angles, in the fields `CompiledInstance` holds them in:
+    the interval [lo, hi] with -pi <= lo <= hi <= pi or, where `sym`, the
+    sign-symmetric union [-hi, -lo] u [lo, hi] with 0 <= lo."""
 
-    SINGLE denotes [lo, hi] with -pi <= lo <= hi <= pi.
-    SYMMETRIC denotes [-hi, -lo] u [lo, hi] with 0 <= lo <= hi <= pi.
-    """
-
-    kind: DomainKind
     lo: float
     hi: float
+    sym: bool
 
     def __post_init__(self):
         # NaN and infinite bounds fail this test too
         if not -math.pi <= self.lo <= self.hi <= math.pi:
             raise InvalidBoundsError(
                 f"torsion domain [{self.lo}, {self.hi}] needs -pi <= lo <= hi <= pi")
-        if self.kind is DomainKind.SYMMETRIC and self.lo < 0:
+        if self.sym and self.lo < 0:
             raise InvalidBoundsError("symmetric union requires 0 <= lo")
 
     @staticmethod
     def single(lo: float, hi: float) -> "TorsionDomain":
-        return TorsionDomain(DomainKind.SINGLE, lo, hi)
+        return TorsionDomain(lo, hi, False)
 
     @staticmethod
     def symmetric(lo: float, hi: float) -> "TorsionDomain":
-        return TorsionDomain(DomainKind.SYMMETRIC, lo, hi)
+        return TorsionDomain(lo, hi, True)
 
     @staticmethod
     def point(tau: float) -> "TorsionDomain":
-        return TorsionDomain(DomainKind.SINGLE, tau, tau)
+        return TorsionDomain(tau, tau, False)
 
     def contains(self, tau: float, tol: float = 0.0) -> bool:
-        if self.kind is DomainKind.SINGLE:
-            return self.lo - tol <= tau <= self.hi + tol
-        return self.lo - tol <= abs(tau) <= self.hi + tol
+        return self.lo - tol <= (abs(tau) if self.sym else tau) <= self.hi + tol
 
 
 @dataclass
 class Conformation:
-    """Candidate solution: 3 x n coordinate matrix (Angstrom)."""
+    """A solve's reported coordinates: a 3 x n matrix (Angstrom)."""
 
     coords: np.ndarray
 
@@ -115,15 +105,6 @@ class Conformation:
         self.coords = np.asarray(self.coords, dtype=float)
         if self.coords.ndim != 2 or self.coords.shape[0] != 3:
             raise InvalidBoundsError("conformation coordinates must be 3 x n")
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[1]
-
-
-def as_coords(X) -> np.ndarray:
-    """Accept a Conformation or a raw 3 x n array."""
-    return X.coords if isinstance(X, Conformation) else np.asarray(X, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -247,7 +228,7 @@ class CompiledInstance:
         rows = inst.n * np.arange(3)[:, None]
         doms = map(inst.torsion_domains.get, range(4, inst.n + 1))
         tors = np.fromiter(chain.from_iterable(
-            (dom.lo, dom.hi, dom.kind is DomainKind.SYMMETRIC) if dom else _NO_DOMAIN
+            (dom.lo, dom.hi, dom.sym) if dom else _NO_DOMAIN
             for dom in doms), float, 3 * max(inst.n - 3, 0))
         tors_lo, tors_hi, tors_sym = tors.reshape(-1, 3).T.copy()
         if inst.n <= _CA_SUBSET_THRESHOLD:

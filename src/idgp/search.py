@@ -8,14 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry, metrics
-from .model import (
-    CompiledInstance,
-    Conformation,
-    Instance,
-    SelectionError,
-    SolverParams,
-    as_coords,
-)
+from .model import CompiledInstance, Conformation, Instance, SelectionError, SolverParams
 from .spg import spg_minimize
 
 _STALL_TRIALS = 50  # consecutive duplicate candidates that end the search
@@ -73,8 +66,8 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
     scores 0 and violates no edge: every earlier draw then scores above 0.
     Otherwise all candidates are placed as one block, which rounds each
     column as the one alone. Placed atoms are kept as float triples only.
-    Returns (tau, Conformation), tau the torsions of atoms s..n as a float
-    array, atom i at entry i - s, and the coordinates a C-ordered 3 x n
+    Returns (tau, X), tau the torsions of atoms s..n as a float array, atom
+    i at entry i - s, and X the coordinates as a float64 C-ordered 3 x n
     array, or (tau of the atoms placed so far, None) once a kept atom scores
     at least `bound` and violates an edge, as `metrics.lde_global` measures
     it, by at least `bound`: the finished conformation's LDE could not be
@@ -123,7 +116,7 @@ def greedy_construction(ci: CompiledInstance, n_tors: int, rng, prefix=None,
         if worst >= bound and _worst(x, points, slice(ptr[i - 1], ptr[i]), ci) >= bound:
             return np.array(tau, dtype=float), None
     # copied to C order: the stress kernels index the row-major flattening
-    return np.array(tau, dtype=float), Conformation(np.array(points).T.copy())
+    return np.array(tau, dtype=float), np.array(points).T.copy()
 
 
 def _last_useful_flip(res, lde: float, ci: CompiledInstance) -> int:
@@ -138,13 +131,15 @@ def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
     """`rounds` rounds of improvement, each a pass of partial reflections,
     then, if it kept none, one sweep of sign flips. A reflection or flip is
     kept only if the global LDE strictly decreases, so neither raises the
-    LDE. Nothing is tried after `deadline` (a time.monotonic() value). `tau`
-    holds the torsions of atoms 4..n, laid out like `ci.tors_lo` (atom k at
-    entry k-4); returns the conformation and its torsions, `tau` itself if
-    nothing was kept. It returns as soon as the conformation meets the solve
-    criterion `metrics.solved` with `eps` = (eps_mde, eps_lde): on entry,
-    after a kept reflection or after a kept flip. The default criterion is
-    never met.
+    LDE. Nothing is tried after `deadline` (a time.monotonic() value). X is
+    a float64 C-ordered 3 x n array and `tau` holds the torsions of atoms
+    4..n, laid out like `ci.tors_lo` (atom k at entry k-4). Returns the
+    coordinates and their torsions: `X` and `tau` themselves if nothing was
+    kept, else the last kept move's array as `geometry.reflect_tail` or
+    `greedy_construction` made it. It returns as soon as the conformation
+    meets the solve criterion `metrics.solved` with `eps` = (eps_mde,
+    eps_lde): on entry, after a kept reflection or after a kept flip. The
+    default criterion is never met.
 
     A round scans for reflections again only if the previous round's sweep
     kept a flip. Otherwise the pass would start where the last one ended: at
@@ -193,7 +188,7 @@ def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
             for i in range(first, _last_useful_flip(res, current_lde, ci) + 1):
                 if time.monotonic() > deadline:
                     break
-                Y = geometry.reflect_tail(as_coords(X), i)
+                Y = geometry.reflect_tail(X, i)
                 res_y = metrics._residuals(Y, ci)
                 lde_y = float(res_y.max())
                 if lde_y < (current_lde if best is None else best[0]):
@@ -201,7 +196,7 @@ def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
             if best is None:
                 break
             current_lde, i, Y, res = best
-            X, reflected = Conformation(Y), True
+            X, reflected = Y, True
             tau = np.concatenate((tau[:i - 4], -tau[i - 4:]))
             if metrics.solved(res, *eps):
                 return X, tau
@@ -220,8 +215,8 @@ def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
                 break
             lo, hi = ci.tors_lo.item(i - 4), ci.tors_hi.item(i - 4)
             half = (-hi, -lo) if t < 0.0 else (lo, hi)  # the half of the union holding t
-            placed, X_trial = greedy_construction(ci, n_tors, rng, as_coords(X)[:, :i - 1],
-                                                  half, bound=current_lde)
+            placed, X_trial = greedy_construction(ci, n_tors, rng, X[:, :i - 1], half,
+                                                  bound=current_lde)
             if X_trial is None:
                 continue
             lde_trial = metrics.lde_global(X_trial, ci)
@@ -236,15 +231,16 @@ def improve(X, tau, ci: CompiledInstance, n_tors: int, rng,
 
 
 def kabsch_rmsd(X, Y, ci: CompiledInstance) -> float:
-    """RMSD after optimal proper-rotation superposition (Kabsch).
+    """RMSD after optimal proper-rotation superposition (Kabsch) of two
+    3 x n coordinate arrays.
 
     Uses all atoms for n <= 200, otherwise the CA subset (`ci.rmsd_sel`).
     """
     sel = ci.rmsd_sel
     if sel.size == 0:
         raise SelectionError("no CA-named atoms for large-instance RMSD subset")
-    A = as_coords(X)[:, sel]
-    B = as_coords(Y)[:, sel]
+    A = X[:, sel]
+    B = Y[:, sel]
     A = A - A.mean(axis=1, keepdims=True)
     B = B - B.mean(axis=1, keepdims=True)
     H = A @ B.T
@@ -255,7 +251,10 @@ def kabsch_rmsd(X, Y, ci: CompiledInstance) -> float:
 
 
 class PoolEntry(NamedTuple):
-    conformation: Conformation
+    """A pooled candidate: its coordinates, a float64 C-ordered 3 x n
+    array, and their MDE and LDE."""
+
+    conformation: np.ndarray
     mde: float
     lde: float
 
@@ -287,8 +286,8 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
     trials = 0
 
     def report(entry, st):
-        return MultistartReport(st, entry.conformation, entry.lde, entry.mde, trials,
-                                len(pool), list(pool), time.monotonic() - start,
+        return MultistartReport(st, Conformation(entry.conformation), entry.lde, entry.mde,
+                                trials, len(pool), list(pool), time.monotonic() - start,
                                 params.rng_seed)
 
     for c in range(params.n_trial):
@@ -305,14 +304,13 @@ def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
         # pool, and checked again after: SPG can pull it onto a pooled one
         for refine in (False, True):
             if refine:
-                z0 = problem.pack(conf.coords, problem.init_d(conf.coords))
+                z0 = problem.pack(conf, problem.init_d(conf))
                 result = spg_minimize(
                     problem.objective, problem.gradient, problem.project, z0,
                     max_iter=params.spg_max_iter, success_f=params.spg_stress_success,
                     stall_window=params.spg_stall_window, deadline=deadline,
                     done=lambda z: problem.solved(z, params.eps_mde, params.eps_lde))
-                coords, _ = problem.unpack(result.z_final)
-                conf = Conformation(coords.copy())
+                conf = problem.unpack(result.z_final)[0].copy()
             entry = PoolEntry(conf, metrics.mde_global(conf, ci),
                               metrics.lde_global(conf, ci))
             if entry.mde <= params.eps_mde or entry.lde <= params.eps_lde:

@@ -32,9 +32,7 @@ from idgp.metrics import _SMOOTHNESS_TOL
 from idgp.model import (
     AtomRecord,
     CompiledInstance,
-    Conformation,
     DegenerateGeometryError,
-    DomainKind,
     EdgeConstraint,
     IdgpError,
     InfeasibleDiscretizationError,
@@ -176,8 +174,7 @@ def compiled_instance(inst: Instance) -> CompiledInstance:
         ii[by_end], lower[by_end], upper[by_end], d, t, axial, radial, law_a, law_b,
         np.array([d.lo if d else math.nan for d in doms], dtype=float),
         np.array([d.hi if d else math.nan for d in doms], dtype=float),
-        np.array([d is not None and d.kind is DomainKind.SYMMETRIC for d in doms],
-                 dtype=bool),
+        np.array([d is not None and d.sym for d in doms], dtype=bool),
         rmsd_sel)
 
 
@@ -233,18 +230,18 @@ def sample_torsions(dom, rng, size) -> np.ndarray:
     an interval by `rng.uniform`; otherwise lo + (hi - lo) * u with
     u = (w >> 11) * 2**-53 in Python floats, negated on a symmetric domain
     when w is odd, which picks each side with p = 1/2."""
-    if dom.kind is DomainKind.SINGLE and dom.lo != dom.hi:
+    if not dom.sym and dom.lo != dom.hi:
         return rng.uniform(dom.lo, dom.hi, size)
     out = []
     for w in rng.bit_generator.random_raw(size).tolist():
         t = dom.lo + (dom.hi - dom.lo) * ((w >> 11) * 2.0**-53)
-        out.append(-t if dom.kind is DomainKind.SYMMETRIC and w % 2 else t)
+        out.append(-t if dom.sym and w % 2 else t)
     return np.array(out)
 
 
 def torsion_domains(ci) -> dict:
     """Atom i -> its TorsionDomain, rebuilt from `ci.tors_lo/tors_hi/tors_sym`."""
-    return {i: TorsionDomain(DomainKind.SYMMETRIC if sym else DomainKind.SINGLE, lo, hi)
+    return {i: TorsionDomain(lo, hi, sym)
             for i, (lo, hi, sym) in enumerate(zip(ci.tors_lo.tolist(), ci.tors_hi.tolist(),
                                                   ci.tors_sym.tolist()), start=4)}
 
@@ -254,7 +251,7 @@ def sign_restricted_domain(dom: TorsionDomain, tau: float) -> TorsionDomain:
     as one interval. Requires tau != 0 with `dom.contains(tau)`, so the half
     holds tau.
     """
-    assert dom.kind is DomainKind.SYMMETRIC
+    assert dom.sym
     if tau > 0.0:
         return TorsionDomain.single(dom.lo, dom.hi)
     return TorsionDomain.single(-dom.hi, -dom.lo)
@@ -301,7 +298,7 @@ def greedy_construction(ci, n_tors, rng, prefix=None, domains=None):
         best = int(np.flatnonzero(score == score.min())[0])
         X[:, i - 1] = cand[:, best]
         tau.append(taus[best])
-    return np.array(tau), Conformation(X)
+    return np.array(tau), X
 
 
 # The reflection pass as a plain scan: every i in 4..n, in order, is tried
@@ -317,7 +314,7 @@ def reflection_pass(X, tau, ci):
     domains = torsion_domains(ci)
     kept = False
     while True:
-        res = residuals(X.coords, ci)
+        res = residuals(X, ci)
         lde = res.max()
         at = [(j + 1, k + 1) for j, k, r in zip(ci.ii.tolist(), ci.jj.tolist(), res.tolist())
               if r == lde]
@@ -326,14 +323,14 @@ def reflection_pass(X, tau, ci):
                 continue
             if not all(domains[k].contains(-tau[k - 4]) for k in range(i, ci.n + 1)):
                 continue
-            Y = geometry.reflect_tail(X.coords, i)
+            Y = geometry.reflect_tail(X, i)
             lde_y = metrics.lde_global(Y, ci)
             if lde_y < lde:
                 lde, best = lde_y, (i, Y)
         if lde == res.max():
             return X, tau, kept
         i, Y = best
-        X, kept = Conformation(Y), True
+        X, kept = Y, True
         tau = np.where(np.arange(4, ci.n + 1) >= i, -tau, tau)
 
 
@@ -346,14 +343,13 @@ def improve(X, tau, ci, n_tors, rng):
     for i in range(4, ci.n + 1):
         t_i = tau[i - 4]
         dom = domains[i]
-        if t_i == 0.0 or dom.kind is not DomainKind.SYMMETRIC:
+        if t_i == 0.0 or not dom.sym:
             continue
-        if residuals(X.coords, ci)[ci.jj < i - 1].max() == current_lde:
+        if residuals(X, ci)[ci.jj < i - 1].max() == current_lde:
             continue
         trial_domains = dict(domains)
         trial_domains[i] = sign_restricted_domain(dom, -t_i)
-        placed, X_trial = greedy_construction(ci, n_tors, rng, X.coords[:, :i - 1],
-                                              trial_domains)
+        placed, X_trial = greedy_construction(ci, n_tors, rng, X[:, :i - 1], trial_domains)
         lde_trial = metrics.lde_global(X_trial, ci)
         if lde_trial < current_lde:
             X, current_lde = X_trial, lde_trial

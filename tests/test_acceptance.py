@@ -10,7 +10,7 @@ import numpy as np
 
 from idgp import geometry, io, metrics, search
 from idgp.cli import main as cli_main
-from idgp.model import CompiledInstance, Conformation, SolverParams
+from idgp.model import CompiledInstance, SolverParams
 from idgp.spg import SpgStatus, spg_minimize
 
 
@@ -98,7 +98,7 @@ def test_criterion_4_zero_width_exact_reconstruction():
     start = time.monotonic()
     ci = CompiledInstance.of(inst)
     _, conf = search.greedy_construction(ci, 1, np.random.default_rng(0))
-    rmsd = search.kabsch_rmsd(conf, Conformation(coords), ci)
+    rmsd = search.kabsch_rmsd(conf, coords, ci)
     elapsed = time.monotonic() - start
     _verdict(4, f"greedy-only RMSD {rmsd:.1e} <= 1e-6, {elapsed:.2f}s < 1s",
              rmsd <= 1e-6 and elapsed < 1.0)

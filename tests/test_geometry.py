@@ -8,7 +8,6 @@ from idgp import geometry
 from idgp.model import (
     CompiledInstance,
     DegenerateGeometryError,
-    DomainKind,
     EdgeConstraint,
     InfeasibleDiscretizationError,
     TorsionDomain,
@@ -279,7 +278,7 @@ class TestTorsionDomainFromDistance:
         triple = self._triple(inst)
         dom = inst.torsion_domains[4]
         e = inst.edges[(1, 4)]
-        assert dom.kind is DomainKind.SYMMETRIC
+        assert dom.sym
         for tau in np.linspace(-math.pi, math.pi, 201):
             d = distance_at(inst, float(tau), triple)
             inside = e.lower - 1e-9 <= d <= e.upper + 1e-9
@@ -292,7 +291,7 @@ class TestTorsionDomainFromDistance:
                                     include_torsion_annotations=False)
         for i in range(4, inst.n + 1):
             dom = inst.torsion_domains[i]
-            assert dom.kind is DomainKind.SYMMETRIC
+            assert dom.sym
             assert dom.lo == dom.hi
 
     def test_unreachable_bounds_raise(self, toy):
@@ -318,7 +317,7 @@ class TestTorsionDomainFromDistance:
             except InfeasibleDiscretizationError as exc:
                 expect = (str(exc), len(expect))
                 break
-            assert dom.kind is DomainKind.SYMMETRIC
+            assert dom.sym
             expect.append((dom.lo.hex(), dom.hi.hex()))
         try:
             lo, hi = geometry.invert_torsion_law(np.array(a), np.array(b), edges)
@@ -330,8 +329,7 @@ class TestTorsionDomainFromDistance:
 
 def sample_one(dom, rng, size):
     """The batched sampler on a one-row input."""
-    taus = geometry.sample_torsions([dom.lo], [dom.hi],
-                                    [dom.kind is DomainKind.SYMMETRIC], rng, size)
+    taus = geometry.sample_torsions([dom.lo], [dom.hi], [dom.sym], rng, size)
     assert taus.shape == (1, size)
     return taus[0]
 

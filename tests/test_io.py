@@ -14,7 +14,6 @@ from idgp.model import (
     AtomRecord,
     CompiledInstance,
     DegenerateGeometryError,
-    DomainKind,
     DuplicateEdgeError,
     EdgeConstraint,
     IdgpError,
@@ -80,7 +79,7 @@ class TestInstanceRoundTrip:
         assert set(back.torsion_domains) == set(inst.torsion_domains)
         for i, dom in inst.torsion_domains.items():
             b = back.torsion_domains[i]
-            assert b.kind is dom.kind
+            assert b.sym == dom.sym
             # degrees in the file: allow conversion round-off
             assert b.lo == pytest.approx(dom.lo, abs=1e-12)
             assert b.hi == pytest.approx(dom.hi, abs=1e-12)
@@ -130,21 +129,21 @@ class TestParseInstance:
         text = self.VALID + "T 4 10 20 +-\n"
         inst = io.parse_instance(self._write(tmp_path, text))
         dom = inst.torsion_domains[4]
-        assert dom.kind is DomainKind.SYMMETRIC
+        assert dom.sym
         assert dom.lo == pytest.approx(math.radians(10))
         assert dom.hi == pytest.approx(math.radians(20))
 
-    @pytest.mark.parametrize("sign,kind,lo,hi", [
-        ("+", DomainKind.SINGLE, 10.0, 20.0),
-        ("-", DomainKind.SINGLE, -20.0, -10.0),
-        ("+-", DomainKind.SYMMETRIC, 10.0, 20.0),
-        ("±", DomainKind.SYMMETRIC, 10.0, 20.0),
+    @pytest.mark.parametrize("sign,sym,lo,hi", [
+        ("+", False, 10.0, 20.0),
+        ("-", False, -20.0, -10.0),
+        ("+-", True, 10.0, 20.0),
+        ("±", True, 10.0, 20.0),
     ])
-    def test_annotation_signs(self, tmp_path, sign, kind, lo, hi):
+    def test_annotation_signs(self, tmp_path, sign, sym, lo, hi):
         text = self.VALID + f"T 4 10 20 {sign}\n"
         inst = io.parse_instance(self._write(tmp_path, text))
         dom = inst.torsion_domains[4]
-        assert dom.kind is kind
+        assert dom.sym is sym
         assert dom.lo == pytest.approx(math.radians(lo))
         assert dom.hi == pytest.approx(math.radians(hi))
 
@@ -364,7 +363,7 @@ class TestGenerateInstance:
             dom = inst.torsion_domains[i]
             tau = geometry.dihedral(coords[:, i - 4], coords[:, i - 3],
                                     coords[:, i - 2], coords[:, i - 1])
-            assert dom.kind is DomainKind.SINGLE
+            assert not dom.sym
             assert dom.contains(tau, tol=1e-12)
             assert dom.hi - dom.lo <= 2 * half + 1e-12
 
@@ -516,7 +515,7 @@ class TestBuildInstance:
         rebuilt = io.build_instance(inst.atoms, list(inst.edges.values()),
                                     torsion_overrides={5: dom})
         assert rebuilt.torsion_domains[5] is dom
-        assert rebuilt.torsion_domains[4].kind is DomainKind.SYMMETRIC
+        assert rebuilt.torsion_domains[4].sym
 
     def test_override_outside_the_chain_raises(self):
         inst = io.generate_instance(*io.synthetic_backbone(2, seed=1))

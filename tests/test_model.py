@@ -45,6 +45,12 @@ class TestTorsionDomain:
         with pytest.raises(InvalidBoundsError):
             TorsionDomain.symmetric(-0.1, 1.0)
 
+    def test_sym_flag_has_no_default(self):
+        # a field named like the `symmetric` constructor would take it as its
+        # default, a truthy function
+        with pytest.raises(TypeError):
+            TorsionDomain(0.1, 0.2)
+
     def test_single_contains(self):
         dom = TorsionDomain.single(-1.0, 0.5)
         assert dom.contains(0.0)
@@ -149,7 +155,7 @@ class TestConformation:
             Conformation(np.zeros((2, 5)))
 
     def test_n(self):
-        assert Conformation(np.zeros((3, 7))).n == 7
+        assert Conformation(np.zeros((3, 7))).coords.shape == (3, 7)
 
 
 class TestSolverParams:

@@ -22,7 +22,6 @@ from idgp import geometry, io, metrics, search, spg
 from idgp.model import (
     AtomRecord,
     CompiledInstance,
-    DomainKind,
     EdgeConstraint,
     IdgpError,
     Instance,
@@ -363,8 +362,8 @@ class TestEarlyStop:
         assert not any(stops[:-1])
         if stops and stops[-1]:
             ci = CompiledInstance.of(inst)
-            mde = metrics.mde_global(rep.conformation, ci)
-            lde = metrics.lde_global(rep.conformation, ci)
+            mde = metrics.mde_global(rep.conformation.coords, ci)
+            lde = metrics.lde_global(rep.conformation.coords, ci)
             assert rep.status == "Solved" and (rep.mde, rep.lde) == (mde, lde)
             assert mde <= params.eps_mde or lde <= params.eps_lde
             np.testing.assert_array_equal(rep.conformation.coords.ravel(),
@@ -395,7 +394,7 @@ class TestPool:
         if rep.status != "Solved":
             assert rep.pool_size == len(rep.pool) >= 1
             best = min(rep.pool, key=lambda p: p.mde)
-            assert rep.conformation is best.conformation
+            assert rep.conformation.coords is best.conformation
             assert (rep.mde, rep.lde) == (best.mde, best.lde)
 
 
@@ -411,7 +410,7 @@ class TestImprove:
             tau = -tau
         assume(tau != 0.0)
         r = oracles.sign_restricted_domain(dom, tau)
-        assert r.kind is DomainKind.SINGLE
+        assert not r.sym
         assert dom.contains(r.lo) and dom.contains(r.hi)
         assert (r.lo >= 0.0) if tau > 0.0 else (r.hi <= 0.0)
         assert r.contains(tau)
@@ -443,7 +442,7 @@ class TestImprove:
         tau_oracle, X_oracle = oracles.greedy_construction(ci, n_tors, rng_oracle)
         X_oracle, tau_oracle = oracles.improve(X_oracle, tau_oracle, ci, n_tors,
                                                rng_oracle)
-        assert X.coords.tobytes() == X_oracle.coords.tobytes()
+        assert X.tobytes() == X_oracle.tobytes()
         assert tau.tobytes() == tau_oracle.tobytes()
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
@@ -464,7 +463,7 @@ class TestImprove:
         X_chained, tau_chained = oracles.improve_rounds(X, tau, ci, n_tors, rng_chained, eps,
                                                         rounds)
         X, tau = search.improve(X, tau, ci, n_tors, rng, eps=eps, rounds=rounds)
-        assert X.coords.tobytes() == X_chained.coords.tobytes()
+        assert X.tobytes() == X_chained.tobytes()
         assert tau.tobytes() == tau_chained.tobytes()
         assert rng.bit_generator.state == rng_chained.bit_generator.state
 
@@ -489,7 +488,7 @@ class TestImprove:
         with mock.patch.object(geometry, "reflect_tail", recording_reflect), \
                 mock.patch.object(search, "greedy_construction", recording_greedy):
             X_out, tau_out = search.improve(X, tau, ci, n_tors, rng)
-        reflected = any(Y is X_out.coords for _, _, Y in reflections)
+        reflected = any(Y is X_out for _, _, Y in reflections)
         return X_out, tau_out, reflections, reflected, attempts
 
     @classmethod
@@ -531,8 +530,8 @@ class TestImprove:
         ci = CompiledInstance.of(inst)
         for i, X, _, attempt in self.sweep_steps(ci, n_tors, seed):
             if attempt is not None and attempt[1] is not None:
-                prefix = attempt[1].coords[:, :i - 1]
-                assert prefix.tobytes() == X.coords[:, :i - 1].tobytes()
+                prefix = attempt[1][:, :i - 1]
+                assert prefix.tobytes() == X[:, :i - 1].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8),
@@ -546,12 +545,12 @@ class TestImprove:
             dom = domains[i]
             # a single interval is left out by rule, whatever a flip there gives
             if (attempt is not None or tau[i - 4] == 0.0
-                    or dom.kind is not DomainKind.SYMMETRIC):
+                    or not dom.sym):
                 continue
             trial = oracles.sign_restricted_domain(dom, -tau[i - 4])
             rng = np.random.default_rng(regrow_seed)
             for _ in range(3):
-                _, regrown = search.greedy_construction(ci, n_tors, rng, X.coords[:, :i - 1],
+                _, regrown = search.greedy_construction(ci, n_tors, rng, X[:, :i - 1],
                                                         (trial.lo, trial.hi))
                 assert metrics.lde_global(regrown, ci) >= metrics.lde_global(X, ci)
 
@@ -572,12 +571,12 @@ class TestImprove:
             assert lde >= bound
         else:
             assert tau_b.tobytes() == tau.tobytes()
-            assert conf_b.coords.tobytes() == conf.coords.tobytes()
+            assert conf_b.tobytes() == conf.tobytes()
         # an unbounded construction is the one that samples inside its loop
         tau_o, conf_o = oracles.greedy_construction(
             ci, n_tors, np.random.default_rng(seed))
         assert tau.tobytes() == tau_o.tobytes()
-        assert conf.coords.tobytes() == conf_o.coords.tobytes()
+        assert conf.tobytes() == conf_o.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
@@ -593,13 +592,13 @@ class TestImprove:
         first = data.draw(st.sampled_from([(lo, hi), (-hi, -lo), (-lo, hi), (hi, hi),
                                            (-hi, -hi)]), label="first")
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        tau, conf = search.greedy_construction(ci, n_tors, rng, X.coords[:, :s - 1], first)
+        tau, conf = search.greedy_construction(ci, n_tors, rng, X[:, :s - 1], first)
         domains = oracles.torsion_domains(ci)
         domains[s] = TorsionDomain.single(*first)
-        tau_o, conf_o = oracles.greedy_construction(ci, n_tors, rng_oracle, X.coords[:, :s - 1],
+        tau_o, conf_o = oracles.greedy_construction(ci, n_tors, rng_oracle, X[:, :s - 1],
                                                     domains)
         assert tau.tobytes() == tau_o.tobytes()
-        assert conf.coords.tobytes() == conf_o.coords.tobytes()
+        assert conf.tobytes() == conf_o.tobytes()
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
     @settings(max_examples=30, deadline=None)
@@ -650,16 +649,16 @@ class TestReflectionPass:
         X_out, tau_out, reflections, reflected, _ = TestImprove.improve_recorded(
             X, tau, ci, n_tors, rng)
         # a kept reflection is the start of the next scan, or the output
-        taus = {id(X.coords): tau}  # torsions of each conformation scanned from
+        taus = {id(X): tau}  # torsions of each conformation scanned from
         steps = []
         for r, (X_in, i, Y) in enumerate(reflections):
-            kept = Y is X_out.coords or any(Y is Z for Z, _, _ in reflections[r + 1:])
+            kept = Y is X_out or any(Y is Z for Z, _, _ in reflections[r + 1:])
             if kept:
                 taus[id(Y)] = np.concatenate((taus[id(X_in)][:i - 4], -taus[id(X_in)][i - 4:]))
             steps.append((X_in, taus[id(X_in)], i, Y, kept))
         assert reflected == any(step[4] for step in steps)
         if reflected:
-            assert taus[id(X_out.coords)].tobytes() == tau_out.tobytes()
+            assert taus[id(X_out)].tobytes() == tau_out.tobytes()
         return steps
 
     @settings(max_examples=40, deadline=None)
@@ -725,7 +724,7 @@ class TestReflectionPass:
 def sample_block(doms, rng, size):
     """`geometry.sample_torsions` over the rows `doms`."""
     return geometry.sample_torsions([d.lo for d in doms], [d.hi for d in doms],
-                                    [d.kind is DomainKind.SYMMETRIC for d in doms], rng, size)
+                                    [d.sym for d in doms], rng, size)
 
 
 class TestSampleTorsions:
@@ -801,8 +800,8 @@ class TestPlacementTable:
             assume(False)
         doms, d, theta = zip(*rows)
         taus = geometry.sample_torsions([t.lo for t in doms], [t.hi for t in doms],
-                                        [t.kind is DomainKind.SYMMETRIC for t in doms],
-                                        np.random.default_rng(seed), n_tors)
+                                        [t.sym for t in doms], np.random.default_rng(seed),
+                                        n_tors)
         table = geometry._local_table(
             np.array([-a * math.cos(b) for a, b in zip(d, theta)]),
             np.array([a * math.sin(b) for a, b in zip(d, theta)]), taus)
@@ -852,7 +851,7 @@ class TestInstanceFileRoundTrip:
         assert set(back.torsion_domains) == set(domains)
         for i, dom in domains.items():
             b = back.torsion_domains[i]
-            assert b.kind is dom.kind
+            assert b.sym == dom.sym
             assert abs(b.lo - dom.lo) <= 1e-12 and abs(b.hi - dom.hi) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -952,7 +951,7 @@ def parse_outcome(parse, path):
     return (inst.atoms,
             [(key, e.i, e.j, e.lower.hex(), e.upper.hex()) for key, e in inst.edges.items()],
             [(i, theta.hex()) for i, theta in inst.bond_angles.items()],
-            [(i, d.kind, d.lo.hex(), d.hi.hex()) for i, d in inst.torsion_domains.items()])
+            [(i, d.sym, d.lo.hex(), d.hi.hex()) for i, d in inst.torsion_domains.items()])
 
 
 class TestParseOracle:

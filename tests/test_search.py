@@ -6,11 +6,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from idgp import io, metrics, search
+from idgp import geometry, io, metrics, search
 from idgp.model import (
     AtomRecord,
     CompiledInstance,
-    Conformation,
     EdgeConstraint,
     Instance,
     SelectionError,
@@ -47,7 +46,7 @@ class TestGreedyConstruction:
         rng = np.random.default_rng(0)
         tau, conf = search.greedy_construction(ci, 1, rng)
         assert metrics.lde_global(conf, ci) <= 1e-10
-        assert search.kabsch_rmsd(conf, Conformation(coords), ci) <= 1e-8
+        assert search.kabsch_rmsd(conf, coords, ci) <= 1e-8
 
     def test_torsions_stay_in_domain(self, toy):
         inst, _ = toy
@@ -64,19 +63,49 @@ class TestGreedyConstruction:
         _, conf = search.greedy_construction(CompiledInstance.of(inst), 10, rng)
         for (i, j), e in inst.edges.items():
             if j - i <= 2:
-                r = pair_distance(conf.coords, i, j)
+                r = pair_distance(conf, i, j)
                 assert r == pytest.approx(e.lower, abs=1e-10)
 
-    def test_coordinates_are_c_ordered_3_by_n(self, toy):
+    def test_coordinates_are_c_ordered_3_by_n(self, toy, hard, unsatisfiable):
         # the stress kernels index the row-major flattening; a transposed
-        # n x 3 array is F-ordered unless copied
+        # n x 3 array is F-ordered unless copied. Nothing in the solver
+        # coerces coordinates, so every array it hands out must be one.
         inst, _ = toy
         ci = CompiledInstance.of(inst)
         rng = np.random.default_rng(4)
         _, conf = search.greedy_construction(ci, 10, rng)
-        _, regrown = search.greedy_construction(ci, 10, rng, conf.coords[:, :5])
-        for X in (conf.coords, regrown.coords):
-            assert X.shape == (3, inst.n) and X.dtype == np.float64
+        _, regrown = search.greedy_construction(ci, 10, rng, conf[:, :5])
+        arrays = [(conf, inst.n), (regrown, inst.n)]
+        # improve's output after a kept reflection (seed 0, one draw per
+        # atom) and after a kept flip (seed 33, five draws): the array that
+        # move made
+        ci = CompiledInstance.of(hard[0])
+        for seed, n_tors, owner, name in ((0, 1, geometry, "reflect_tail"),
+                                          (33, 5, search, "greedy_construction")):
+            rng = np.random.default_rng(seed)
+            tau, X = search.greedy_construction(ci, n_tors, rng)
+            move, made = getattr(owner, name), []
+
+            def recording(*args, **kwargs):
+                out = move(*args, **kwargs)
+                made.append(out if name == "reflect_tail" else out[1])
+                return out
+
+            with mock.patch.object(owner, name, recording):
+                Y, _ = search.improve(X, tau, ci, n_tors, rng)
+            assert any(Y is Z for Z in made)
+            arrays.append((Y, ci.n))
+        # every pool member and the report of an unsolved multi-trial solve;
+        # SPG is capped, since on this instance it runs thousands of iterations
+        inst, _ = unsatisfiable
+        params = SolverParams(rng_seed=1, n_trial=4, n_conf=3, spg_max_iter=20,
+                              eps_mde=1e-20, eps_lde=1e-20, eps_similar=0.5)
+        rep = search.multistart_solve(inst, params)
+        assert rep.status == "BestEffort" and len(rep.pool) >= 2
+        arrays += [(p.conformation, inst.n) for p in rep.pool]
+        arrays.append((rep.conformation.coords, inst.n))
+        for X, n in arrays:
+            assert X.shape == (3, n) and X.dtype == np.float64
             assert X.flags.c_contiguous
 
     def test_deterministic_given_rng_state(self, toy):
@@ -85,7 +114,7 @@ class TestGreedyConstruction:
         t1, c1 = search.greedy_construction(ci, 10, np.random.default_rng(3))
         t2, c2 = search.greedy_construction(ci, 10, np.random.default_rng(3))
         np.testing.assert_array_equal(t1, t2)
-        np.testing.assert_array_equal(c1.coords, c2.coords)
+        np.testing.assert_array_equal(c1, c2)
 
 
 def flip_at_atom_4(dom, t):
@@ -99,7 +128,7 @@ def flip_at_atom_4(dom, t):
     rng = np.random.default_rng(0)
     tau, X = search.greedy_construction(ci, 5, rng)
     tau[0] = t  # atom 4
-    X.coords[:, 3:] += 100.0
+    X[:, 3:] += 100.0
     greedy, first = search.greedy_construction, {}
     signature = inspect.signature(greedy)
 
@@ -225,7 +254,7 @@ class TestImprove:
         rng = np.random.default_rng(seed)
         tau, conf = search.greedy_construction(ci, n_tors, rng)
         X, tau_out = search.improve(conf, tau, ci, n_tors, rng)
-        assert X.coords.tobytes() == X_never.coords.tobytes()
+        assert X.tobytes() == X_never.tobytes()
         assert tau_out.tobytes() == tau_never.tobytes()
         assert rng.bit_generator.state == rng_never.bit_generator.state
         assert metrics.lde_global(X, ci) == ldes[-1] < ldes[0]
