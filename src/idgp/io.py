@@ -15,12 +15,12 @@ sign-symmetric union of both and needs tauL >= 0. The first line that breaks one
 of these rules, or has another record type, is a ParseError. Then, in this order:
 no E record is one at line 0; a T atom outside 4..n (n the largest E index) one at
 its line; atoms of 1..n that no E names are a ValidationError, a violation per run;
-so is a missing edge (j, i) for an atom i >= 2 and max(1, i-3) <= j < i; a bond
-angle at atom i without a triangle is a ParseError at the line of E (i-2, i), and
-bounds (i-3, i) no torsion reaches one at the line of that E. `build_instance`
-applies the same E rules, and the T rule 4 <= i <= n, to in-memory records as a
-ValidationError (derivation errors there carry no line), and `generate_instance`
-ends in it.
+so are n < 3 and a missing edge (j, i) for an atom i >= 2 and max(1, i-3) <= j < i;
+a bond angle at atom i without a triangle is a ParseError at the line of E (i-2, i),
+and bounds (i-3, i) no torsion reaches one at the line of that E. `build_instance`
+applies the same E rules (a repeated pair included), the T rule 4 <= i <= n and the
+rule n >= 3 to in-memory records as a ValidationError (derivation errors there carry
+no line), and `generate_instance` ends in it.
 
 Reference/conformation files carry one atom per line, `index name residue
 x y z`: integers, index = atoms on earlier lines + 1, finite x, y, z. Each
@@ -38,7 +38,6 @@ from .model import (
     AtomRecord,
     CompiledInstance,
     DegenerateGeometryError,
-    DuplicateEdgeError,
     EdgeConstraint,
     IdgpError,
     InfeasibleDiscretizationError,
@@ -73,16 +72,14 @@ class ProfileError(IdgpError):
 
 
 def build_instance(atoms, edges, torsion_overrides=None) -> Instance:
-    """An Instance of edge records given with either end first: the first that
-    breaks an E rule is a ValidationError, or repeats a pair a DuplicateEdgeError;
-    then overrides for atoms outside 4..n and `structure_problems` are."""
+    """An Instance of edge records given with either end first. A ValidationError
+    names the first record that breaks an E rule or repeats a pair, else every
+    override for an atom outside 4..n, else every `structure_problems` rule
+    broken (n >= 3 among them)."""
     records = [EdgeConstraint(*sorted((e.i, e.j)), e.lower, e.upper) for e in edges]
     edge_map, bad = _edge_map(records)
-    if bad and bad[1]:
-        raise ValidationError([bad[1]])
     if bad:
-        i, j, _, _ = records[bad[0]]
-        raise DuplicateEdgeError(f"duplicate edge record for pair ({i},{j})")
+        raise ValidationError([bad[1]])
     inst, overrides = Instance(list(atoms), edge_map), torsion_overrides or {}
     violations = [f"torsion override for atom {i} outside 4..{inst.n}"
                   for i in overrides if not 4 <= i <= inst.n] or structure_problems(inst)
@@ -93,14 +90,14 @@ def build_instance(atoms, edges, torsion_overrides=None) -> Instance:
 
 def _edge_map(records):
     """The records as a dict pair -> record, and the first that breaks an E rule
-    or repeats a pair, as (row, message; None for a repeat), or None."""
+    or repeats a pair, as (row, message), or None."""
     problems = edge_problems(records)
     edges = dict(zip([e[:2] for e in records], records))
     if len(edges) < len(records):
         seen = set()
         k = next(k for k, e in enumerate(records) if e[:2] in seen or seen.add(e[:2]))
         if not problems or k < problems[0][0]:
-            problems = [(k, None)]
+            problems = [(k, "duplicate edge ({},{})".format(*records[k][:2]))]
     return edges, (problems[0] if problems else None)
 
 
@@ -181,8 +178,7 @@ def parse_instance(path) -> Instance:
     # failed: a broken E rule or repeated pair up to there comes first
     edges, bad = _edge_map(records)
     if bad:
-        problem = bad[1] or "duplicate edge ({},{})".format(*records[bad[0]])
-        raise ParseError(path, lines[bad[0]], problem) from ValueError(problem)
+        raise ParseError(path, lines[bad[0]], bad[1]) from ValueError(bad[1])
     if failure:
         raise ParseError(path, line_no, str(failure)) from failure
     if not edges:
@@ -201,8 +197,9 @@ def parse_instance(path) -> Instance:
                                f"atoms {a}..{b} appear in no E record" for a, b in gaps])
     inst = Instance([AtomRecord(k, *named[k]) for k in range(1, n + 1)], edges)
     # the pairs are distinct, 1 <= i < j <= n: all max(3n - 6, n - 1) required
-    # edges are there exactly when as many pairs have j - i <= 3
-    if np.count_nonzero(np.subtract(jj, ii) <= 3) != max(3 * n - 6, n - 1):
+    # edges are there exactly when as many pairs have j - i <= 3; n = 2 breaks
+    # the rule n >= 3 with every required edge there
+    if n < 3 or np.count_nonzero(np.subtract(jj, ii) <= 3) != max(3 * n - 6, n - 1):
         raise ValidationError(structure_problems(inst))
     return _derive(inst, overrides, path, lines)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .model import CompiledInstance, NonsmoothPointError
+from .model import CompiledInstance
 
 _SMOOTHNESS_TOL = 1e-12
 
@@ -99,10 +99,12 @@ class StressProblem:
         return float(0.5 * np.add.reduce(self.w * (gap * gap)))
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
+        """The gradient at z, or all NaN where an edge's endpoints coincide
+        (r <= 1e-12), at which the stress is not differentiable."""
         diff, r, gap = self._edges(z)
-        if r.size and np.minimum.reduce(r) <= _SMOOTHNESS_TOL:
-            raise NonsmoothPointError("coincident endpoints on an edge")
         nc = 3 * self.n
+        if r.size and np.minimum.reduce(r) <= _SMOOTHNESS_TOL:
+            return np.full(nc + self.m, np.nan)
         t = self.w * gap
         unit = (diff * (t / r)).ravel()
         out = np.empty(nc + self.m)

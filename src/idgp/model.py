@@ -32,14 +32,6 @@ class InfeasibleDiscretizationError(IdgpError):
     pass
 
 
-class DuplicateEdgeError(IdgpError):
-    pass
-
-
-class NonsmoothPointError(IdgpError):
-    pass
-
-
 class SelectionError(IdgpError):
     pass
 
@@ -307,17 +299,14 @@ def edge_problems(records) -> list:
 
 
 def structure_problems(inst: Instance) -> list:
-    """Every violated whole-instance rule: atoms numbered 1..n in order, each
-    edge keyed by its own pair (i, j) with j <= n, and an edge (j, i) for
-    every atom i >= 2 and every max(1, i - 3) <= j < i."""
+    """Every violated whole-instance rule: n >= 3 atoms (the discretization
+    fixes atoms 1-3), numbered 1..n in order, every edge (i, j) with j <= n,
+    and an edge (j, i) for every atom i >= 2 and every max(1, i - 3) <= j < i."""
     n = inst.n
-    out = [f"atom index {atom.index} at position {k}: indices must be contiguous 1..n"
-           for k, atom in enumerate(inst.atoms, start=1) if atom.index != k]
-    for key, e in inst.edges.items():
-        if key != (e.i, e.j):
-            out.append(f"edge {key}: key does not match record pair ({e.i},{e.j})")
-        elif e.j > n:
-            out.append(f"edge ({e.i},{e.j}): atom {e.j} beyond n = {n}")
+    out = [f"{n} atoms: the discretization needs at least 3"] if n < 3 else []
+    out += [f"atom index {atom.index} at position {k}: indices must be contiguous 1..n"
+            for k, atom in enumerate(inst.atoms, start=1) if atom.index != k]
+    out += [f"edge ({i},{j}): atom {j} beyond n = {n}" for i, j in inst.edges if j > n]
     out += [f"missing required edge ({j},{i})" for i in range(2, n + 1)
             for j in range(max(1, i - 3), i) if (j, i) not in inst.edges]
     return out

@@ -15,12 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-from .model import IdgpError, NonsmoothPointError
-
-
-class StationaryStartError(IdgpError):
-    pass
-
 
 class SpgStatus(Enum):
     SUCCESS_TOLERANCE = "SuccessTolerance"
@@ -52,13 +46,12 @@ class SpgResult:
     status: SpgStatus
 
 
-def initial_spectral_step(z0, g0, project) -> float:
-    """Reciprocal of the unit projected-gradient step length, safeguarded."""
+def initial_spectral_step(z0, g0, project):
+    """Reciprocal of the unit projected-gradient step length, safeguarded, or
+    None where that step is zero (z0 is stationary)."""
     step = project(z0 - g0) - z0
     ninf = float(np.max(np.abs(step))) if step.size else 0.0
-    if ninf == 0.0:
-        raise StationaryStartError("projected gradient step is zero at the start")
-    return min(_LAMBDA_MAX, max(_LAMBDA_MIN, 1.0 / ninf))
+    return min(_LAMBDA_MAX, max(_LAMBDA_MIN, 1.0 / ninf)) if ninf else None
 
 
 def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float = 1e-7,
@@ -74,20 +67,19 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
 
     Stops: f <= `success_f` (SUCCESS_TOLERANCE); `stall_window` accepted
     steps in a row that each lower f by at most 1e-12 * max(1, |f|), a zero
-    step or a failed line search (STALLED); `max_iter` iterations (MAX_ITER). The first accepted iterate
-    z with `done(z)` true ends the run as SOLVE_CRITERION and is returned as
-    it is: under the nonmonotone line search the lowest-f iterate seen need
-    not satisfy `done`. Every other stop returns the lowest-f iterate seen.
-    A nonfinite f or g, or g at a nonsmooth point, ends it as
-    NUMERICAL_FAILURE; an iteration that would start after `deadline` (a
-    time.monotonic() value) ends it as TIME_LIMIT. No array passed to f, g
-    or done is written into afterwards."""
+    step (at z0: `initial_spectral_step` gives None; 0 iterations) or a
+    failed line search (STALLED); `max_iter` iterations (MAX_ITER). The
+    first accepted iterate z with `done(z)` true ends the run as
+    SOLVE_CRITERION and is returned as it is: under the nonmonotone line
+    search the lowest-f iterate seen need not satisfy `done`. Every other
+    stop returns the lowest-f iterate seen. A nonfinite f or g ends it as
+    NUMERICAL_FAILURE, so a g undefined at z should return NaN there. An
+    iteration that would start after `deadline` (a time.monotonic() value)
+    ends it as TIME_LIMIT. No array passed to f, g or done is written into
+    afterwards."""
 
     def grad(x):
-        try:
-            gx = g(x)
-        except NonsmoothPointError:
-            return None
+        gx = g(x)
         return gx if np.isfinite(gx).all() else None
 
     z = np.asarray(z0, dtype=float).copy()
@@ -103,9 +95,8 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
     gz = grad(z)
     if gz is None:
         return SpgResult(best_z, best_f, 0, SpgStatus.NUMERICAL_FAILURE)
-    try:
-        lam = initial_spectral_step(z, gz, project)
-    except StationaryStartError:
+    lam = initial_spectral_step(z, gz, project)
+    if lam is None:
         return SpgResult(best_z, best_f, 0, SpgStatus.STALLED)
 
     status = SpgStatus.MAX_ITER

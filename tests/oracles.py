@@ -38,7 +38,6 @@ from idgp.model import (
     InfeasibleDiscretizationError,
     Instance,
     InvalidBoundsError,
-    NonsmoothPointError,
     TorsionDomain,
     _CA_SUBSET_THRESHOLD,
     _COS_DEGENERACY_TOL,
@@ -214,8 +213,8 @@ def objective(z, ci) -> float:
 def gradient(z, ci) -> np.ndarray:
     coords, d = z[:3 * ci.n].reshape(3, ci.n), z[3 * ci.n:]
     diff, r = _diff_and_r(coords, ci)
-    if np.any(r <= _SMOOTHNESS_TOL):
-        raise NonsmoothPointError("coincident endpoints on an edge")
+    if np.any(r <= _SMOOTHNESS_TOL):  # coincident endpoints: no gradient
+        return np.full(3 * ci.n + r.size, np.nan)
     t = ci.w * (r - d)
     unit = diff * (t / r)
     gX = np.zeros((3, ci.n))
@@ -410,16 +409,19 @@ def edge_problem(e: EdgeConstraint):
 
 
 def structure_problems(inst: Instance) -> list:
-    """Every violated whole-instance rule: atoms numbered 1..n in order, each
-    edge keyed by its own pair (i, j) with j <= n, and an edge (j, i) for
-    every atom i >= 2 and every max(1, i - 3) <= j < i."""
+    """Every violated whole-instance rule: n >= 3 atoms, numbered 1..n in
+    order, every edge (i, j) with j <= n, and an edge (j, i) for every atom
+    i >= 2 and every max(1, i - 3) <= j < i."""
     n = inst.n
-    out = [f"atom index {atom.index} at position {k}: indices must be contiguous 1..n"
-           for k, atom in enumerate(inst.atoms, start=1) if atom.index != k]
-    for key, e in inst.edges.items():
-        if key != (e.i, e.j):
-            out.append(f"edge {key}: key does not match record pair ({e.i},{e.j})")
-        elif e.j > n:
+    out = []
+    if n < 3:
+        out.append(f"{n} atoms: the discretization needs at least 3")
+    for k, atom in enumerate(inst.atoms, start=1):
+        if atom.index != k:
+            out.append(f"atom index {atom.index} at position {k}: "
+                       "indices must be contiguous 1..n")
+    for e in inst.edges.values():
+        if e.j > n:
             out.append(f"edge ({e.i},{e.j}): atom {e.j} beyond n = {n}")
     out += [f"missing required edge ({j},{i})" for i in range(2, n + 1)
             for j in range(max(1, i - 3), i) if (j, i) not in inst.edges]

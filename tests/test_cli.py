@@ -81,9 +81,11 @@ class TestSolve:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [b"E 1 2 1.5 1.5 N 1 CA 1\nE 2 3 \xff\n",
-                                      b"E 1 2 1.5 1.5 N 1 CA 1\nE 2 2000000 5 6 CA 1 N 9\n"])
+                                      b"E 1 2 1.5 1.5 N 1 CA 1\nE 2 2000000 5 6 CA 1 N 9\n",
+                                      b"E 1 2 1.5 1.5 N 1 CA 1\n"])
     def test_unreadable_instance_exits_1(self, tmp_path, capsys, text):
-        # a byte that is not UTF-8, or an index far beyond the atoms named
+        # a byte that is not UTF-8, an index far beyond the atoms named, or
+        # two atoms, fewer than the discretization fixes
         path = tmp_path / "bad.inst"
         path.write_bytes(text)
         assert run(["solve", "--instance", str(path)]) == 1
@@ -240,6 +242,12 @@ class TestProfile:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "'a'" in captured.err
         assert str(a) in captured.err
+
+    def test_empty_table_exits_1(self, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        assert run(["profile", "--results", str(empty)]) == 1
+        assert capsys.readouterr().err == f"error: {empty}: empty results table\n"
 
     def test_bad_table_exits_1(self, tmp_path):
         bad = tmp_path / "bad.tsv"

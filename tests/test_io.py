@@ -14,7 +14,6 @@ from idgp.model import (
     AtomRecord,
     CompiledInstance,
     DegenerateGeometryError,
-    DuplicateEdgeError,
     EdgeConstraint,
     IdgpError,
     TorsionDomain,
@@ -40,6 +39,7 @@ MALFORMED_LINES = [
     "E 2 1 1.5 1.5 N 1 CA 1",          # i >= j
     "E 1 2 2.0 1.0 N 1 CA 1",          # dL > dU
     "E 1 2 1.5 N 1 CA 1",              # wrong arity
+    "T 4 10 20",                       # wrong arity
     "Q 1 2 1.5 1.5 N 1 CA 1",          # unknown record
     "T 4 10 20 *",                     # unknown sign
     "E 1 2 abc 1.5 N 1 CA 1",          # bad float
@@ -185,6 +185,12 @@ class TestParseInstance:
         with pytest.raises(io.ParseError) as err:
             io.parse_instance(path)
         assert ":9:" in str(err.value)
+
+    def test_two_atoms_raise_validation(self, tmp_path):
+        # every required edge of two atoms is there; the discretization fixes three
+        with pytest.raises(io.ValidationError) as err:
+            io.parse_instance(self._write(tmp_path, "E 1 2 1.5 1.5 N 1 CA 1\n"))
+        assert err.value.violations == ["2 atoms: the discretization needs at least 3"]
 
     def test_empty_file_raises(self, tmp_path):
         with pytest.raises(io.ParseError):
@@ -478,13 +484,29 @@ class TestGenerateInstance:
             io.generate_instance(atoms, coords, **kwargs)
 
 
+    @pytest.mark.parametrize("transform", [lambda c: c[:, :-1], lambda c: c.T])
+    def test_coordinates_not_3_by_n_raise(self, transform):
+        atoms, coords = io.synthetic_backbone(2, seed=2)
+        with pytest.raises(IdgpError, match="reference coordinates must be 3 x n"):
+            io.generate_instance(atoms, transform(coords))
+
+
 class TestBuildInstance:
     def test_duplicate_edge_raises(self, toy):
         inst, coords = toy
         edges = list(inst.edges.values())
         edges.append(EdgeConstraint(2, 1, 1.0, 1.0))  # same pair, swapped
-        with pytest.raises(DuplicateEdgeError):
+        with pytest.raises(io.ValidationError) as err:
             io.build_instance(inst.atoms, edges)
+        assert err.value.violations == ["duplicate edge (1,2)"]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_atoms_raise(self, n):
+        atoms = [AtomRecord(k, "X", 1) for k in range(1, n + 1)]
+        edges = [EdgeConstraint(1, 2, 1.5, 1.5)] if n == 2 else []
+        with pytest.raises(io.ValidationError) as err:
+            io.build_instance(atoms, edges)
+        assert err.value.violations == [f"{n} atoms: the discretization needs at least 3"]
 
     @pytest.mark.parametrize("pair, bounds, message", [
         ((1, 2), (0.0, 0.0), "edge (1,2): bounds 0.0, 0.0 must satisfy 0 < lower <= upper"),

@@ -237,6 +237,14 @@ class TestValidateInstance:
         with pytest.raises(ValidationError, match="bounds"):
             build_instance(inst.atoms, inst.edges.values())
 
+    def test_edge_beyond_the_atoms_reported(self):
+        inst = self._minimal()
+        inst.edges[(2, 5)] = EdgeConstraint(2, 5, 3.0, 3.5)
+        assert self.problems(inst) == ["edge (2,5): atom 5 beyond n = 4"]
+        with pytest.raises(ValidationError) as err:
+            build_instance(inst.atoms, inst.edges.values())
+        assert err.value.violations == ["edge (2,5): atom 5 beyond n = 4"]
+
     def test_noncontiguous_atoms_reported(self):
         inst = self._minimal()
         inst.atoms[1] = AtomRecord(9, "X", 1)

@@ -10,7 +10,6 @@ from idgp.spg import (
     _LAMBDA_MAX,
     _MEMORY,
     SpgStatus,
-    StationaryStartError,
     initial_spectral_step,
     spg_minimize,
 )
@@ -38,10 +37,11 @@ class TestInitialStep:
         lam = initial_spectral_step(z0, np.array([1e40]), lambda z: z)
         assert lam == 1e-30
 
-    def test_stationary_raises(self):
+    def test_stationary_start_gives_none(self):
         z0 = np.array([0.5])
-        with pytest.raises(StationaryStartError):
-            initial_spectral_step(z0, np.array([0.0]), lambda z: z)
+        assert initial_spectral_step(z0, np.array([0.0]), lambda z: z) is None
+        # a gradient the projection cancels: the step is zero too
+        assert initial_spectral_step(z0, np.array([-1.0]), box_projection(0.0, 0.5)) is None
 
 
 class TestConvexQuadratic:
@@ -139,11 +139,46 @@ class TestEdgeCases:
         g = lambda z: z
         res = spg_minimize(f, g, lambda z: z, np.zeros(2))
         assert res.status is SpgStatus.STALLED
+        assert res.iterations == 0
 
     def test_nonfinite_objective_reported(self):
         res = spg_minimize(lambda z: math.nan, lambda z: np.zeros(1),
                            lambda z: z, np.zeros(1))
         assert res.status is SpgStatus.NUMERICAL_FAILURE
+
+    def test_nonfinite_objective_at_a_trial_point_reported(self):
+        values = iter([2.0, math.nan])  # f at z0, then at the first trial point
+        res = spg_minimize(lambda z: next(values), lambda z: np.ones(1),
+                           lambda z: z, np.ones(1))
+        assert res.status is SpgStatus.NUMERICAL_FAILURE
+        assert res.iterations == 1
+        assert res.f_final == 2.0 and res.z_final.tolist() == [1.0]
+
+    def test_uphill_direction_halves_the_step_until_stalled(self):
+        # from a start outside the box the projected direction climbs (g'd = 1),
+        # so no interpolation applies: the step halves to below 1e-20
+        trials = []
+
+        def f(z):
+            trials.append(z[0])
+            return 1e-6 - 0.5 * z[0]
+
+        res = spg_minimize(f, lambda z: np.array([-1.0]), box_projection(-3.0, -1.0),
+                           np.zeros(1), success_f=0.0)
+        assert res.status is SpgStatus.STALLED
+        assert res.iterations == 1 and res.z_final.tolist() == [0.0]
+        assert trials[1:] == [-0.5 ** k for k in range(len(trials) - 1)]
+        # the last trial's step, halved, is the first below 1e-20
+        assert 0.5 ** (len(trials) - 1) < 1e-20 <= 0.5 ** (len(trials) - 2)
+
+    def test_nonfinite_gradient_at_an_accepted_iterate_reported(self):
+        # the first step is accepted; the gradient there is NaN
+        grads = iter([np.ones(1), np.array([math.nan])])
+        res = spg_minimize(lambda z: 1.0 + 0.5 * float(z @ z), lambda z: next(grads),
+                           lambda z: z, np.ones(1))
+        assert res.status is SpgStatus.NUMERICAL_FAILURE
+        assert res.iterations == 1
+        assert res.f_final == 1.5 and res.z_final.tolist() == [1.0]
 
     def test_best_point_returned(self):
         # nonmonotone search may accept increases; the result is the best seen
@@ -214,6 +249,22 @@ class TestTwoAtomStress:
         assert res.iterations == 0
         np.testing.assert_array_equal(res.z_final, z0)
         assert res.f_final == prob.objective(z0)
+
+    def test_coincident_iterate_is_numerical_failure(self):
+        # bounds of 1e-13 pull the atoms together: the first step swaps them
+        # and is rejected, and its interpolated half step, accepted, makes
+        # them coincide, where the gradient is NaN
+        atoms = [AtomRecord(1, "A", 1), AtomRecord(2, "B", 1)]
+        inst = Instance(atoms=atoms, edges={(1, 2): EdgeConstraint(1, 2, 1e-13, 1e-13)})
+        prob = metrics.StressProblem(CompiledInstance.of(inst))
+        X0 = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        z0 = prob.pack(X0, prob.init_d(X0))
+        g_recording, accepted = _recording(prob.gradient)
+        res = spg_minimize(prob.objective, g_recording, prob.project, z0)
+        assert res.status is SpgStatus.NUMERICAL_FAILURE
+        assert res.iterations == 1
+        assert accepted[1][:2].tolist() == [0.5, 0.5]
+        np.testing.assert_array_equal(res.z_final, z0)
 
 
 def _wavy():
