@@ -44,6 +44,7 @@ from .model import (
     Instance,
     InvalidBoundsError,
     TorsionDomain,
+    ValidationError,
     bond_angle_from_distances,
     chain_torsion_law,
     edge_problems,
@@ -59,12 +60,6 @@ class ParseError(IdgpError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = path
         self.line_no = line_no
-
-
-class ValidationError(IdgpError):
-    def __init__(self, violations):
-        super().__init__("invalid instance:\n  " + "\n  ".join(violations))
-        self.violations = violations
 
 
 class ProfileError(IdgpError):

@@ -298,6 +298,12 @@ def edge_problems(records) -> list:
             for k in broken.tolist()]
 
 
+class ValidationError(IdgpError):
+    def __init__(self, violations):
+        super().__init__("invalid instance:\n  " + "\n  ".join(violations))
+        self.violations = violations
+
+
 def structure_problems(inst: Instance) -> list:
     """Every violated whole-instance rule: n >= 3 atoms (the discretization
     fixes atoms 1-3), numbered 1..n in order, every edge (i, j) with j <= n,

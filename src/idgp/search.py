@@ -8,7 +8,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry, metrics
-from .model import CompiledInstance, Conformation, Instance, SelectionError, SolverParams
+from .model import (
+    CompiledInstance,
+    Conformation,
+    Instance,
+    SelectionError,
+    SolverParams,
+    ValidationError,
+    structure_problems,
+)
 from .spg import spg_minimize
 
 _STALL_TRIALS = 50  # consecutive duplicate candidates that end the search
@@ -274,7 +282,12 @@ class MultistartReport:
 
 def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
     """Multistart greedy construction + improvement, RMSD de-duplication and
-    SPG refinement of the stress model; early return on LDE/MDE tolerance."""
+    SPG refinement of the stress model; early return on LDE/MDE tolerance.
+    An instance of fewer than 3 atoms is a ValidationError; the other
+    `structure_problems` rules are the caller's (`io.build_instance` applies
+    them all)."""
+    if inst.n < 3:
+        raise ValidationError(structure_problems(inst))
     start = time.monotonic()
     deadline = start + params.time_limit
     ci = CompiledInstance.of(inst)

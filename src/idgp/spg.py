@@ -63,59 +63,70 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
     s = z_k - z_{k-1}, y = g_k - g_{k-1} and s'y > 0, the next lam is
     BB1 = s's/s'y for odd k and BB2 = s'y/y'y for even k (Dai & Fletcher's
     alternating step), clamped to [1e-30, 1e30]; s'y <= 0, or y'y = 0, gives
-    1e30.
+    1e30. The first lam is `initial_spectral_step`'s.
 
-    Stops: f <= `success_f` (SUCCESS_TOLERANCE); `stall_window` accepted
-    steps in a row that each lower f by at most 1e-12 * max(1, |f|), a zero
-    step (at z0: `initial_spectral_step` gives None; 0 iterations) or a
-    failed line search (STALLED); `max_iter` iterations (MAX_ITER). The
-    first accepted iterate z with `done(z)` true ends the run as
-    SOLVE_CRITERION and is returned as it is: under the nonmonotone line
-    search the lowest-f iterate seen need not satisfy `done`. Every other
-    stop returns the lowest-f iterate seen. A nonfinite f or g ends it as
-    NUMERICAL_FAILURE, so a g undefined at z should return NaN there. An
-    iteration that would start after `deadline` (a time.monotonic() value)
-    ends it as TIME_LIMIT. No array passed to f, g or done is written into
-    afterwards."""
-
-    def grad(x):
-        gx = g(x)
-        return gx if np.isfinite(gx).all() else None
-
+    Stops, tested in this order at z0 and at each accepted iterate z, with
+    k iterations run: a nonfinite f (NUMERICAL_FAILURE); f <= `success_f`
+    (SUCCESS_TOLERANCE); for k > 0, `done(z)` true (SOLVE_CRITERION);
+    `stall_window` accepted steps in a row that each lower f by at most
+    1e-12 * max(1, |f|) (STALLED); k = `max_iter` (MAX_ITER); time.monotonic()
+    past `deadline` (TIME_LIMIT). Only then is g(z) evaluated, so g is called
+    once per iteration: a nonfinite g (NUMERICAL_FAILURE; a g undefined at z
+    should return NaN there); at z0, `initial_spectral_step` None (STALLED, 0
+    iterations). Within the iteration: a zero step or a failed line search
+    (STALLED); a nonfinite f at a trial point (NUMERICAL_FAILURE).
+    SOLVE_CRITERION returns z as it is: under the nonmonotone line search the
+    lowest-f iterate seen need not satisfy `done`. Every other stop returns
+    the lowest-f iterate seen. No array passed to f, g or done is written
+    into afterwards."""
     z = np.asarray(z0, dtype=float).copy()
     fz = f(z)
-    if not math.isfinite(fz):
-        return SpgResult(z, fz, 0, SpgStatus.NUMERICAL_FAILURE)
-
     best_z, best_f = z, fz
-    history = deque([fz], maxlen=_MEMORY)
-    if fz <= success_f:
-        return SpgResult(best_z, best_f, 0, SpgStatus.SUCCESS_TOLERANCE)
-
-    gz = grad(z)
-    if gz is None:
-        return SpgResult(best_z, best_f, 0, SpgStatus.NUMERICAL_FAILURE)
-    lam = initial_spectral_step(z, gz, project)
-    if lam is None:
-        return SpgResult(best_z, best_f, 0, SpgStatus.STALLED)
-
-    status = SpgStatus.MAX_ITER
+    history = deque(maxlen=_MEMORY)
     stall_count = 0
     k = 0
-    while k < max_iter:
+    while True:
+        if not math.isfinite(fz):
+            return SpgResult(best_z, best_f, k, SpgStatus.NUMERICAL_FAILURE)
+        history.append(fz)
+        if fz < best_f:
+            best_f, best_z = fz, z
+        if fz <= success_f:
+            return SpgResult(best_z, best_f, k, SpgStatus.SUCCESS_TOLERANCE)
+        if k > 0 and done is not None and done(z):
+            return SpgResult(z, fz, k, SpgStatus.SOLVE_CRITERION)
+        if stall_count >= stall_window:
+            return SpgResult(best_z, best_f, k, SpgStatus.STALLED)
+        if k >= max_iter:
+            return SpgResult(best_z, best_f, k, SpgStatus.MAX_ITER)
         if time.monotonic() > deadline:
-            status = SpgStatus.TIME_LIMIT
-            break
+            return SpgResult(best_z, best_f, k, SpgStatus.TIME_LIMIT)
+
+        gz = g(z)
+        if not np.isfinite(gz).all():
+            return SpgResult(best_z, best_f, k, SpgStatus.NUMERICAL_FAILURE)
+        if k == 0:
+            lam = initial_spectral_step(z, gz, project)
+            if lam is None:
+                return SpgResult(best_z, best_f, k, SpgStatus.STALLED)
+        else:
+            s = z - z_prev
+            y = gz - g_prev
+            sy = float(np.dot(s, y))
+            # BB1 after an odd k, BB2 after an even one; y'y can underflow to 0 while s'y > 0
+            num, den = (float(np.dot(s, s)), sy) if k % 2 else (sy, float(np.dot(y, y)))
+            if sy <= 0.0 or den == 0.0:
+                lam = _LAMBDA_MAX
+            else:
+                lam = min(_LAMBDA_MAX, max(_LAMBDA_MIN, num / den))
+
         k += 1
         direction = project(z - lam * gz) - z
         if np.maximum.reduce(np.abs(direction)) <= _STEP_ZERO_TOL:
-            status = SpgStatus.STALLED
-            break
-
+            return SpgResult(best_z, best_f, k, SpgStatus.STALLED)
         gd = float(np.dot(gz, direction))
         fmax = max(history)
         alpha = 1.0
-        z_new = None
         while True:
             # 1.0 * x == x, so the full step skips the multiply
             trial = z + direction if alpha == 1.0 else z + alpha * direction
@@ -123,7 +134,6 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
             if not math.isfinite(f_trial):
                 return SpgResult(best_z, best_f, k, SpgStatus.NUMERICAL_FAILURE)
             if f_trial <= fmax + _GAMMA * alpha * gd:
-                z_new, f_new = trial, f_trial
                 break
             # safeguarded quadratic interpolation
             denom = f_trial - fz - alpha * gd
@@ -133,42 +143,11 @@ def spg_minimize(f, g, project, z0, *, max_iter: int = 30000, success_f: float =
             else:
                 alpha *= 0.5
             if alpha < 1e-20:
-                z_new = None
-                break
-        if z_new is None:
-            status = SpgStatus.STALLED
-            break
+                return SpgResult(best_z, best_f, k, SpgStatus.STALLED)
 
-        g_new = grad(z_new)
-        if g_new is None:
-            return SpgResult(best_z, best_f, k, SpgStatus.NUMERICAL_FAILURE)
-        s = z_new - z
-        y = g_new - gz
-        sy = float(np.dot(s, y))
-        # BB1 after an odd k, BB2 after an even one; y'y can underflow to 0 while s'y > 0
-        num, den = (float(np.dot(s, s)), sy) if k % 2 else (sy, float(np.dot(y, y)))
-        if sy <= 0.0 or den == 0.0:
-            lam = _LAMBDA_MAX
-        else:
-            lam = min(_LAMBDA_MAX, max(_LAMBDA_MIN, num / den))
-
-        decrease = fz - f_new
-        if decrease <= _STALL_REL_DECREASE * max(1.0, abs(fz)):
+        if fz - f_trial <= _STALL_REL_DECREASE * max(1.0, abs(fz)):
             stall_count += 1
         else:
             stall_count = 0
-
-        z, fz, gz = z_new, f_new, g_new
-        history.append(fz)
-        if fz < best_f:
-            best_f, best_z = fz, z
-        if fz <= success_f:
-            status = SpgStatus.SUCCESS_TOLERANCE
-            break
-        if done is not None and done(z):
-            return SpgResult(z, fz, k, SpgStatus.SOLVE_CRITERION)
-        if stall_count >= stall_window:
-            status = SpgStatus.STALLED
-            break
-
-    return SpgResult(best_z, best_f, k, status)
+        z_prev, g_prev = z, gz
+        z, fz = trial, f_trial

@@ -15,8 +15,9 @@ from idgp.model import (
     SelectionError,
     SolverParams,
     TorsionDomain,
+    ValidationError,
 )
-from tests.conftest import build_chain, exact_edge
+from tests.conftest import build_chain, exact_edge, one_edge_instance
 from tests.oracles import pair_distance
 
 
@@ -357,6 +358,15 @@ class TestKabschRmsd:
 
 
 class TestMultistart:
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_atoms_is_a_validation_error(self, n):
+        # an Instance built directly, not through io.build_instance
+        two = one_edge_instance(1.5, 1.5)
+        inst = Instance(two.atoms[:n], two.edges if n == 2 else {})
+        with pytest.raises(ValidationError) as err:
+            search.multistart_solve(inst, SolverParams(n_trial=1))
+        assert err.value.violations == [f"{n} atoms: the discretization needs at least 3"]
+
     def test_solves_toy(self, toy):
         inst, _ = toy
         rep = search.multistart_solve(inst, SolverParams(rng_seed=0, n_trial=50))

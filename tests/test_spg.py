@@ -172,21 +172,20 @@ class TestEdgeCases:
         assert 0.5 ** (len(trials) - 1) < 1e-20 <= 0.5 ** (len(trials) - 2)
 
     def test_nonfinite_gradient_at_an_accepted_iterate_reported(self):
-        # the first step is accepted; the gradient there is NaN
+        # the first step is accepted; the gradient there is NaN, and that
+        # iterate, the lowest-f one, is returned
         grads = iter([np.ones(1), np.array([math.nan])])
         res = spg_minimize(lambda z: 1.0 + 0.5 * float(z @ z), lambda z: next(grads),
                            lambda z: z, np.ones(1))
         assert res.status is SpgStatus.NUMERICAL_FAILURE
         assert res.iterations == 1
-        assert res.f_final == 1.5 and res.z_final.tolist() == [1.0]
+        assert res.f_final == 1.0 and res.z_final.tolist() == [0.0]
 
     def test_best_point_returned(self):
         # nonmonotone search may accept increases; the result is the best seen
-        f = lambda z: float(np.sin(5 * z[0]) + 0.1 * z[0] ** 2) + 1.5
-        g = lambda z: np.array([5 * math.cos(5 * z[0]) + 0.2 * z[0]])
-        g_recording, accepted = _recording(g)
-        res = spg_minimize(f, g_recording, box_projection(-2.0, 2.0), np.array([0.3]),
-                           max_iter=500)
+        f, g, project, z0 = _wavy()
+        done, accepted = _iterates(z0)
+        res = spg_minimize(f, g, project, z0, max_iter=500, done=done)
         assert len(accepted) > _MEMORY + 1
         assert res.f_final == min(map(f, accepted))
 
@@ -214,9 +213,10 @@ class TestEdgeCases:
         diag = np.array([1.0, 10.0])
         f = lambda z: 0.5 * float(z @ (diag * z))
         g = lambda z: diag * z
-        res = spg_minimize(f, g, lambda z: z, np.ones(2), deadline=-math.inf)
+        g_recording, accepted = _recording(g)
+        res = spg_minimize(f, g_recording, lambda z: z, np.ones(2), deadline=-math.inf)
         assert res.status is SpgStatus.TIME_LIMIT
-        assert res.iterations == 0
+        assert res.iterations == 0 and accepted == []
         np.testing.assert_array_equal(res.z_final, np.ones(2))
 
 
@@ -250,21 +250,28 @@ class TestTwoAtomStress:
         np.testing.assert_array_equal(res.z_final, z0)
         assert res.f_final == prob.objective(z0)
 
-    def test_coincident_iterate_is_numerical_failure(self):
+    def _coincident(self, **kwargs):
         # bounds of 1e-13 pull the atoms together: the first step swaps them
         # and is rejected, and its interpolated half step, accepted, makes
-        # them coincide, where the gradient is NaN
+        # them coincide (f ~ 5e-27), where the gradient is NaN
         atoms = [AtomRecord(1, "A", 1), AtomRecord(2, "B", 1)]
         inst = Instance(atoms=atoms, edges={(1, 2): EdgeConstraint(1, 2, 1e-13, 1e-13)})
         prob = metrics.StressProblem(CompiledInstance.of(inst))
         X0 = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         z0 = prob.pack(X0, prob.init_d(X0))
-        g_recording, accepted = _recording(prob.gradient)
-        res = spg_minimize(prob.objective, g_recording, prob.project, z0)
-        assert res.status is SpgStatus.NUMERICAL_FAILURE
+        res = spg_minimize(prob.objective, prob.gradient, prob.project, z0, **kwargs)
         assert res.iterations == 1
-        assert accepted[1][:2].tolist() == [0.5, 0.5]
-        np.testing.assert_array_equal(res.z_final, z0)
+        assert res.z_final[:2].tolist() == [0.5, 0.5]
+        assert res.f_final == prob.objective(res.z_final)
+        return res
+
+    def test_coincident_iterate_meets_tolerance(self):
+        # f is tested before g, so the NaN gradient there is never evaluated
+        assert self._coincident().status is SpgStatus.SUCCESS_TOLERANCE
+
+    def test_coincident_iterate_is_numerical_failure(self):
+        res = self._coincident(success_f=1e-30)
+        assert res.status is SpgStatus.NUMERICAL_FAILURE
 
 
 def _wavy():
@@ -276,8 +283,9 @@ def _wavy():
 
 
 def _recording(g):
-    """g, and the list of the points it was called at: SPG evaluates g at z0
-    and then once at each accepted iterate, and projects once before its first
+    """g, and the list of the points it was called at: SPG evaluates g once in
+    each iteration, at the iterate it starts from (z0 first), so not at an
+    iterate where a stop test ends the run; it projects once before its first
     iteration and then once in each."""
     accepted = []
 
@@ -286,6 +294,19 @@ def _recording(g):
         return g(z)
 
     return g_recording, accepted
+
+
+def _iterates(z0):
+    """A `done` that is never true, and the list [z0, then every accepted
+    iterate it is asked about]: every accepted iterate, the one that ends the
+    run too, on a run whose f stays above `success_f`."""
+    accepted = [z0]
+
+    def done(z):
+        accepted.append(z.copy())
+        return False
+
+    return done, accepted
 
 
 def _at_wall(z):
@@ -304,6 +325,8 @@ _STOPS = {
     "nonmonotone_stall": (*_wavy(), dict(max_iter=500)),
     "stall_window": (*_diagonal([1e-14, 2e-14, 3e-14], offset=1.0), lambda z: z,
                      np.ones(3), dict(stall_window=5)),
+    "time_limit": (*_diagonal([1.0, 10.0]), lambda z: z, np.ones(2),
+                   dict(deadline=-math.inf)),
     "tolerance": (*_diagonal([1.0, 10.0, 100.0, 1000.0]), lambda z: z, np.ones(4),
                   dict(max_iter=5000)),
 }
@@ -315,15 +338,15 @@ class TestDone:
         g_recording, accepted = _recording(g)
         res = spg_minimize(f, g_recording, project, z0, max_iter=500, done=_at_wall)
         assert res.status is SpgStatus.SOLVE_CRITERION
+        assert len(accepted) == res.iterations
         # the iterate that met `done`, though an earlier one had lower f
         assert _at_wall(res.z_final)
         assert res.f_final == f(res.z_final) > min(map(f, accepted))
 
     def test_stops_at_first_accepted_iterate_meeting_done(self):
-        # SPG evaluates g at z0 and then once at each accepted iterate
         f, g, project, z0 = _wavy()
-        g_recording, accepted = _recording(g)
-        spg_minimize(f, g_recording, project, z0, max_iter=500)
+        done, accepted = _iterates(z0)
+        spg_minimize(f, g, project, z0, max_iter=500, done=done)
         first = next(k for k, z in enumerate(accepted) if k > 0 and _at_wall(z))
         res = spg_minimize(f, g, project, z0, max_iter=500, done=_at_wall)
         assert res.iterations == first
@@ -340,3 +363,5 @@ class TestDone:
                (base.status, base.iterations, base.f_final)
         np.testing.assert_array_equal(res.z_final, base.z_final)
         np.testing.assert_array_equal(res_accepted, base_accepted)
+        # g once per iteration, so not at an iterate a stop test ends the run at
+        assert len(res_accepted) == res.iterations
