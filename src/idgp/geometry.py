@@ -133,7 +133,7 @@ def dihedral(a, b, c, d) -> float:
 def invert_torsion_law(a, b, edges):
     """Torsion bounds (lo, hi), as two lists, of the sign-symmetric domains whose
     distances d, d^2 = a[k] + b[k] cos(tau), lie in the bounds of record k of
-    `edges`, for arrays a, b of the law (`model.chain_torsion_law`). A flat law
+    `edges`, for arrays a, b of the law (`model.chain_geometry`). A flat law
     (|b| <= 1e-12) admits every torsion or none. The first record no torsion
     reaches raises, with its position in `edges` as the error's `index`."""
     _, _, lower, upper = zip(*edges)

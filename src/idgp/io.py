@@ -45,8 +45,7 @@ from .model import (
     InvalidBoundsError,
     TorsionDomain,
     ValidationError,
-    bond_angle_from_distances,
-    chain_torsion_law,
+    chain_geometry,
     edge_problems,
     structure_problems,
 )
@@ -97,19 +96,16 @@ def _edge_map(records):
 
 
 def _derive(inst: Instance, overrides: dict, path=None, lines=None) -> Instance:
-    """Derive the bond angles of `inst` (every required edge there) and, in one array
-    pass, the torsion domains `overrides` lacks. Given a file's `path` and its edges'
-    `lines`, an error is a ParseError at the line of (i-2, i) for a bond angle, (i-3, i)
-    for a domain."""
+    """Check that every bond angle of `inst` (every required edge there) has a
+    triangle and, in one array pass, derive the torsion domains `overrides` lacks.
+    Given a file's `path` and its edges' `lines`, an error is a ParseError at the
+    line of (i-2, i) for a bond angle, (i-3, i) for a domain."""
     n, edges, domains = inst.n, inst.edges, dict(overrides)
-    one = [edges[(i - 1, i)].lower for i in range(2, n + 1)]
     derived = [edges[(i - 3, i)] for i in range(4, n + 1) if i not in overrides]
     try:
-        angles = bond_angle_from_distances(
-            one[:-1], one[1:], [edges[(i - 2, i)].lower for i in range(3, n + 1)])
-        inst.bond_angles.update(zip(range(3, n + 1), angles))
-        if derived:  # an instance with a T line for every atom does no array work
-            a, b = chain_torsion_law(one, angles)
+        _, (a, b) = chain_geometry([edges[(i - 1, i)].lower for i in range(2, n + 1)],
+                                   [edges[(i - 2, i)].lower for i in range(3, n + 1)])
+        if derived:  # an instance with a T line for every atom inverts nothing
             rows = [e.j - 4 for e in derived]
             lo, hi = geometry.invert_torsion_law(a[rows], b[rows], derived)
             domains.update(zip([e.j for e in derived], map(TorsionDomain.symmetric, lo, hi)))
@@ -306,9 +302,8 @@ def generate_instance(atoms, coords, angle_width_deg: float = 50.0,
     edges = {(i - 1, i): EdgeConstraint(i - 1, i, d, d) for i, d in enumerate(one, start=2)}
     edges.update({(i - 2, i): EdgeConstraint(i - 2, i, d, d)
                   for i, d in enumerate(two, start=3)})
-    # the torsion law the parser and CompiledInstance derive from these edges
-    angles = bond_angle_from_distances(one[:-1], one[1:], two)
-    law_a, law_b = (c.tolist() for c in chain_torsion_law(one, angles))
+    # chain_geometry's law, as the parser and CompiledInstance.of take it from these edges
+    law_a, law_b = (c.tolist() for c in chain_geometry(one, two)[1])
 
     half = math.radians(angle_width_deg) / 2.0
     overrides = {}

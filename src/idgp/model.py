@@ -134,18 +134,17 @@ class SolverParams:
 
 @dataclass
 class Instance:
-    """Weighted interval graph over ordered atoms plus derived torsion data.
+    """Weighted interval graph over ordered atoms plus their torsion domains.
 
     `edges` holds one record per unordered pair, keyed by (i, j) with i < j.
-    `bond_angles[i]` (i >= 3) is the angle at atom i-1 between atoms i-2 and i.
     `torsion_domains[i]` (i >= 4) constrains the torsion of quadruple
-    (i-3, i-2, i-1, i).
+    (i-3, i-2, i-1, i). The bond angles are not stored: `CompiledInstance.of`
+    takes them from the exact edges with `chain_geometry`.
     """
 
     atoms: list
     edges: dict
     torsion_domains: dict = field(default_factory=dict)
-    bond_angles: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -209,10 +208,10 @@ class CompiledInstance:
         by_end = np.lexsort((ii, jj))
         back_ptr = np.concatenate(([0], np.cumsum(np.bincount(jj, minlength=inst.n))))
         back_lower = lower[by_end]
-        # the last back edge of atom i >= 2 is (i - 1, i)
+        # the last two back edges of atom i >= 3 are (i - 2, i) and (i - 1, i)
         d = np.concatenate(([math.nan] * 2, back_lower[back_ptr[2:] - 1]))
-        t = np.array([inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)])
-        law_a, law_b = chain_torsion_law(d[2:], t[3:])
+        angles, (law_a, law_b) = chain_geometry(d[2:], back_lower[back_ptr[3:] - 2])
+        t = np.array([math.nan] * 3 + angles)
         # math, not np.cos/np.sin, which may round differently by an ulp
         pairs = list(zip(d[4:].tolist(), t[4:].tolist()))
         axial = np.array([-d_i * math.cos(t_i) for d_i, t_i in pairs], dtype=float)
@@ -249,19 +248,14 @@ def torsion_law(d1, d2, theta2, d3, theta3):
     return h * h + p * p + q * q, -2.0 * p * q
 
 
-def chain_torsion_law(one, angles):
-    """`torsion_law` of atoms i-3..i for each atom i >= 4 of a chain of n atoms, from
-    the bond lengths `one`, d_{i-1,i} for i = 2..n, and the bond angles `angles`,
-    `Instance.bond_angles[i]` for i = 3..n. Entry i - 4 of a and b is atom i's."""
-    one, angles = np.asarray(one, dtype=float), np.asarray(angles, dtype=float)
-    return torsion_law(one[:-2], one[1:-1], angles[:-1], one[2:], angles[1:])
-
-
-def bond_angle_from_distances(d_ab, d_bc, d_ac):
-    """Angle at vertex b of the triangle with the given side lengths. Takes floats,
-    or sequences of one length for a list of angles; the first triangle without an
-    angle raises, with its position in them as the error's `index`."""
-    a, b, c = (np.ravel(np.asarray(d, dtype=float)) for d in (d_ab, d_bc, d_ac))
+def chain_geometry(one, two):
+    """Bond angles and torsion law of a chain of n atoms from its exact distances
+    `one`, d_{i-1,i} for i = 2..n, and `two`, d_{i-2,i} for i = 3..n: a list whose
+    entry i - 3 is the angle at atom i-1 between atoms i-2 and i, and arrays (a, b)
+    whose entry i - 4 is the `torsion_law` of atoms i-3..i. The first triple
+    without a triangle raises, with its position in `two` as the error's `index`."""
+    one = np.asarray(one, dtype=float)
+    a, b, c = one[:-1], one[1:], np.asarray(two, dtype=float)
     with np.errstate(all="ignore"):  # sides too small to square give NaN or inf
         cos = (a * a + b * b - c * c) / (2.0 * a * b)
     for k in np.flatnonzero(~((a > 0) & (b > 0) & (c > 0) & (np.abs(cos) < 1.0)))[:1].tolist():
@@ -275,7 +269,8 @@ def bond_angle_from_distances(d_ab, d_bc, d_ac):
         exc.index = k
         raise exc
     angles = list(map(math.acos, cos.tolist()))
-    return angles if np.ndim(d_ab) else angles[0]
+    t = np.array(angles, dtype=float)
+    return angles, torsion_law(one[:-2], one[1:-1], t[:-1], one[2:], t[1:])
 
 
 def edge_problems(records) -> list:

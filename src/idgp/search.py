@@ -283,11 +283,14 @@ class MultistartReport:
 def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
     """Multistart greedy construction + improvement, RMSD de-duplication and
     SPG refinement of the stress model; early return on LDE/MDE tolerance.
-    An instance of fewer than 3 atoms is a ValidationError; the other
-    `structure_problems` rules are the caller's (`io.build_instance` applies
-    them all)."""
-    if inst.n < 3:
-        raise ValidationError(structure_problems(inst))
+    An instance of fewer than 3 atoms, or with an atom 4..n without a torsion
+    domain, is a ValidationError; the other `structure_problems` rules are the
+    caller's (`io.build_instance` applies them all)."""
+    problems = structure_problems(inst) if inst.n < 3 else [
+        f"atom {i}: no torsion domain" for i in range(4, inst.n + 1)
+        if i not in inst.torsion_domains]
+    if problems:
+        raise ValidationError(problems)
     start = time.monotonic()
     deadline = start + params.time_limit
     ci = CompiledInstance.of(inst)

@@ -1,7 +1,7 @@
 """Reference implementations the optimized code is checked against: scalar
 per-edge loops for the array code of `idgp.metrics` and
 `idgp.model.CompiledInstance`, a record-by-record build for the single
-passes of `CompiledInstance.of`, column gathers for the flat-index edge kernel
+passes of `CompiledInstance.of`, with a bond angle per triangle, column gathers for the flat-index edge kernel
 of `idgp.metrics` and np.clip for its projection, vector helpers in the
 same operation order and numpy vector ops for the scalar-float
 `idgp.geometry.local_frame`, per-atom trig for the local-coordinate table
@@ -16,8 +16,8 @@ every attempt to the last atom, with its sign restriction on
 For `idgp.io.parse_instance`, which converts each line in one pass and then
 checks the E records as columns, it holds the parser that checks each record
 on its own line, with its scalar edge rule and whole-instance rules, the
-one-triangle law of cosines for `idgp.model.bond_angle_from_distances`, which
-takes all of an instance's triangles at once, and the per-atom inversion of
+one-triangle law of cosines for `idgp.model.chain_geometry`, which takes all
+of a chain's triangles at once, and the per-atom inversion of
 the torsion-distance law for `idgp.geometry.invert_torsion_law`, which takes
 every derived atom at once."""
 
@@ -41,7 +41,6 @@ from idgp.model import (
     TorsionDomain,
     _CA_SUBSET_THRESHOLD,
     _COS_DEGENERACY_TOL,
-    chain_torsion_law,
     torsion_law,
 )
 
@@ -145,8 +144,9 @@ def place_atoms_batch(x_im3, x_im2, x_im1, d: float, theta: float, taus):
 
 def compiled_instance(inst: Instance) -> CompiledInstance:
     """`CompiledInstance.of` record by record: the edge keys sorted in Python,
-    one conversion per edge field, d_{i-1,i} looked up per atom and one
-    list per torsion-domain field."""
+    one conversion per edge field, d_{i-1,i} looked up per atom, the bond angle
+    at each atom by the one-triangle law of cosines and one list per
+    torsion-domain field."""
     edges = [inst.edges[k] for k in sorted(inst.edges)]
     ii, jj, lower, upper = zip(*edges) if edges else ((),) * 4
     ii, jj = np.array(ii, dtype=int) - 1, np.array(jj, dtype=int) - 1
@@ -155,13 +155,14 @@ def compiled_instance(inst: Instance) -> CompiledInstance:
     by_end = np.lexsort((ii, jj))
     back_ptr = np.concatenate(([0], np.cumsum(np.bincount(jj, minlength=inst.n))))
     d_prev = [math.nan] * 2 + [inst.edges[(i - 1, i)].lower for i in range(2, inst.n + 1)]
-    theta = [inst.bond_angles.get(i, math.nan) for i in range(inst.n + 1)]
+    theta = [math.nan] * 3 + [bond_angle_from_distances(
+        d_prev[i - 1], d_prev[i], inst.edges[(i - 2, i)].lower) for i in range(3, inst.n + 1)]
     axial = np.array([-d_prev[i] * math.cos(theta[i]) for i in range(4, inst.n + 1)],
                      dtype=float)
     radial = np.array([d_prev[i] * math.sin(theta[i]) for i in range(4, inst.n + 1)],
                       dtype=float)
     d, t = np.array(d_prev), np.array(theta)
-    law_a, law_b = chain_torsion_law(d[2:], t[3:])
+    law_a, law_b = torsion_law(d[2:-2], d[3:-1], t[3:-1], d[4:], t[4:])
     rows = inst.n * np.arange(3)[:, None]
     doms = [inst.torsion_domains.get(i) for i in range(4, inst.n + 1)]
     if inst.n <= _CA_SUBSET_THRESHOLD:
@@ -460,11 +461,11 @@ def _complete(inst: Instance, overrides: dict, path=None, edge_lines=None) -> In
     violations = structure_problems(inst)
     if violations:
         raise ValidationError(violations)
-    edges = inst.edges
+    edges, angles = inst.edges, {}
     try:
         for i in range(3, inst.n + 1):
             pair = (i - 2, i)
-            inst.bond_angles[i] = bond_angle_from_distances(
+            angles[i] = bond_angle_from_distances(
                 edges[(i - 2, i - 1)].lower, edges[(i - 1, i)].lower, edges[pair].lower)
         for i in range(4, inst.n + 1):
             pair = (i - 3, i)
@@ -472,8 +473,7 @@ def _complete(inst: Instance, overrides: dict, path=None, edge_lines=None) -> In
                 inst.torsion_domains[i] = overrides[i]
                 continue
             a, b = torsion_law(edges[(i - 3, i - 2)].lower, edges[(i - 2, i - 1)].lower,
-                               inst.bond_angles[i - 1], edges[(i - 1, i)].lower,
-                               inst.bond_angles[i])
+                               angles[i - 1], edges[(i - 1, i)].lower, angles[i])
             inst.torsion_domains[i] = torsion_domain_from_distance(a, b, edges[pair])
     except IdgpError as exc:
         if edge_lines is None:

@@ -176,7 +176,8 @@ class TestProfile:
     def test_two_algorithm_profile(self, tmp_path):
         a, b = tmp_path / "fast.tsv", tmp_path / "slow.tsv"
         self._table(a, [("p1", "Solved", "1.0"), ("p2", "Solved", "1.0")])
-        self._table(b, [("p1", "Solved", "2.0"), ("p2", "Solved", "1.0")])
+        # blank and whitespace-only lines between rows are skipped
+        b.write_text("instance\tstatus\ttime_s\np1\tSolved\t2.0\n\n \t\np2\tSolved\t1.0\n")
         out = tmp_path / "profile.tsv"
         assert run(["profile", "--results", str(a), str(b),
                     "--labels", "A", "B", "--out", str(out)]) == 0

@@ -243,22 +243,23 @@ def law_entries(draw):
 
 def distance_at(inst, tau, triple):
     """||x_4 - x_1|| for atom 4 of `inst` placed at torsion tau after `triple`."""
-    x4 = geometry.place_atom(*triple, inst.edges[(3, 4)].lower, inst.bond_angles[4], tau)
+    x4 = geometry.place_atom(*triple, inst.edges[(3, 4)].lower,
+                             CompiledInstance.of(inst).theta[4], tau)
     return float(np.linalg.norm(x4 - triple[0]))
 
 
 class TestTorsionDomainFromDistance:
     @staticmethod
     def _triple(inst):
-        return geometry.place_first_three(
-            inst.edges[(1, 2)].lower, inst.edges[(2, 3)].lower, inst.bond_angles[3])
+        return geometry.place_first_three(inst.edges[(1, 2)].lower, inst.edges[(2, 3)].lower,
+                                          CompiledInstance.of(inst).theta[3])
 
     def test_distance_squared_affine_in_cos(self, toy):
         # d(tau)^2 = a + b cos(tau) of torsion_law characterizes the placement
         inst, _ = toy
-        triple = self._triple(inst)
+        triple, theta = self._triple(inst), CompiledInstance.of(inst).theta
         a, b = torsion_law(inst.edges[(1, 2)].lower, inst.edges[(2, 3)].lower,
-                           inst.bond_angles[3], inst.edges[(3, 4)].lower, inst.bond_angles[4])
+                           theta[3], inst.edges[(3, 4)].lower, theta[4])
         for tau in np.linspace(-3.1, 3.1, 25):
             d = distance_at(inst, float(tau), triple)
             assert d * d == pytest.approx(a + b * math.cos(tau), abs=1e-10)

@@ -382,7 +382,7 @@ class TestGenerateInstance:
         from idgp import geometry
         atoms, coords, _ = generated
         inst = io.generate_instance(atoms, coords, angle_width_deg=width_deg)
-        half = math.radians(width_deg) / 2.0
+        half, theta = math.radians(width_deg) / 2.0, CompiledInstance.of(inst).theta
         for i in range(4, inst.n + 1):
             predecessors = [coords[:, k] for k in range(i - 4, i - 1)]
             tau_star = geometry.dihedral(*predecessors, coords[:, i - 1])
@@ -391,7 +391,7 @@ class TestGenerateInstance:
                        if tau_star - half <= t <= tau_star + half]
             dists = [float(np.linalg.norm(
                 geometry.place_atom(*predecessors, inst.edges[(i - 1, i)].lower,
-                                    inst.bond_angles[i], t) - predecessors[0]))
+                                    theta[i], t) - predecessors[0]))
                 for t in window]
             e, ref = inst.edges[(i - 3, i)], pair_distance(coords, i - 3, i)
             assert e.lower - 1e-9 <= min(dists) and max(dists) <= e.upper + 1e-9
@@ -408,7 +408,7 @@ class TestGenerateInstance:
         atoms, coords = io.synthetic_backbone(6, seed=3)
         inst = io.generate_instance(atoms, coords, angle_width_deg=width_deg)
         ci = CompiledInstance.of(inst)
-        half = math.radians(width_deg) / 2.0
+        half, theta = math.radians(width_deg) / 2.0, CompiledInstance.of(inst).theta
         for i in range(4, inst.n + 1):
             tau = geometry.dihedral(*coords[:, i - 4:i].T)
             cands = [math.cos(tau - half), math.cos(tau + half)]

@@ -15,7 +15,7 @@ from idgp.model import (
     DegenerateGeometryError,
     SolverParams,
     TorsionDomain,
-    bond_angle_from_distances,
+    chain_geometry,
     edge_problems,
     structure_problems,
 )
@@ -88,55 +88,64 @@ class TestProjectInterval:
         assert self.project(p, lo, hi) == p
 
 
+def bond_angle(d_ab, d_bc, d_ac):
+    """The angle at vertex b, as the one bond angle of a three-atom chain."""
+    return chain_geometry([d_ab, d_bc], [d_ac])[0][0]
+
+
+SIDE = st.sampled_from([0.0, -1.0, 1e-200, 1e300, math.nan, 1.0, 2.0, 3.0]) | st.floats(0.5, 3.0)
+
+
 class TestBondAngle:
     def test_right_triangle(self):
         # 3-4-5 triangle: the angle between the legs is pi/2
-        assert bond_angle_from_distances(3.0, 4.0, 5.0) == pytest.approx(math.pi / 2)
+        assert bond_angle(3.0, 4.0, 5.0) == pytest.approx(math.pi / 2)
 
     def test_equilateral(self):
-        assert bond_angle_from_distances(1.0, 1.0, 1.0) == pytest.approx(math.pi / 3)
+        assert bond_angle(1.0, 1.0, 1.0) == pytest.approx(math.pi / 3)
 
     def test_impossible_triangle_raises(self):
         with pytest.raises(DegenerateGeometryError):
-            bond_angle_from_distances(1.0, 1.0, 5.0)
+            bond_angle(1.0, 1.0, 5.0)
 
     def test_collinear_raises(self):
         with pytest.raises(DegenerateGeometryError):
-            bond_angle_from_distances(1.0, 1.0, 2.0)
+            bond_angle(1.0, 1.0, 2.0)
 
     @pytest.mark.parametrize("c, message", [
         (2.0 + 2.5e-13, "collinear triple"),  # |cos| - 1 within the tolerance
         (2.0 + 1e-11, "no triangle with sides 1.0, 1.0, 2.00000000001")])
     def test_degeneracy_tolerance(self, c, message):
         with pytest.raises(DegenerateGeometryError, match=f"^{message}$"):
-            bond_angle_from_distances(1.0, 1.0, c)
+            bond_angle(1.0, 1.0, c)
 
     def test_nonpositive_side_raises(self):
         with pytest.raises(DegenerateGeometryError):
-            bond_angle_from_distances(0.0, 1.0, 1.0)
+            bond_angle(0.0, 1.0, 1.0)
 
     @given(st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.floats(0.1, math.pi - 0.1))
     def test_round_trip_with_law_of_cosines(self, a, b, ang):
         c = math.sqrt(a * a + b * b - 2 * a * b * math.cos(ang))
-        assert bond_angle_from_distances(a, b, c) == pytest.approx(ang, abs=1e-9)
+        assert bond_angle(a, b, c) == pytest.approx(ang, abs=1e-9)
 
-    @given(st.lists(st.tuples(*[st.sampled_from([0.0, -1.0, 1e-200, 1e300, math.nan, 1.0,
-                                                  2.0, 3.0]) | st.floats(0.5, 3.0)] * 3),
-                    max_size=6))
-    def test_sequences_match_one_triangle_at_a_time(self, triples):
-        """A call on sequences gives each triangle's angle bit for bit as the
+    @given(st.lists(SIDE, max_size=7).flatmap(lambda one: st.tuples(
+        st.just(one), st.lists(SIDE, min_size=max(len(one) - 1, 0),
+                               max_size=max(len(one) - 1, 0)))))
+    def test_sequences_match_one_triangle_at_a_time(self, chain):
+        """On a chain, whose triangle k has sides one[k], one[k + 1] and two[k],
+        `chain_geometry` gives each triangle's angle bit for bit as the
         one-triangle oracle does, or raises its error at the first triangle
         it rejects, with that position as `index`."""
+        one, two = chain
         expect = []
-        for k, sides in enumerate(triples):
+        for k, sides in enumerate(zip(one[:-1], one[1:], two)):
             try:
                 expect.append(oracles.bond_angle_from_distances(*sides).hex())
             except (DegenerateGeometryError, ZeroDivisionError) as exc:
                 expect = k, exc
                 break
-        columns = [list(side) for side in zip(*triples)] or [[], [], []]
         try:
-            got = [theta.hex() for theta in bond_angle_from_distances(*columns)]
+            got = [theta.hex() for theta in chain_geometry(one, two)[0]]
         except DegenerateGeometryError as exc:
             got = exc.index, exc
         if isinstance(expect, tuple) and isinstance(expect[1], ZeroDivisionError):

@@ -160,7 +160,9 @@ class TestCompiledView:
             if i >= 2:
                 assert ci.d_prev[i] == inst.edges[(i - 1, i)].lower
             if i >= 3:
-                d, theta = inst.edges[(i - 1, i)].lower, inst.bond_angles[i]
+                d, theta = inst.edges[(i - 1, i)].lower, oracles.bond_angle_from_distances(
+                    inst.edges[(i - 2, i - 1)].lower, inst.edges[(i - 1, i)].lower,
+                    inst.edges[(i - 2, i)].lower)
                 assert ci.theta[i] == theta
             if i >= 4:
                 assert ci.axial[i - 4] == -d * math.cos(theta)
@@ -259,7 +261,7 @@ class TestCompiledView:
         domains = dict(inst.torsion_domains)
         search.multistart_solve(inst, SolverParams(rng_seed=seed, n_trial=3,
                                                    spg_max_iter=50))
-        assert set(vars(inst)) == {"atoms", "edges", "torsion_domains", "bond_angles"}
+        assert set(vars(inst)) == {"atoms", "edges", "torsion_domains"}
         assert inst.edges == edges
         assert inst.torsion_domains == domains
 
@@ -870,8 +872,7 @@ class TestInstanceFileRoundTrip:
         lower = data.draw(bound)
         upper = data.draw(st.one_of(st.just(lower), bound))  # equal, swapped or apart
         record = EdgeConstraint(i, j, lower, upper)
-        changed = Instance(inst.atoms, {**inst.edges, key: record},
-                           inst.torsion_domains, inst.bond_angles)
+        changed = Instance(inst.atoms, {**inst.edges, key: record}, inst.torsion_domains)
         reported = bool(edge_problems([record]))
         path = tmp_path_factory.mktemp("one_rule") / "case.inst"
         io.write_instance(changed, path)  # a header line, then the edges in key order
@@ -945,14 +946,15 @@ def instance_texts(draw):
 
 def parse_outcome(parse, path):
     """What `parse` makes of a file: its Instance with every float as hex
-    and every dict in order, or the type and text of its error."""
+    and every dict in order, and the bond angles `CompiledInstance.of` takes
+    from it, or the type and text of its error."""
     try:
         inst = parse(path)
     except IdgpError as exc:
         return type(exc), str(exc)
     return (inst.atoms,
             [(key, e.i, e.j, e.lower.hex(), e.upper.hex()) for key, e in inst.edges.items()],
-            [(i, theta.hex()) for i, theta in inst.bond_angles.items()],
+            [theta.hex() for theta in CompiledInstance.of(inst).theta[3:].tolist()],
             [(i, d.sym, d.lo.hex(), d.hi.hex()) for i, d in inst.torsion_domains.items()])
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import time
@@ -366,6 +367,42 @@ class TestMultistart:
         with pytest.raises(ValidationError) as err:
             search.multistart_solve(inst, SolverParams(n_trial=1))
         assert err.value.violations == [f"{n} atoms: the discretization needs at least 3"]
+
+    @pytest.mark.parametrize("n_impr", [0, 3])
+    def test_atom_without_torsion_domain_is_a_validation_error(self, toy, n_impr):
+        inst = toy[0]
+        kept = {i: dom for i, dom in inst.torsion_domains.items() if i not in (5, 9)}
+        for domains, missing in (({}, range(4, inst.n + 1)), (kept, (5, 9))):
+            with pytest.raises(ValidationError) as err:
+                search.multistart_solve(dataclasses.replace(inst, torsion_domains=domains),
+                                        SolverParams(n_trial=3, n_impr=n_impr))
+            assert err.value.violations == [f"atom {i}: no torsion domain" for i in missing]
+
+    def test_instance_rebuilt_from_records_solves_as_parsed(self, tmp_path):
+        # the bond angles come from the edges, not from the parse
+        atoms, coords = io.synthetic_backbone(3, seed=1)
+        io.write_instance(io.generate_instance(atoms, coords), tmp_path / "case.inst")
+        parsed = io.parse_instance(tmp_path / "case.inst")
+        rebuilt = Instance(parsed.atoms, parsed.edges, parsed.torsion_domains)
+        params = SolverParams(rng_seed=3, n_trial=5, eps_mde=1e-20, eps_lde=1e-20,
+                              spg_max_iter=200)
+        first, second = (search.multistart_solve(inst, params) for inst in (parsed, rebuilt))
+        assert first.conformation.coords.tobytes() == second.conformation.coords.tobytes()
+        assert [(p.lde, p.mde, p.conformation.tobytes()) for p in first.pool] == \
+               [(p.lde, p.mde, p.conformation.tobytes()) for p in second.pool]
+        assert (first.status, first.lde, first.mde, first.trials, first.pool_size) == \
+               (second.status, second.lde, second.mde, second.trials, second.pool_size)
+
+    def test_edited_bond_length_moves_the_bond_angle(self, toy):
+        # a longer bond (1, 2) with (1, 3) kept: atoms 1-3 still realize (1, 3)
+        inst = toy[0]
+        d12 = 1.05 * inst.edges[(1, 2)].lower
+        edited = dataclasses.replace(inst, edges={**inst.edges,
+                                                  (1, 2): EdgeConstraint(1, 2, d12, d12)})
+        _, conf = search.greedy_construction(CompiledInstance.of(edited), 5,
+                                             np.random.default_rng(0))
+        assert pair_distance(conf, 1, 2) == pytest.approx(d12, rel=1e-12)
+        assert pair_distance(conf, 1, 3) == pytest.approx(inst.edges[(1, 3)].lower, rel=1e-12)
 
     def test_solves_toy(self, toy):
         inst, _ = toy
