@@ -1,4 +1,4 @@
-"""Sequential placement primitives and torsion/distance conversions.
+"""Sequential placement primitives, the signed dihedral and torsion sampling.
 
 Torsion sign convention: tau = 0 is the cis (coplanar, same side as the
 great-grandparent atom) placement, tau = pi is trans, and the placements
@@ -10,10 +10,9 @@ import math
 
 import numpy as np
 
-from .model import DegenerateGeometryError, InfeasibleDiscretizationError
+from .model import DegenerateGeometryError
 
 _COLLINEAR_TOL = 1e-12
-_COS_CLAMP_TOL = 1e-9
 
 
 def place_first_three(d12: float, d23: float, theta3: float):
@@ -128,37 +127,6 @@ def dihedral(a, b, c, d) -> float:
     # negate y for the place_atom convention; keep signed zero out of atan2
     # so the trans case lands on +pi, not -pi
     return math.atan2(-y if y != 0.0 else 0.0, x)
-
-
-def invert_torsion_law(a, b, edges):
-    """Torsion bounds (lo, hi), as two lists, of the sign-symmetric domains whose
-    distances d, d^2 = a[k] + b[k] cos(tau), lie in the bounds of record k of
-    `edges`, for arrays a, b of the law (`model.chain_geometry`). A flat law
-    (|b| <= 1e-12) admits every torsion or none. The first record no torsion
-    reaches raises, with its position in `edges` as the error's `index`."""
-    _, _, lower, upper = zip(*edges)
-    lower, upper = np.array(lower, dtype=float), np.array(upper, dtype=float)
-    flat = np.abs(b) <= _COLLINEAR_TOL
-    with np.errstate(all="ignore"):  # bounds too large to square, or a flat b
-        s_lo, s_up = lower * lower, upper * upper
-        c1, c2 = (s_lo - a) / b, (s_up - a) / b
-        # Python's min and max: a NaN c1 is kept, a NaN c2 passed over
-        c_lo, c_hi = np.where(c2 < c1, c2, c1), np.where(c2 > c1, c2, c1)
-        lost = (c_hi < -1.0 - _COS_CLAMP_TOL) | (c_lo > 1.0 + _COS_CLAMP_TOL)
-        lost_flat = ~((s_lo - _COS_CLAMP_TOL <= a) & (a <= s_up + _COS_CLAMP_TOL))
-    for k in np.flatnonzero(np.where(flat, lost_flat, lost))[:1].tolist():
-        e = edges[k]
-        exc = InfeasibleDiscretizationError(
-            f"edge ({e.i},{e.j}) unreachable by any torsion" if flat[k] else
-            f"edge ({e.i},{e.j}) bounds [{e.lower},{e.upper}] outside the "
-            f"reachable distance range")
-        exc.index = k
-        raise exc
-    c = np.where(flat, [[1.0], [-1.0]], (c_hi, c_lo))  # a flat law: [0, pi]
-    c = np.where(c > -1.0, c, -1.0)  # max(-1.0, c), a NaN to -1.0
-    c = np.where(c < 1.0, c, 1.0)  # min(1.0, c)
-    lo, hi = (list(map(math.acos, row)) for row in c.tolist())
-    return lo, hi
 
 
 def sample_torsions(lo, hi, symmetric, rng, size: int) -> np.ndarray:

@@ -17,10 +17,10 @@ no E record is one at line 0; a T atom outside 4..n (n the largest E index) one 
 its line; atoms of 1..n that no E names are a ValidationError, a violation per run;
 so are n < 3 and a missing edge (j, i) for an atom i >= 2 and max(1, i-3) <= j < i;
 a bond angle at atom i without a triangle is a ParseError at the line of E (i-2, i),
-and bounds (i-3, i) no torsion reaches one at the line of that E. `build_instance`
-applies the same E rules (a repeated pair included), the T rule 4 <= i <= n and the
-rule n >= 3 to in-memory records as a ValidationError (derivation errors there carry
-no line), and `generate_instance` ends in it.
+and bounds (i-3, i) no torsion reaches, for an atom i without T line, one at the line
+of that E; the Instance holds only the T lines' domains. `build_instance` applies the
+same E rules (a repeated pair included), the T rule 4 <= i <= n and the rule n >= 3
+to in-memory records as a ValidationError, and `generate_instance` ends in it.
 
 Reference/conformation files carry one atom per line, `index name residue
 x y z`: integers, index = atoms on earlier lines + 1, finite x, y, z. Each
@@ -47,6 +47,8 @@ from .model import (
     ValidationError,
     chain_geometry,
     edge_problems,
+    invert_torsion_law,
+    structure_holds,
     structure_problems,
 )
 
@@ -66,20 +68,21 @@ class ProfileError(IdgpError):
 
 
 def build_instance(atoms, edges, torsion_overrides=None) -> Instance:
-    """An Instance of edge records given with either end first. A ValidationError
-    names the first record that breaks an E rule or repeats a pair, else every
-    override for an atom outside 4..n, else every `structure_problems` rule
-    broken (n >= 3 among them)."""
+    """An Instance of edge records given with either end first and the domains
+    `torsion_overrides` gives. A ValidationError names the first record that breaks an
+    E rule or repeats a pair, else every override for an atom outside 4..n, else every
+    `structure_problems` rule broken; then its compile raises what does not derive."""
     records = [EdgeConstraint(*sorted((e.i, e.j)), e.lower, e.upper) for e in edges]
     edge_map, bad = _edge_map(records)
     if bad:
         raise ValidationError([bad[1]])
-    inst, overrides = Instance(list(atoms), edge_map), torsion_overrides or {}
-    violations = [f"torsion override for atom {i} outside 4..{inst.n}"
-                  for i in overrides if not 4 <= i <= inst.n] or structure_problems(inst)
+    inst = Instance(list(atoms), edge_map, dict(torsion_overrides or {}))
+    violations = [f"torsion override for atom {i} outside 4..{inst.n}" for i in
+                  inst.torsion_domains if not 4 <= i <= inst.n] or structure_problems(inst)
     if violations:
         raise ValidationError(violations)
-    return _derive(inst, overrides)
+    CompiledInstance.of(inst)
+    return inst
 
 
 def _edge_map(records):
@@ -95,27 +98,23 @@ def _edge_map(records):
     return edges, (problems[0] if problems else None)
 
 
-def _derive(inst: Instance, overrides: dict, path=None, lines=None) -> Instance:
-    """Check that every bond angle of `inst` (every required edge there) has a
-    triangle and, in one array pass, derive the torsion domains `overrides` lacks.
-    Given a file's `path` and its edges' `lines`, an error is a ParseError at the
-    line of (i-2, i) for a bond angle, (i-3, i) for a domain."""
-    n, edges, domains = inst.n, inst.edges, dict(overrides)
-    derived = [edges[(i - 3, i)] for i in range(4, n + 1) if i not in overrides]
+def _derive(inst: Instance, path, lines) -> Instance:
+    """Check that every bond angle of the parsed `inst` (every required edge there)
+    has a triangle and, in one array pass, that every atom without a T line has a
+    torsion domain, as `CompiledInstance.of` derives them, storing none: an error
+    is a ParseError at the line of (i-2, i) for a bond angle, (i-3, i) for a domain."""
+    n, edges = inst.n, inst.edges
+    derived = [edges[(i - 3, i)] for i in range(4, n + 1) if i not in inst.torsion_domains]
     try:
         _, (a, b) = chain_geometry([edges[(i - 1, i)].lower for i in range(2, n + 1)],
                                    [edges[(i - 2, i)].lower for i in range(3, n + 1)])
         if derived:  # an instance with a T line for every atom inverts nothing
             rows = [e.j - 4 for e in derived]
-            lo, hi = geometry.invert_torsion_law(a[rows], b[rows], derived)
-            domains.update(zip([e.j for e in derived], map(TorsionDomain.symmetric, lo, hi)))
+            invert_torsion_law(a[rows], b[rows], derived)
     except (DegenerateGeometryError, InfeasibleDiscretizationError) as exc:
-        if lines is None:
-            raise
         pair = (derived[exc.index][:2] if isinstance(exc, InfeasibleDiscretizationError)
                 else (exc.index + 1, exc.index + 3))  # the bond angle at exc.index + 3
         raise ParseError(path, lines[list(edges).index(pair)], str(exc)) from exc
-    inst.torsion_domains.update({i: domains[i] for i in range(4, n + 1)})
     return inst
 
 
@@ -186,13 +185,10 @@ def parse_instance(path) -> Instance:
         gaps = [(a + 1, b - 1) for a, b in pairwise([0, *sorted(named), n + 1]) if b > a + 1]
         raise ValidationError([f"atom {a} appears in no E record" if a == b else
                                f"atoms {a}..{b} appear in no E record" for a, b in gaps])
-    inst = Instance([AtomRecord(k, *named[k]) for k in range(1, n + 1)], edges)
-    # the pairs are distinct, 1 <= i < j <= n: all max(3n - 6, n - 1) required
-    # edges are there exactly when as many pairs have j - i <= 3; n = 2 breaks
-    # the rule n >= 3 with every required edge there
-    if n < 3 or np.count_nonzero(np.subtract(jj, ii) <= 3) != max(3 * n - 6, n - 1):
+    inst = Instance([AtomRecord(k, *named[k]) for k in range(1, n + 1)], edges, overrides)
+    if not structure_holds(inst):
         raise ValidationError(structure_problems(inst))
-    return _derive(inst, overrides, path, lines)
+    return _derive(inst, path, lines)
 
 
 def _fmt(x: float) -> str:
@@ -200,7 +196,9 @@ def _fmt(x: float) -> str:
 
 
 def write_instance(inst: Instance, path) -> None:
-    atoms = inst.atoms
+    """Write `inst` with a T line for every atom 4..n, its domain in the compiled
+    view; an instance that does not compile raises before the file is opened."""
+    ci, atoms = CompiledInstance.of(inst), inst.atoms
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# idgp instance, {inst.n} atoms, {len(inst.edges)} edges\n")
         for (i, j) in sorted(inst.edges):
@@ -208,14 +206,10 @@ def write_instance(inst: Instance, path) -> None:
             ai, aj = atoms[i - 1], atoms[j - 1]
             fh.write(f"E {i} {j} {_fmt(e.lower)} {_fmt(e.upper)} "
                      f"{ai.name} {ai.residue} {aj.name} {aj.residue}\n")
-        for i in sorted(inst.torsion_domains):
-            dom = inst.torsion_domains[i]
-            if dom.sym:
-                sign, lo, hi = "+-", dom.lo, dom.hi
-            elif dom.hi <= 0.0 and dom.lo < 0.0:
-                sign, lo, hi = "-", -dom.hi, -dom.lo
-            else:
-                sign, lo, hi = "+", dom.lo, dom.hi
+        for i, lo, hi, sym in zip(range(4, inst.n + 1), ci.tors_lo.tolist(),
+                                  ci.tors_hi.tolist(), ci.tors_sym.tolist()):
+            sign, lo, hi = ("+-", lo, hi) if sym else (
+                ("-", -hi, -lo) if hi <= 0.0 and lo < 0.0 else ("+", lo, hi))
             fh.write(f"T {i} {_fmt(math.degrees(lo))} {_fmt(math.degrees(hi))} {sign}\n")
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 _COS_DEGENERACY_TOL = 1e-12
 _CA_SUBSET_THRESHOLD = 200     # larger instances superpose CA atoms only
-_NO_DOMAIN = (math.nan, math.nan, False)  # (lo, hi, sym) of an atom without one
+_COS_CLAMP_TOL = 1e-9
 
 
 class IdgpError(Exception):
@@ -137,9 +137,9 @@ class Instance:
     """Weighted interval graph over ordered atoms plus their torsion domains.
 
     `edges` holds one record per unordered pair, keyed by (i, j) with i < j.
-    `torsion_domains[i]` (i >= 4) constrains the torsion of quadruple
-    (i-3, i-2, i-1, i). The bond angles are not stored: `CompiledInstance.of`
-    takes them from the exact edges with `chain_geometry`.
+    `torsion_domains[i]` (i >= 4), if given, constrains the torsion of quadruple
+    (i-3, i-2, i-1, i). Nothing derived is stored: `CompiledInstance.of` derives
+    the bond angles and every domain not given from the edges.
     """
 
     atoms: list
@@ -167,11 +167,11 @@ class CompiledInstance:
     d_prev[i] sin(theta[i]); `law_a`/`law_b`, `torsion_law` of atoms i-3..i,
     d_{i-3,i}^2 = law_a + law_b cos(tau_i) once they realize their exact
     edges; and `tors_lo`/`tors_hi`/`tors_sym`, atom i's torsion domain as
-    `geometry.sample_torsions` takes it (nan bounds where undefined), the
-    solver's only copy of the domains. The solver's torsion arrays share the
-    layout. `rmsd_sel` holds the 0-based atoms an RMSD compares: all of them
-    for n <= 200, otherwise the CA-named ones (empty if there are none).
-    Every field is an int or a read-only array.
+    `geometry.sample_torsions` takes it, given or `invert_torsion_law` of the
+    (i-3, i) bounds, the solver's only copy of the domains. The solver's
+    torsion arrays share the layout. `rmsd_sel` holds the 0-based atoms an
+    RMSD compares: all of them for n <= 200, otherwise the CA-named ones
+    (empty if there are none). Every field is an int or a read-only array.
     """
 
     n: int
@@ -217,11 +217,14 @@ class CompiledInstance:
         axial = np.array([-d_i * math.cos(t_i) for d_i, t_i in pairs], dtype=float)
         radial = np.array([d_i * math.sin(t_i) for d_i, t_i in pairs], dtype=float)
         rows = inst.n * np.arange(3)[:, None]
-        doms = map(inst.torsion_domains.get, range(4, inst.n + 1))
-        tors = np.fromiter(chain.from_iterable(
-            (dom.lo, dom.hi, dom.sym) if dom else _NO_DOMAIN
-            for dom in doms), float, 3 * max(inst.n - 3, 0))
+        doms = list(map(inst.torsion_domains.get, range(4, inst.n + 1)))
+        tors = np.fromiter(chain.from_iterable((dom.lo, dom.hi, dom.sym) if dom else (0, 0, 1)
+                                               for dom in doms), float, 3 * len(doms))
         tors_lo, tors_hi, tors_sym = tors.reshape(-1, 3).T.copy()
+        at = [k for k, dom in enumerate(doms) if dom is None]
+        if at:  # each atom given no domain takes the sign-symmetric one of its bounds
+            tors_lo[at], tors_hi[at] = invert_torsion_law(
+                law_a[at], law_b[at], [inst.edges[(k + 1, k + 4)] for k in at])
         if inst.n <= _CA_SUBSET_THRESHOLD:
             rmsd_sel = np.arange(inst.n)
         else:
@@ -273,6 +276,35 @@ def chain_geometry(one, two):
     return angles, torsion_law(one[:-2], one[1:-1], t[:-1], one[2:], t[1:])
 
 
+def invert_torsion_law(a, b, edges):
+    """Torsion bounds (lo, hi), as two lists, of the sign-symmetric domains whose
+    distances d, d^2 = a[k] + b[k] cos(tau), lie in the bounds of record k of
+    `edges`, for arrays a, b of the law (`chain_geometry`). A flat law
+    (|b| <= 1e-12) admits every torsion or none. The first record no torsion
+    reaches raises, with its position in `edges` as the error's `index`."""
+    _, _, lower, upper = np.array(edges, dtype=float).T
+    flat = np.abs(b) <= 1e-12
+    with np.errstate(all="ignore"):  # bounds too large to square, or a flat b
+        s_lo, s_up = lower * lower, upper * upper
+        c1, c2 = (s_lo - a) / b, (s_up - a) / b
+        # Python's min and max: a NaN c1 is kept, a NaN c2 passed over
+        c_lo, c_hi = np.where(c2 < c1, c2, c1), np.where(c2 > c1, c2, c1)
+        lost = (c_hi < -1.0 - _COS_CLAMP_TOL) | (c_lo > 1.0 + _COS_CLAMP_TOL)
+        lost_flat = ~((s_lo - _COS_CLAMP_TOL <= a) & (a <= s_up + _COS_CLAMP_TOL))
+    for k in np.flatnonzero(np.where(flat, lost_flat, lost))[:1].tolist():
+        e = edges[k]
+        exc = InfeasibleDiscretizationError(
+            f"edge ({e.i},{e.j}) unreachable by any torsion" if flat[k] else
+            f"edge ({e.i},{e.j}) bounds [{e.lower},{e.upper}] outside the "
+            f"reachable distance range")
+        exc.index = k
+        raise exc
+    c = np.where(flat, [[1.0], [-1.0]], (c_hi, c_lo))  # a flat law: [0, pi]
+    c = np.where(c > -1.0, c, -1.0)  # max(-1.0, c), a NaN to -1.0
+    c = np.where(c < 1.0, c, 1.0)  # min(1.0, c)
+    return tuple(list(map(math.acos, row)) for row in c.tolist())
+
+
 def edge_problems(records) -> list:
     """(k, message) for each edge record k, in order, that breaks a rule: 1 <= i < j,
     finite bounds with 0 < lower <= upper, and exact when j - i <= 2, as the
@@ -301,13 +333,25 @@ class ValidationError(IdgpError):
 
 def structure_problems(inst: Instance) -> list:
     """Every violated whole-instance rule: n >= 3 atoms (the discretization
-    fixes atoms 1-3), numbered 1..n in order, every edge (i, j) with j <= n,
-    and an edge (j, i) for every atom i >= 2 and every max(1, i - 3) <= j < i."""
+    fixes atoms 1-3), numbered 1..n in order, every edge keyed (i, j) with
+    1 <= i < j <= n, and an edge (j, i) for every atom i >= 2 and every
+    max(1, i - 3) <= j < i."""
     n = inst.n
     out = [f"{n} atoms: the discretization needs at least 3"] if n < 3 else []
     out += [f"atom index {atom.index} at position {k}: indices must be contiguous 1..n"
             for k, atom in enumerate(inst.atoms, start=1) if atom.index != k]
+    out += [f"edge ({i},{j}): indices must satisfy 1 <= i < j"
+            for i, j in inst.edges if not 1 <= i < j]
     out += [f"edge ({i},{j}): atom {j} beyond n = {n}" for i, j in inst.edges if j > n]
     out += [f"missing required edge ({j},{i})" for i in range(2, n + 1)
             for j in range(max(1, i - 3), i) if (j, i) not in inst.edges]
     return out
+
+
+def structure_holds(inst: Instance) -> bool:
+    """Whether `structure_problems(inst)` is empty, in one pass: with the (distinct)
+    keys 1 <= i < j <= n, all 3n - 6 required edges are there iff as many have j - i <= 3."""
+    n = inst.n
+    gaps = [j - i if 1 <= i < j <= n else 0 for i, j in inst.edges]  # 0: out of range
+    return (n >= 3 and 0 not in gaps and len([g for g in gaps if g <= 3]) == 3 * n - 6
+            and [atom.index for atom in inst.atoms] == list(range(1, n + 1)))

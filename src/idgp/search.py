@@ -15,6 +15,7 @@ from .model import (
     SelectionError,
     SolverParams,
     ValidationError,
+    structure_holds,
     structure_problems,
 )
 from .spg import spg_minimize
@@ -283,14 +284,11 @@ class MultistartReport:
 def multistart_solve(inst: Instance, params: SolverParams) -> MultistartReport:
     """Multistart greedy construction + improvement, RMSD de-duplication and
     SPG refinement of the stress model; early return on LDE/MDE tolerance.
-    An instance of fewer than 3 atoms, or with an atom 4..n without a torsion
-    domain, is a ValidationError; the other `structure_problems` rules are the
-    caller's (`io.build_instance` applies them all)."""
-    problems = structure_problems(inst) if inst.n < 3 else [
-        f"atom {i}: no torsion domain" for i in range(4, inst.n + 1)
-        if i not in inst.torsion_domains]
-    if problems:
-        raise ValidationError(problems)
+    A `structure_problems` rule broken is a ValidationError, raised before the
+    compile derives the domains not given; the edge records' rules are the
+    caller's (`io.build_instance` applies them)."""
+    if not structure_holds(inst):
+        raise ValidationError(structure_problems(inst))
     start = time.monotonic()
     deadline = start + params.time_limit
     ci = CompiledInstance.of(inst)

@@ -1,7 +1,9 @@
 """Reference implementations the optimized code is checked against: scalar
 per-edge loops for the array code of `idgp.metrics` and
 `idgp.model.CompiledInstance`, a record-by-record build for the single
-passes of `CompiledInstance.of`, with a bond angle per triangle, column gathers for the flat-index edge kernel
+passes of `CompiledInstance.of`, with a bond angle per triangle and the
+torsion domain of each atom given none inverted one atom at a time,
+column gathers for the flat-index edge kernel
 of `idgp.metrics` and np.clip for its projection, vector helpers in the
 same operation order and numpy vector ops for the scalar-float
 `idgp.geometry.local_frame`, per-atom trig for the local-coordinate table
@@ -18,15 +20,17 @@ checks the E records as columns, it holds the parser that checks each record
 on its own line, with its scalar edge rule and whole-instance rules, the
 one-triangle law of cosines for `idgp.model.chain_geometry`, which takes all
 of a chain's triangles at once, and the per-atom inversion of
-the torsion-distance law for `idgp.geometry.invert_torsion_law`, which takes
-every derived atom at once."""
+the torsion-distance law for `idgp.model.invert_torsion_law`, which takes
+every atom given no domain at once. Like the parser, it stores only the
+domains of the T lines; it inverts the law for the others only to check
+them, and `compiled_instance` derives them for the view."""
 
 import math
 
 import numpy as np
 
 from idgp import geometry, metrics, search
-from idgp.geometry import _COLLINEAR_TOL, _COS_CLAMP_TOL
+from idgp.geometry import _COLLINEAR_TOL
 from idgp.io import ParseError, ValidationError
 from idgp.metrics import _SMOOTHNESS_TOL
 from idgp.model import (
@@ -40,6 +44,7 @@ from idgp.model import (
     InvalidBoundsError,
     TorsionDomain,
     _CA_SUBSET_THRESHOLD,
+    _COS_CLAMP_TOL,
     _COS_DEGENERACY_TOL,
     torsion_law,
 )
@@ -145,8 +150,9 @@ def place_atoms_batch(x_im3, x_im2, x_im1, d: float, theta: float, taus):
 def compiled_instance(inst: Instance) -> CompiledInstance:
     """`CompiledInstance.of` record by record: the edge keys sorted in Python,
     one conversion per edge field, d_{i-1,i} looked up per atom, the bond angle
-    at each atom by the one-triangle law of cosines and one list per
-    torsion-domain field."""
+    at each atom by the one-triangle law of cosines, the domain of each atom
+    given none by `torsion_domain_from_distance`, one atom at a time, and one
+    list per torsion-domain field."""
     edges = [inst.edges[k] for k in sorted(inst.edges)]
     ii, jj, lower, upper = zip(*edges) if edges else ((),) * 4
     ii, jj = np.array(ii, dtype=int) - 1, np.array(jj, dtype=int) - 1
@@ -164,7 +170,9 @@ def compiled_instance(inst: Instance) -> CompiledInstance:
     d, t = np.array(d_prev), np.array(theta)
     law_a, law_b = torsion_law(d[2:-2], d[3:-1], t[3:-1], d[4:], t[4:])
     rows = inst.n * np.arange(3)[:, None]
-    doms = [inst.torsion_domains.get(i) for i in range(4, inst.n + 1)]
+    doms = [inst.torsion_domains.get(i) or torsion_domain_from_distance(
+        a, b, inst.edges[(i - 3, i)])
+        for i, a, b in zip(range(4, inst.n + 1), law_a.tolist(), law_b.tolist())]
     if inst.n <= _CA_SUBSET_THRESHOLD:
         rmsd_sel = np.arange(inst.n)
     else:
@@ -172,9 +180,9 @@ def compiled_instance(inst: Instance) -> CompiledInstance:
     return CompiledInstance(
         inst.n, ii, jj, ii + rows, jj + rows, lower, upper, w / w.sum(), back_ptr,
         ii[by_end], lower[by_end], upper[by_end], d, t, axial, radial, law_a, law_b,
-        np.array([d.lo if d else math.nan for d in doms], dtype=float),
-        np.array([d.hi if d else math.nan for d in doms], dtype=float),
-        np.array([d is not None and d.sym for d in doms], dtype=bool),
+        np.array([d.lo for d in doms], dtype=float),
+        np.array([d.hi for d in doms], dtype=float),
+        np.array([d.sym for d in doms], dtype=bool),
         rmsd_sel)
 
 
@@ -461,20 +469,18 @@ def _complete(inst: Instance, overrides: dict, path=None, edge_lines=None) -> In
     violations = structure_problems(inst)
     if violations:
         raise ValidationError(violations)
+    inst.torsion_domains.update(overrides)
     edges, angles = inst.edges, {}
     try:
         for i in range(3, inst.n + 1):
             pair = (i - 2, i)
             angles[i] = bond_angle_from_distances(
                 edges[(i - 2, i - 1)].lower, edges[(i - 1, i)].lower, edges[pair].lower)
-        for i in range(4, inst.n + 1):
-            pair = (i - 3, i)
-            if i in overrides:
-                inst.torsion_domains[i] = overrides[i]
-                continue
+        for i in (i for i in range(4, inst.n + 1) if i not in overrides):
+            pair = (i - 3, i)  # checked; the Instance stores only the given domains
             a, b = torsion_law(edges[(i - 3, i - 2)].lower, edges[(i - 2, i - 1)].lower,
                                angles[i - 1], edges[(i - 1, i)].lower, angles[i])
-            inst.torsion_domains[i] = torsion_domain_from_distance(a, b, edges[pair])
+            torsion_domain_from_distance(a, b, edges[pair])
     except IdgpError as exc:
         if edge_lines is None:
             raise

@@ -11,6 +11,7 @@ from idgp.model import (
     EdgeConstraint,
     InfeasibleDiscretizationError,
     TorsionDomain,
+    invert_torsion_law,
     torsion_law,
 )
 from tests import oracles
@@ -277,7 +278,7 @@ class TestTorsionDomainFromDistance:
         # the interval; torsions outside fall outside
         inst, _ = toy
         triple = self._triple(inst)
-        dom = inst.torsion_domains[4]
+        dom = oracles.torsion_domains(CompiledInstance.of(inst))[4]
         e = inst.edges[(1, 4)]
         assert dom.sym
         for tau in np.linspace(-math.pi, math.pi, 201):
@@ -290,8 +291,8 @@ class TestTorsionDomainFromDistance:
         atoms, coords = io.synthetic_backbone(2, seed=3, include_hydrogens=False)
         inst = io.generate_instance(atoms, coords, angle_width_deg=0.0,
                                     include_torsion_annotations=False)
-        for i in range(4, inst.n + 1):
-            dom = inst.torsion_domains[i]
+        assert inst.torsion_domains == {}
+        for dom in oracles.torsion_domains(CompiledInstance.of(inst)).values():
             assert dom.sym
             assert dom.lo == dom.hi
 
@@ -300,7 +301,7 @@ class TestTorsionDomainFromDistance:
         ci = CompiledInstance.of(inst)
         edges = [inst.edges[(1, 4)], EdgeConstraint(2, 5, 50.0, 60.0)]
         with pytest.raises(InfeasibleDiscretizationError, match=r"edge \(2,5\) bounds") as exc:
-            geometry.invert_torsion_law(ci.law_a[:2], ci.law_b[:2], edges)
+            invert_torsion_law(ci.law_a[:2], ci.law_b[:2], edges)
         assert exc.value.index == 1
 
     @settings(max_examples=400, deadline=None)
@@ -321,7 +322,7 @@ class TestTorsionDomainFromDistance:
             assert dom.sym
             expect.append((dom.lo.hex(), dom.hi.hex()))
         try:
-            lo, hi = geometry.invert_torsion_law(np.array(a), np.array(b), edges)
+            lo, hi = invert_torsion_law(np.array(a), np.array(b), edges)
             got = [(lo_k.hex(), hi_k.hex()) for lo_k, hi_k in zip(lo, hi)]
         except InfeasibleDiscretizationError as exc:
             got = (str(exc), exc.index)

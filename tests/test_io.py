@@ -18,6 +18,7 @@ from idgp.model import (
     IdgpError,
     TorsionDomain,
 )
+from tests import oracles
 from tests.oracles import pair_distance
 
 # a minimal valid instance file: a four-atom chain, its (1,4) edge on line 7
@@ -74,11 +75,13 @@ class TestInstanceRoundTrip:
         assert back.atoms == inst.atoms
 
     def test_torsion_domains_survive(self, toy, toy_file):
+        # the toy has no domain given: the file holds the derived ones as T lines
         inst, _ = toy
-        back = io.parse_instance(toy_file)
-        assert set(back.torsion_domains) == set(inst.torsion_domains)
-        for i, dom in inst.torsion_domains.items():
-            b = back.torsion_domains[i]
+        back = oracles.torsion_domains(CompiledInstance.of(io.parse_instance(toy_file)))
+        domains = oracles.torsion_domains(CompiledInstance.of(inst))
+        assert set(back) == set(domains) == set(range(4, inst.n + 1))
+        for i, dom in domains.items():
+            b = back[i]
             assert b.sym == dom.sym
             # degrees in the file: allow conversion round-off
             assert b.lo == pytest.approx(dom.lo, abs=1e-12)
@@ -118,7 +121,20 @@ class TestParseInstance:
         inst = io.parse_instance(self._write(tmp_path, self.VALID))
         assert inst.n == 4 and len(inst.edges) == 6
         assert inst.atoms[0] == AtomRecord(1, "N", 1)
-        assert 4 in inst.torsion_domains
+        assert CompiledInstance.of(inst).tors_sym.tolist() == [True]
+
+    def test_file_without_t_lines_stores_no_domain(self, tmp_path):
+        # the compiled view derives the domains; the file written from it
+        # carries them as T lines, and parses to the same view
+        inst = io.parse_instance(self._write(tmp_path, self.VALID))
+        assert inst.torsion_domains == {}
+        io.write_instance(inst, tmp_path / "back.inst")
+        back = io.parse_instance(tmp_path / "back.inst")
+        assert list(back.torsion_domains) == [4] and back.torsion_domains[4].sym
+        for name in ("tors_lo", "tors_hi", "tors_sym"):
+            assert (getattr(CompiledInstance.of(back), name).tolist()
+                    == pytest.approx(getattr(CompiledInstance.of(inst), name).tolist(),
+                                     abs=1e-12))
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         text = "\n# header\n\n" + self.VALID.replace("E 1 2", "E 1 2") + "\n  # tail\n"
@@ -536,8 +552,11 @@ class TestBuildInstance:
         dom = TorsionDomain.single(0.1, 0.2)
         rebuilt = io.build_instance(inst.atoms, list(inst.edges.values()),
                                     torsion_overrides={5: dom})
+        assert rebuilt.torsion_domains == {5: dom}
         assert rebuilt.torsion_domains[5] is dom
-        assert rebuilt.torsion_domains[4].sym
+        ci = CompiledInstance.of(rebuilt)
+        assert ci.tors_sym.tolist()[:2] == [True, False]  # atom 4 derived, atom 5 given
+        assert (ci.tors_lo[1], ci.tors_hi[1]) == (0.1, 0.2)
 
     def test_override_outside_the_chain_raises(self):
         inst = io.generate_instance(*io.synthetic_backbone(2, seed=1))

@@ -223,7 +223,7 @@ class TestValidateInstance:
         inst = self._minimal()
         assert self.problems(inst) == []
         built = build_instance(inst.atoms, inst.edges.values())
-        assert built.edges == inst.edges and list(built.torsion_domains) == [4]
+        assert built.edges == inst.edges and built.torsion_domains == {}
 
     def test_missing_edge_reported(self):
         inst = self._minimal()

@@ -28,6 +28,8 @@ from idgp.model import (
     SolverParams,
     TorsionDomain,
     edge_problems,
+    structure_holds,
+    structure_problems,
     torsion_law,
 )
 from tests import oracles
@@ -264,6 +266,34 @@ class TestCompiledView:
         assert set(vars(inst)) == {"atoms", "edges", "torsion_domains"}
         assert inst.edges == edges
         assert inst.torsion_domains == domains
+
+
+class TestStructureRule:
+    @settings(max_examples=100, deadline=None)
+    @given(instances(), st.data())
+    @example(THREE_ATOM_CHAIN, None)
+    @example(ONE_EDGE, None)
+    def test_array_rule_is_the_rule_list_empty(self, inst, data):
+        # on an instance edited directly: keys dropped, reversed, or added in
+        # or out of 1 <= i < j <= n, atoms dropped or renumbered
+        edges, atoms = dict(inst.edges), list(inst.atoms)
+        for _ in range(data.draw(st.integers(0, 2)) if data else 0):
+            edit = data.draw(st.sampled_from(["drop", "reverse", "add", "atoms", "renumber"]))
+            if edit in ("drop", "reverse") and edges:
+                i, j = data.draw(st.sampled_from(sorted(edges)))
+                e = edges.pop((i, j))
+                if edit == "reverse":
+                    edges[(j, i)] = e
+            elif edit == "add":
+                i, j = data.draw(st.tuples(*[st.integers(-5, len(atoms) + 2)] * 2))
+                edges[(i, j)] = EdgeConstraint(i, j, 1.0, 2.0)
+            elif edit == "atoms":
+                atoms = atoms[:data.draw(st.integers(0, len(atoms)))]
+            elif atoms:
+                k = data.draw(st.integers(0, len(atoms) - 1))
+                atoms[k] = atoms[k]._replace(index=data.draw(st.integers(0, len(atoms) + 1)))
+        edited = Instance(atoms, edges, inst.torsion_domains)
+        assert structure_holds(edited) == (structure_problems(edited) == [])
 
 
 class TestStressKernel:
@@ -872,10 +902,16 @@ class TestInstanceFileRoundTrip:
         lower = data.draw(bound)
         upper = data.draw(st.one_of(st.just(lower), bound))  # equal, swapped or apart
         record = EdgeConstraint(i, j, lower, upper)
-        changed = Instance(inst.atoms, {**inst.edges, key: record}, inst.torsion_domains)
         reported = bool(edge_problems([record]))
         path = tmp_path_factory.mktemp("one_rule") / "case.inst"
-        io.write_instance(changed, path)  # a header line, then the edges in key order
+        io.write_instance(inst, path)  # a header line, then the edges in key order
+        # the edited record as text: write_instance compiles, so it refuses
+        # an instance whose edit breaks a derivation
+        lines = path.read_text().split("\n")
+        a, b = inst.atoms[i - 1], inst.atoms[j - 1]
+        lines[1 + keys.index(key)] = (f"E {i} {j} {io._fmt(lower)} {io._fmt(upper)} "
+                                      f"{a.name} {a.residue} {b.name} {b.residue}")
+        path.write_text("\n".join(lines))
         try:
             io.parse_instance(path)
             line = None
@@ -944,18 +980,22 @@ def instance_texts(draw):
     return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
 
 
-def parse_outcome(parse, path):
+def parse_outcome(parse, compile, path):
     """What `parse` makes of a file: its Instance with every float as hex
-    and every dict in order, and the bond angles `CompiledInstance.of` takes
-    from it, or the type and text of its error."""
+    and every dict in order (the domains of its T lines only), and the bond
+    angles and every atom's torsion domain, given or derived, that `compile`
+    takes from it, or the type and text of its error."""
     try:
         inst = parse(path)
     except IdgpError as exc:
         return type(exc), str(exc)
+    ci = compile(inst)
     return (inst.atoms,
             [(key, e.i, e.j, e.lower.hex(), e.upper.hex()) for key, e in inst.edges.items()],
-            [theta.hex() for theta in CompiledInstance.of(inst).theta[3:].tolist()],
-            [(i, d.sym, d.lo.hex(), d.hi.hex()) for i, d in inst.torsion_domains.items()])
+            [(i, d.sym, d.lo.hex(), d.hi.hex()) for i, d in inst.torsion_domains.items()],
+            [theta.hex() for theta in ci.theta[3:].tolist()],
+            [(lo.hex(), hi.hex(), sym) for lo, hi, sym in
+             zip(ci.tors_lo.tolist(), ci.tors_hi.tolist(), ci.tors_sym.tolist())])
 
 
 class TestParseOracle:
@@ -998,13 +1038,15 @@ class TestParseOracle:
     def test_matches_the_line_by_line_parser(self, tmp_path_factory, text):
         """parse_instance gives the oracle's Instance bit for bit, or its
         error type and text, errors in the oracle's order; a file whose E
-        records leave an atom in 1..n unnamed has a new error and is left out."""
+        records leave an atom in 1..n unnamed has a new error and is left out.
+        Its compiled view has the angles and domains the oracle derives one
+        triangle and one atom at a time (`oracles.compiled_instance`)."""
         path = tmp_path_factory.mktemp("oracle") / "case.inst"
         path.write_bytes(text.encode("utf-8"))
-        expect = parse_outcome(oracles.parse_instance, path)
+        expect = parse_outcome(oracles.parse_instance, oracles.compiled_instance, path)
         if expect[0] is io.ValidationError:  # every E record was read
             lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
             toks = [line.split("#", 1)[0].split() for line in lines]
             named = {int(t) for tok in toks if tok[:1] == ["E"] for t in tok[1:3]}
             assume(named == set(range(1, max(named) + 1)))
-        assert parse_outcome(io.parse_instance, path) == expect
+        assert parse_outcome(io.parse_instance, CompiledInstance.of, path) == expect

@@ -18,6 +18,7 @@ from idgp.model import (
     TorsionDomain,
     ValidationError,
 )
+from tests import oracles
 from tests.conftest import build_chain, exact_edge, one_edge_instance
 from tests.oracles import pair_distance
 
@@ -53,10 +54,12 @@ class TestGreedyConstruction:
     def test_torsions_stay_in_domain(self, toy):
         inst, _ = toy
         rng = np.random.default_rng(1)
-        tau, conf = search.greedy_construction(CompiledInstance.of(inst), 10, rng)
+        ci = CompiledInstance.of(inst)
+        tau, conf = search.greedy_construction(ci, 10, rng)
         assert tau.shape == (inst.n - 3,)  # atom i at entry i - 4
+        domains = oracles.torsion_domains(ci)
         for i, t in enumerate(tau.tolist(), start=4):
-            assert inst.torsion_domains[i].contains(t, tol=1e-12)
+            assert domains[i].contains(t, tol=1e-12)
 
     def test_discretization_edges_exact(self, toy):
         # one- and two-apart edges are satisfied by construction
@@ -264,11 +267,13 @@ class TestImprove:
 
 class TestKabschRmsd:
     def _instance(self, n, names=None):
-        """Compiled view of n atoms joined by unit bonds, the least it needs."""
+        """Compiled view of n atoms joined by unit bonds, each atom 4..n given a
+        domain (with no (i-3, i) edge, none derives), the least it needs."""
         atoms = [AtomRecord(k + 1, (names or ["X"] * n)[k], 1) for k in range(n)]
         edges = {(k, k + 1): EdgeConstraint(k, k + 1, 1.0, 1.0)
                  for k in range(1, n)}
-        return CompiledInstance.of(Instance(atoms=atoms, edges=edges))
+        domains = {i: TorsionDomain.point(0.0) for i in range(4, n + 1)}
+        return CompiledInstance.of(Instance(atoms, edges, domains))
 
     def test_identity(self):
         A = np.random.default_rng(0).normal(size=(3, 8))
@@ -368,15 +373,56 @@ class TestMultistart:
             search.multistart_solve(inst, SolverParams(n_trial=1))
         assert err.value.violations == [f"{n} atoms: the discretization needs at least 3"]
 
+    @pytest.mark.parametrize("edit, violation", [
+        ({(1, 3): None}, "missing required edge (1,3)"),
+        ({(2, 4): None}, "missing required edge (2,4)"),
+        ({(4, 5): None}, "missing required edge (4,5)"),
+        ({(3, 99): EdgeConstraint(3, 99, 2.0, 3.0)}, "edge (3,99): atom 99 beyond n = 10"),
+        ({(0, 2): EdgeConstraint(0, 2, 2.0, 3.0)},
+         "edge (0,2): indices must satisfy 1 <= i < j"),
+    ], ids=["no-1-3", "no-2-4", "no-4-5", "end-99", "end-0"])
+    def test_broken_structure_is_a_validation_error(self, edit, violation):
+        # an Instance edited directly: each rule is checked before the compile
+        inst = io.generate_instance(*io.synthetic_backbone(2, seed=1))
+        edges = {**inst.edges, **edit}
+        edited = dataclasses.replace(inst, edges={k: e for k, e in edges.items() if e})
+        with pytest.raises(ValidationError) as err:
+            search.multistart_solve(edited, SolverParams(n_trial=3, rng_seed=0))
+        assert err.value.violations == [violation]
+
     @pytest.mark.parametrize("n_impr", [0, 3])
-    def test_atom_without_torsion_domain_is_a_validation_error(self, toy, n_impr):
-        inst = toy[0]
-        kept = {i: dom for i, dom in inst.torsion_domains.items() if i not in (5, 9)}
-        for domains, missing in (({}, range(4, inst.n + 1)), (kept, (5, 9))):
-            with pytest.raises(ValidationError) as err:
-                search.multistart_solve(dataclasses.replace(inst, torsion_domains=domains),
-                                        SolverParams(n_trial=3, n_impr=n_impr))
-            assert err.value.violations == [f"atom {i}: no torsion domain" for i in missing]
+    def test_domains_not_given_solve_as_given(self, n_impr):
+        # the compile derives each atom's domain from its (i-3, i) bounds, the
+        # one an instance given that domain holds
+        inst = io.generate_instance(*io.synthetic_backbone(2, seed=1),
+                                    include_torsion_annotations=False)
+        assert inst.torsion_domains == {}
+        given = dataclasses.replace(
+            inst, torsion_domains=oracles.torsion_domains(CompiledInstance.of(inst)))
+        params = SolverParams(rng_seed=5, n_trial=5, n_impr=n_impr, eps_mde=1e-20,
+                              eps_lde=1e-20, spg_max_iter=100)
+        first, second = (search.multistart_solve(case, params) for case in (inst, given))
+        assert first.conformation.coords.tobytes() == second.conformation.coords.tobytes()
+        assert [(p.lde, p.mde, p.conformation.tobytes()) for p in first.pool] == \
+               [(p.lde, p.mde, p.conformation.tobytes()) for p in second.pool]
+        assert (first.status, first.lde, first.mde, first.trials, first.pool_size) == \
+               (second.status, second.lde, second.mde, second.trials, second.pool_size)
+
+    def test_edited_three_apart_bounds_move_the_domain(self):
+        # the domain of an atom given none follows its (i-3, i) bounds as edited
+        inst = io.generate_instance(*io.synthetic_backbone(2, seed=1),
+                                    include_torsion_annotations=False)
+        e = inst.edges[(4, 7)]
+        narrowed = EdgeConstraint(4, 7, 0.95 * e.lower, 0.95 * e.upper)
+        edited = dataclasses.replace(inst, edges={**inst.edges, (4, 7): narrowed})
+        ci = CompiledInstance.of(edited)
+        before = oracles.torsion_domains(CompiledInstance.of(inst))
+        after = oracles.torsion_domains(ci)
+        expect = oracles.torsion_domain_from_distance(ci.law_a[3], ci.law_b[3], narrowed)
+        assert (after[7].lo, after[7].hi, after[7].sym) == (expect.lo, expect.hi, True)
+        assert (after[7].lo, after[7].hi) != (before[7].lo, before[7].hi)
+        assert {i: dom for i, dom in after.items() if i != 7} == \
+               {i: dom for i, dom in before.items() if i != 7}
 
     def test_instance_rebuilt_from_records_solves_as_parsed(self, tmp_path):
         # the bond angles come from the edges, not from the parse
